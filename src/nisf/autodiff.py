@@ -3,13 +3,13 @@
 Design notes:
 
 * numpy arrays are the storage; the tape and all backward rules are
-  implemented here. Tests run in float64 (finite differences are
-  unreliable in float32); float32 is available for training speed via
-  ``set_default_dtype``.
+  implemented here. New tensors are float64 (finite differences are
+  unreliable in float32); a float32 array passed in is kept as is.
 * Broadcasting is deliberately restricted to scalar-with-tensor and
-  equal-shape operands so every backward rule stays auditable. Row-vector
-  bias addition and row broadcasting of a latent vector are separate,
-  named operations with explicit sum-over-rows backward rules.
+  equal-shape operands so every backward rule stays auditable. The only
+  row-broadcasts are fused into layers: ``linear`` adds a row-vector
+  bias, and ``latent_linear`` conditions every row of a coordinate batch
+  on one shared latent vector without ever tiling it.
 * Every operation validates that its output is finite; a NaN/Inf raises
   ``NumericalError`` instead of propagating silently.
 * Gradient tracking happens only while a ``Tape`` is active. Evaluating
@@ -27,28 +27,7 @@ from .errors import ContractError, DimensionError, NumericalError
 
 LOG_EPS = 1e-12  # single numerical guard: log(x) reads max(x, LOG_EPS)
 
-_DTYPES = {"float64": np.float64, "float32": np.float32}
-_default_dtype = np.float64
-_finite_checks = True
 _active_tape: "Tape | None" = None
-
-
-def set_default_dtype(name: str) -> None:
-    """Set the dtype used for newly created tensors ("float64" or "float32")."""
-    global _default_dtype
-    if name not in _DTYPES:
-        raise ContractError(f"unsupported dtype {name!r}; expected one of {sorted(_DTYPES)}")
-    _default_dtype = _DTYPES[name]
-
-
-def default_dtype() -> np.dtype:
-    return np.dtype(_default_dtype)
-
-
-def set_finite_checks(enabled: bool) -> None:
-    """Enable/disable the per-op finite-value check (on by default)."""
-    global _finite_checks
-    _finite_checks = bool(enabled)
 
 
 def active_tape() -> "Tape | None":
@@ -63,7 +42,7 @@ class Tensor:
     def __init__(self, values, requires_grad: bool = False, name: str | None = None):
         arr = np.asarray(values)
         if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(_default_dtype)
+            arr = arr.astype(np.float64)
         self.values = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
@@ -122,9 +101,6 @@ class Tensor:
 
     def __neg__(self):
         return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def reset_grads(tensors: Iterable[Tensor]) -> None:
@@ -195,7 +171,7 @@ def backward(loss: Tensor) -> None:
 
 
 def _check_finite(vals: np.ndarray, op: str) -> None:
-    if _finite_checks and not np.all(np.isfinite(vals)):
+    if not np.all(np.isfinite(vals)):
         raise NumericalError(f"op '{op}' produced non-finite values")
 
 
@@ -239,42 +215,21 @@ def _as_operands(a, b, op: str):
 
 
 # ---------------------------------------------------------------------------
-# matrix product
+# matrix products
 
 
 def _gemm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # BLAS routes m==1 / n==1 products through gemv-style kernels whose
-    # summation order differs from gemm; padding degenerate dims to 2 keeps
-    # per-row results bit-identical across batch sizes.
-    pad_m = x.shape[0] < 2
-    pad_n = y.shape[1] < 2
-    if pad_m:
-        x = np.concatenate([x, x], axis=0)
-    if pad_n:
-        y = np.concatenate([y, y], axis=1)
-    out = x @ y
-    if pad_m:
-        out = out[:1]
-    if pad_n:
-        out = out[:, :1]
-    return np.ascontiguousarray(out) if (pad_m or pad_n) else out
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of a [m,k] and b [k,n]."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
-    vals = _gemm(a.values, b.values)
-
-    def rule(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, g @ b.values.T)
-        if b.requires_grad:
-            _accumulate(b, a.values.T @ g)
-
-    return _make_output(vals, "matmul", (a, b), rule)
+    # Per-row results must be bit-identical across batch sizes. BLAS routes
+    # m==1 through gemv-style kernels whose summation order differs from
+    # gemm, so a single row is padded to two. Products with fewer than 4
+    # columns run through edge kernels whose per-row sums depend on the
+    # row's position in the batch (OpenBLAS 0.3.31, even padded to 2
+    # columns); numpy's own einsum loop sums every row in the same order.
+    if y.shape[1] < 4:
+        return np.einsum("bk,kn->bn", x, y)
+    if x.shape[0] < 2:
+        return np.ascontiguousarray((np.concatenate([x, x], axis=0) @ y)[:1])
+    return x @ y
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -296,6 +251,44 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             _accumulate(b, g.sum(axis=0), owned=True)
 
     return _make_output(vals, "linear", (x, w, b), rule)
+
+
+def latent_linear(coords: Tensor, h: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``linear`` of [coords | h] where one latent ``h`` [d] conditions every row.
+
+    With ``w`` split row-wise into [w_c; w_h] at k = coords.shape[1], the
+    output is coords @ w_c + (h @ w_h + b). The latent row is computed once
+    per batch. The coordinate term is the sum of k rank-1 updates, taken
+    by ``np.einsum`` (numpy's own loop, not BLAS), which accumulates each
+    element's k products in order: each output row is a fixed sequence
+    over its own coordinates, bit-identical at any batch size or
+    composition. Backward sums the output gradient over rows once; ``h``
+    and ``b`` read their gradients off that sum, and ``w`` gets
+    [coords.T @ g ; outer(h, sum)].
+    """
+    if coords.ndim != 2 or h.ndim != 1 or w.ndim != 2 or b.ndim != 1:
+        raise DimensionError(f"latent_linear needs [B,k], [d], [k+d,n], [n], got "
+                             f"{coords.shape}, {h.shape}, {w.shape}, {b.shape}")
+    k = coords.shape[1]
+    if w.shape[0] != k + h.shape[0] or w.shape[1] != b.shape[0]:
+        raise DimensionError(f"latent_linear extents disagree: {coords.shape}, "
+                             f"{h.shape}, {w.shape}, {b.shape}")
+    cv, hv, w_c, w_h = coords.values, h.values, w.values[:k], w.values[k:]
+    vals = np.einsum("bk,kn->bn", cv, w_c)
+    vals += hv @ w_h + b.values
+
+    def rule(g: np.ndarray) -> None:
+        g_sum = g.sum(axis=0)
+        if coords.requires_grad:
+            _accumulate(coords, g @ w_c.T, owned=True)
+        if h.requires_grad:
+            _accumulate(h, w_h @ g_sum, owned=True)
+        if w.requires_grad:
+            _accumulate(w, np.concatenate([cv.T @ g, np.outer(hv, g_sum)]), owned=True)
+        if b.requires_grad:
+            _accumulate(b, g_sum, owned=True)  # last reader of g_sum
+
+    return _make_output(vals, "latent_linear", (coords, h, w, b), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -352,26 +345,6 @@ def div(a, b) -> Tensor:
             _accumulate(tb, -g * va / (vb * vb))
 
     return _make_output(vals, "div", [t for t in (ta, tb) if t is not None], rule)
-
-
-def exp(x: Tensor) -> Tensor:
-    vals = np.exp(x.values)
-
-    def rule(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accumulate(x, g * vals)
-
-    return _make_output(vals, "exp", (x,), rule)
-
-
-def cos(x: Tensor) -> Tensor:
-    vals = np.cos(x.values)
-
-    def rule(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accumulate(x, -g * np.sin(x.values))
-
-    return _make_output(vals, "cos", (x,), rule)
 
 
 def square(x: Tensor) -> Tensor:
@@ -507,57 +480,3 @@ def reduce_mean(x: Tensor, axis: int | None = None) -> Tensor:
             _accumulate(x, np.broadcast_to(np.expand_dims(scaled, axis), x.shape))
 
     return _make_output(vals, "mean", (x,), rule)
-
-
-def broadcast_rows(v: Tensor, num_rows: int) -> Tensor:
-    """Tile a vector (1-D, or a single [1, d] row) into [num_rows, d].
-
-    Backward sums the incoming gradient over rows, preserving the input
-    shape.
-    """
-    if v.ndim == 1:
-        width = v.shape[0]
-    elif v.ndim == 2 and v.shape[0] == 1:
-        width = v.shape[1]
-    else:
-        raise DimensionError(f"broadcast_rows needs a vector or single row, got shape {v.shape}")
-    if num_rows < 1:
-        raise DimensionError(f"broadcast_rows needs num_rows >= 1, got {num_rows}")
-    vals = np.broadcast_to(v.values.reshape(1, width), (num_rows, width)).copy()
-
-    def rule(g: np.ndarray) -> None:
-        if v.requires_grad:
-            _accumulate(v, g.sum(axis=0, keepdims=v.ndim == 2))
-
-    return _make_output(vals, "broadcast_rows", (v,), rule)
-
-
-def add_rowvec(a: Tensor, v: Tensor) -> Tensor:
-    """Add a 1-D bias vector to every row of a 2-D tensor."""
-    if a.ndim != 2 or v.ndim != 1 or a.shape[1] != v.shape[0]:
-        raise DimensionError(f"add_rowvec needs [B,n] + [n], got {a.shape} and {v.shape}")
-    vals = a.values + v.values
-
-    def rule(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, g)
-        if v.requires_grad:
-            _accumulate(v, g.sum(axis=0))
-
-    return _make_output(vals, "add_rowvec", (a, v), rule)
-
-
-def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    """Concatenate two 2-D tensors along columns."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0]:
-        raise DimensionError(f"concat_cols needs matching row counts, got {a.shape} and {b.shape}")
-    vals = np.concatenate([a.values, b.values], axis=1)
-    split = a.shape[1]
-
-    def rule(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, g[:, :split])
-        if b.requires_grad:
-            _accumulate(b, g[:, split:])
-
-    return _make_output(vals, "concat_cols", (a, b), rule)

@@ -30,11 +30,13 @@ from .optim import Adam, select_trainables
 from .phantom import PhantomSpec, generate_subject, subject_seeds
 from .sampling import (GridSpec, PlaneSpec, nearest_neighbor_resample,
                        predict_heldout_slice, sample_grid, sample_plane)
+from .serial import config_dict, config_hash, write_json_atomic
 from .training import (LATENT_PRIOR_SIGMA, TrainConfig, latest_checkpoint,
                        load_checkpoint, make_batch, train_prior)
 from .volume import VolumeSample
 
 DEFAULT_CACHE_ROOT = ".acceptance_cache"
+CACHE_KEY_CHARS = 16  # hex digits of a config hash in a cache directory name
 
 
 # ---------------------------------------------------------------------------
@@ -72,20 +74,10 @@ class DeskScaleConfig:
                            points_per_step=self.infer_points)
 
     def to_dict(self) -> dict:
-        return {"dataset_seed": self.dataset_seed, "train_subjects": self.train_subjects,
-                "val_subjects": self.val_subjects, "test_subjects": self.test_subjects,
-                "grid_shape": list(self.grid_shape), "spacing": list(self.spacing),
-                "train": self.train.to_dict(), "infer_max_steps": self.infer_max_steps,
-                "infer_lr": self.infer_lr, "infer_lambda_h": self.infer_lambda_h,
-                "infer_cadence": self.infer_cadence, "infer_points": self.infer_points,
-                "infer_seed": self.infer_seed, "heldout_slice": self.heldout_slice,
-                "plane_tilt_deg": self.plane_tilt_deg,
-                "plane_extent_mm": list(self.plane_extent_mm),
-                "plane_counts": list(self.plane_counts)}
+        return config_dict(self)
 
     def content_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()[:16]
+        return config_hash(self.to_dict(), CACHE_KEY_CHARS)
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +139,7 @@ class DeskScaleRun:
         self._splits: dict[str, list[VolumeSample]] | None = None
         config_path = os.path.join(self.dir, "config.json")
         if not os.path.exists(config_path):
-            with open(config_path, "w", encoding="utf-8") as f:
-                json.dump(cfg.to_dict(), f, indent=1, sort_keys=True)
+            write_json_atomic(config_path, cfg.to_dict())
 
     # -- shared pieces --------------------------------------------------
 
@@ -167,10 +158,7 @@ class DeskScaleRun:
         self._log(f"running stage {name}")
         result = builder()
         result["elapsed_seconds"] = round(time.monotonic() - t0, 3)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as f:
-            json.dump(result, f, indent=1, sort_keys=True)
-        os.replace(tmp, path)
+        write_json_atomic(path, result)
         return result
 
     # -- stage 1: prior -------------------------------------------------
@@ -388,13 +376,10 @@ class OverfitConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
 
     def to_dict(self) -> dict:
-        return {"steps": self.steps, "grid_shape": list(self.grid_shape),
-                "spacing": list(self.spacing), "subject_seed": self.subject_seed,
-                "seed": self.seed, "lr": self.lr, "model": self.model.to_dict()}
+        return config_dict(self)
 
     def content_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()[:16]
+        return config_hash(self.to_dict(), CACHE_KEY_CHARS)
 
 
 @dataclass
@@ -472,8 +457,5 @@ def cached_overfit(cfg: OverfitConfig = OverfitConfig(),
               "recon_mae_frame0": res.recon_mae_frame0,
               "elapsed_seconds": round(time.monotonic() - t0, 3),
               "losses": res.losses}
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        json.dump(record, f, indent=1, sort_keys=True)
-    os.replace(tmp, path)
+    write_json_atomic(path, record)
     return record

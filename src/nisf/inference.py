@@ -118,7 +118,7 @@ def evaluate_points(model: FieldModel, h, coords: np.ndarray, chunk: int = 16384
     Returns (labels [B], seg_probs [B,M], intensity [B]). Chunking does
     not change values: the forward pass is point-wise independent.
     """
-    coords = np.asarray(coords, dtype=ad.default_dtype())
+    coords = np.asarray(coords, dtype=np.float64)
     h_arr = h.values if isinstance(h, Tensor) else np.asarray(h)
     h_t = Tensor(h_arr)
     probs_parts, int_parts = [], []
@@ -129,13 +129,6 @@ def evaluate_points(model: FieldModel, h, coords: np.ndarray, chunk: int = 16384
     probs = np.concatenate(probs_parts, axis=0)
     intensity = np.concatenate(int_parts, axis=0)
     return np.argmax(probs, axis=1).astype(np.uint8), probs, intensity
-
-
-def decode_segmentation(model: FieldModel, h, coords
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Hard labels (argmax) and soft probabilities at the given coords."""
-    labels, probs, _ = evaluate_points(model, h, coords)
-    return labels, probs
 
 
 def full_observations(volume: VolumeSample) -> tuple[np.ndarray, np.ndarray]:
@@ -183,8 +176,8 @@ def infer_latent(model: FieldModel, coords: np.ndarray, intensities: np.ndarray,
     labels. The trace always records the full-observation reconstruction
     BCE, even when steps draw subsampled batches.
     """
-    coords = np.asarray(coords, dtype=ad.default_dtype())
-    intensities = np.asarray(intensities, dtype=ad.default_dtype()).reshape(-1, 1)
+    coords = np.asarray(coords, dtype=np.float64)
+    intensities = np.asarray(intensities, dtype=np.float64).reshape(-1, 1)
     if coords.ndim != 2 or coords.shape[0] != intensities.shape[0]:
         raise ContractError(f"coords {coords.shape} and intensities "
                             f"{intensities.shape} do not align")
@@ -195,8 +188,8 @@ def infer_latent(model: FieldModel, coords: np.ndarray, intensities: np.ndarray,
 
     checksum_before = model.checksum()
     rng = np.random.default_rng(np.random.SeedSequence([_STREAM_INIT, config.seed]))
-    h = Tensor(rng.normal(0.0, INFER_INIT_SIGMA, size=model.config.latent_dim)
-               .astype(ad.default_dtype()), requires_grad=True, name="h")
+    h = Tensor(rng.normal(0.0, INFER_INIT_SIGMA, size=model.config.latent_dim),
+               requires_grad=True, name="h")
     trainables = select_trainables("inference", model, h)
     adam = Adam(trainables, lr=config.lr_infer)
     weights = config.weights()

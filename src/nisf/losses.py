@@ -96,7 +96,7 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
         raise DimensionError(f"labels must be 1-D, got shape {labels.shape}")
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise ContractError(f"labels outside [0,{num_classes})")
-    out = np.zeros((labels.shape[0], num_classes), dtype=ad.default_dtype())
+    out = np.zeros((labels.shape[0], num_classes), dtype=np.float64)
     out[np.arange(labels.shape[0]), labels] = 1.0
     return out
 

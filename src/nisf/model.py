@@ -10,14 +10,14 @@ fitted on intensities alone carry segmentation information.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractError, DimensionError
-from .serial import read_blob, write_blob
+from .serial import config_dict, read_blob, write_blob
 
 MODEL_MAGIC = "NISF-MODEL"
 MODEL_VERSION = 1
@@ -54,7 +54,7 @@ class ModelConfig:
             raise ContractError("wavelet frequency and spread must be positive")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return config_dict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -126,14 +126,13 @@ class FieldModel:
         uniform / 0.5 without being exactly degenerate.
         """
         rng = np.random.default_rng(np.random.SeedSequence([0xF1E1D, seed]))
-        dt = ad.default_dtype()
         w = cfg.hidden_width
 
         def normal(scale, *shape):
-            return Tensor(rng.normal(0.0, scale, size=shape).astype(dt), requires_grad=True)
+            return Tensor(rng.normal(0.0, scale, size=shape), requires_grad=True)
 
         def zeros(*shape):
-            return Tensor(np.zeros(shape, dtype=dt), requires_grad=True)
+            return Tensor(np.zeros(shape), requires_grad=True)
 
         params: dict[str, Tensor] = {}
         fan_in = cfg.coord_dim + cfg.latent_dim
@@ -187,36 +186,14 @@ class FieldModel:
     def forward(self, coords, latent) -> FieldOutput:
         """Evaluate both heads at a batch of coordinates.
 
-        coords: [B, N] tensor or array; latent: [d] vector (broadcast to
-        all rows) or [B, d] per-row conditioning. Coordinates are
-        expected in [0,1]^N; rows outside are evaluated anyway and
-        flagged in ``out_of_range``.
+        coords: [B, N] tensor or array; latent: one [d] vector that
+        conditions every row. Coordinates are expected in [0,1]^N; rows
+        outside are evaluated anyway and flagged in ``out_of_range``.
         """
-        cfg = self.config
-        c = coords if isinstance(coords, Tensor) else Tensor(coords)
-        h = latent if isinstance(latent, Tensor) else Tensor(latent)
-        if c.ndim != 2 or c.shape[1] != cfg.coord_dim:
-            raise DimensionError(f"coords must be [B,{cfg.coord_dim}], got {c.shape}")
-        batch = c.shape[0]
-        if h.ndim == 1:
-            if h.shape[0] != cfg.latent_dim:
-                raise DimensionError(f"latent length {h.shape[0]} != {cfg.latent_dim}")
-            h_rows = ad.broadcast_rows(h, batch)
-        elif h.ndim == 2 and h.shape == (batch, cfg.latent_dim):
-            h_rows = h
-        elif h.ndim == 2 and h.shape == (1, cfg.latent_dim):
-            h_rows = ad.broadcast_rows(h, batch)
-        else:
-            raise DimensionError(f"latent must be [{cfg.latent_dim}] or "
-                                 f"[{batch},{cfg.latent_dim}], got {h.shape}")
-
+        c, h = self._inputs(coords, latent)
+        for x in self._trunk(c, h):
+            pass  # keep only the last block output alive
         p = self.params
-        x = ad.concat_cols(c, h_rows)
-        x = ad.linear(x, p["w_in"], p["b_in"])
-        for i in range(cfg.num_res_layers):
-            pre = ad.linear(x, p[f"res{i}_w1"], p[f"res{i}_b1"])
-            psi = ad.gabor(pre, cfg.gabor_omega0, cfg.gabor_s0)
-            x = ad.add(x, ad.linear(psi, p[f"res{i}_w2"], p[f"res{i}_b2"]))
         seg = ad.softmax(ad.linear(x, p["w_seg"], p["b_seg"]))
         intensity = ad.sigmoid(ad.linear(x, p["w_int"], p["b_int"]))
         oor = np.any((c.values < 0.0) | (c.values > 1.0), axis=1)
@@ -227,23 +204,28 @@ class FieldModel:
 
         Diagnostic used to check initialization scale health.
         """
+        return [x.values for x in self._trunk(*self._inputs(coords, latent))]
+
+    def _inputs(self, coords, latent) -> tuple[Tensor, Tensor]:
         cfg = self.config
         c = coords if isinstance(coords, Tensor) else Tensor(coords)
         h = latent if isinstance(latent, Tensor) else Tensor(latent)
-        if h.ndim == 1 or h.shape[0] == 1:
-            h_rows = ad.broadcast_rows(h, c.shape[0])
-        else:
-            h_rows = h
-        p = self.params
-        acts = []
-        x = ad.linear(ad.concat_cols(c, h_rows), p["w_in"], p["b_in"])
-        acts.append(x.values.copy())
+        if c.ndim != 2 or c.shape[1] != cfg.coord_dim:
+            raise DimensionError(f"coords must be [B,{cfg.coord_dim}], got {c.shape}")
+        if h.shape != (cfg.latent_dim,):
+            raise DimensionError(f"latent must be [{cfg.latent_dim}], got {h.shape}")
+        return c, h
+
+    def _trunk(self, c: Tensor, h: Tensor):
+        """Yield the input projection, then each residual block output."""
+        cfg, p = self.config, self.params
+        x = ad.latent_linear(c, h, p["w_in"], p["b_in"])
+        yield x
         for i in range(cfg.num_res_layers):
             pre = ad.linear(x, p[f"res{i}_w1"], p[f"res{i}_b1"])
             psi = ad.gabor(pre, cfg.gabor_omega0, cfg.gabor_s0)
             x = ad.add(x, ad.linear(psi, p[f"res{i}_w2"], p[f"res{i}_b2"]))
-            acts.append(x.values.copy())
-        return acts
+            yield x
 
     # -- persistence ---------------------------------------------------
 

@@ -11,11 +11,18 @@ The header carries an ``arrays`` list of [name, shape, dtype] entries in
 payload order, so readers can validate byte counts before touching the
 payload. Round-trips are bit-exact: arrays are written as little-endian
 raw bytes and read back with the recorded dtype and shape.
+
+JSON artifacts share two helpers as well: configs serialise and hash
+through ``config_dict``/``config_hash``, and records are written through
+``write_json_atomic`` so a reader never sees a half-written file.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+from dataclasses import asdict
 from typing import BinaryIO
 
 import numpy as np
@@ -81,3 +88,26 @@ def read_blob(f: BinaryIO, magic: str, max_version: int) -> tuple[int, dict, dic
     if trailing:
         raise PayloadError("trailing bytes after declared payload")
     return version, header, arrays
+
+
+def _json_fields(pairs) -> dict:
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in pairs}
+
+
+def config_dict(cfg) -> dict:
+    """A (nested) dataclass config as plain JSON types; tuple fields become lists."""
+    return asdict(cfg, dict_factory=_json_fields)
+
+
+def config_hash(d: dict, chars: int = 64) -> str:
+    """Leading ``chars`` hex digits of the SHA-256 of ``d`` as sorted-key JSON."""
+    blob = json.dumps(d, sort_keys=True).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()[:chars]
+
+
+def write_json_atomic(path: str, obj) -> None:
+    """Write ``obj`` as indented sorted-key JSON, renamed into place when complete."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as f:
+        json.dump(obj, f, indent=1, sort_keys=True)
+    os.replace(tmp, path)

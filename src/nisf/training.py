@@ -15,21 +15,18 @@ uninterrupted run.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .errors import ContractError, NumericalError
 from .losses import LossReport, LossWeights, train_loss
 from .model import FieldModel, ModelConfig
 from .optim import Adam
-from .serial import read_blob, write_blob
+from .serial import config_dict, config_hash, read_blob, write_blob
 from .volume import VolumeSample, normalize_index
 
 CKPT_MAGIC = "NISF-CKPT"
@@ -41,9 +38,6 @@ LATENT_PRIOR_SIGMA = 0.1  # rows start from N(0, 1e-2)
 _STREAM_TABLE = 0x1A7
 _STREAM_ORDER = 0x0E0
 _STREAM_FRAME = 0x0F0
-
-normalize_coords = normalize_index
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -64,13 +58,7 @@ class TrainConfig:
             raise ContractError("lr_prior must be positive")
 
     def to_dict(self) -> dict:
-        return {"model": self.model.to_dict(), "epochs": self.epochs,
-                "lr_prior": self.lr_prior,
-                "weights": {"alpha": self.weights.alpha,
-                            "lambda_theta_phi": self.weights.lambda_theta_phi,
-                            "lambda_h": self.weights.lambda_h},
-                "seed": self.seed, "checkpoint_every": self.checkpoint_every,
-                "log_every": self.log_every}
+        return config_dict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -92,8 +80,7 @@ class TrainConfig:
         return d
 
     def content_hash(self) -> str:
-        blob = json.dumps(self.trajectory_dict(), sort_keys=True).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
+        return config_hash(self.trajectory_dict())
 
 
 class LatentTable:
@@ -109,8 +96,7 @@ class LatentTable:
         self.latent_dim = latent_dim
         rng = np.random.default_rng(np.random.SeedSequence([_STREAM_TABLE, seed]))
         rows = rng.normal(0.0, sigma, size=(len(subject_ids), latent_dim))
-        dt = ad.default_dtype()
-        self.rows = {sid: Tensor(rows[i].astype(dt), requires_grad=True, name=f"h[{sid}]")
+        self.rows = {sid: Tensor(rows[i].copy(), requires_grad=True, name=f"h[{sid}]")
                      for i, sid in enumerate(subject_ids)}
         self.adams = {sid: Adam({"h": self.rows[sid]}, lr=lr) for sid in subject_ids}
 

@@ -32,6 +32,17 @@ def test_config_hash_tracks_content():
     assert replace(MICRO, dataset_seed=4).content_hash() != MICRO.content_hash()
 
 
+def test_default_config_hashes_are_pinned():
+    # cache directory names and checkpoint trajectory hashes; a change orphans caches
+    assert DeskScaleConfig().content_hash() == "75fe8e94830dc9c9"
+    assert OverfitConfig().content_hash() == "82fde1ee18a62260"
+    assert TrainConfig().content_hash() == (
+        "5b1dca1163b436d40f4dbc0ef6dff548919e65c757b14d04eb11fc9a6fe8af2d")
+    assert DeskScaleConfig().train.content_hash() == (
+        "bc1fa6ffe96ebba1ce8c3b4e202f66617e06a370de53392af2e66fcec07dcfbf")
+    assert OverfitConfig().to_dict()["grid_shape"] == [16, 16, 4, 4]
+
+
 def test_build_splits_sizes_and_ids():
     splits = build_splits(MICRO)
     assert [len(splits[k]) for k in ("train", "val", "test")] == [2, 1, 1]

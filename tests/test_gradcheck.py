@@ -1,6 +1,8 @@
 """The finite-difference checker itself, then the checks it guards."""
 
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +85,16 @@ def test_every_op_matches_finite_differences():
     failures = [r.name for r in report.results if not r.passed]
     assert not failures, f"ops failing FD check: {failures}"
     assert report.max_rel_err <= OP_TOL
+
+
+def test_every_tape_op_has_an_fd_case():
+    # each op name recorded by autodiff needs a case named after it ("sum_all" for "sum")
+    ops = set(re.findall(r'_make_output\(\w+, "(\w+)"', Path(ad.__file__).read_text()))
+    assert {"linear", "latent_linear", "gabor", "softmax", "sigmoid"} <= ops
+    cases = [r.name for r in run_op_checks(seed=0).results]
+    missing = [op for op in sorted(ops)
+               if not any(c == op or c.startswith(op + "_") for c in cases)]
+    assert not missing, f"ops without a finite-difference case: {missing}"
 
 
 def test_composed_training_loss_matches_finite_differences():

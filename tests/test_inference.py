@@ -5,7 +5,7 @@ import pytest
 
 from nisf.errors import ContractError, NumericalError
 from nisf.inference import (InferConfig, InferenceTrace, analysis_points,
-                            decode_segmentation, evaluate_points,
+                            evaluate_points,
                             full_observations, infer_latent, sample_volume,
                             select_early_stop_steps, validate_prior)
 from nisf.model import FieldModel, ModelConfig
@@ -113,7 +113,7 @@ def test_evaluate_points_chunking_is_invisible():
 def test_decode_segmentation_is_argmax_of_probs():
     model = FieldModel.init(TINY, seed=1)
     coords = np.random.default_rng(0).uniform(size=(20, 4))
-    labels, probs = decode_segmentation(model, np.zeros(TINY.latent_dim), coords)
+    labels, probs, _ = evaluate_points(model, np.zeros(TINY.latent_dim), coords)
     assert np.array_equal(labels, np.argmax(probs, axis=1))
 
 

@@ -121,18 +121,27 @@ def test_latent_shape_contracts():
     with pytest.raises(DimensionError):
         model.forward(coords, np.zeros((3, 8)))
     with pytest.raises(DimensionError):
+        model.forward(coords, np.zeros((1, 8)))
+    with pytest.raises(DimensionError):
         model.forward(np.zeros((5, 3)), np.zeros(8))
 
 
-def test_single_row_latent_matches_vector_latent():
-    model = FieldModel.init(tiny_config(), seed=8)
+def test_trunk_activations_feed_the_heads():
+    # the diagnostic reads the very trunk that forward runs
+    cfg = tiny_config()
+    model = FieldModel.init(cfg, seed=8)
     rng = np.random.default_rng(5)
     coords = rng.uniform(0, 1, (9, 4))
     h = rng.normal(scale=0.1, size=8)
-    flat = model.forward(coords, h)
-    row = model.forward(coords, h.reshape(1, 8))
-    assert np.array_equal(flat.seg_probs.values, row.seg_probs.values)
-    assert np.array_equal(flat.intensity.values, row.intensity.values)
+    acts = model.trunk_activations(coords, h)
+    assert len(acts) == cfg.num_res_layers + 1
+    assert all(a.shape == (9, cfg.hidden_width) for a in acts)
+    p = model.params
+    seg = ad.softmax(ad.linear(Tensor(acts[-1]), p["w_seg"], p["b_seg"]))
+    intensity = ad.sigmoid(ad.linear(Tensor(acts[-1]), p["w_int"], p["b_int"]))
+    out = model.forward(coords, h)
+    assert np.array_equal(out.seg_probs.values, seg.values)
+    assert np.array_equal(out.intensity.values, intensity.values)
 
 
 def test_row_results_independent_of_batch_composition():

@@ -2,13 +2,14 @@
 
 import io
 import json
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nisf.errors import FormatVersionError, PayloadError
-from nisf.serial import array_entries, read_blob, write_blob
+from nisf.serial import array_entries, read_blob, write_blob, write_json_atomic
 
 MAGIC = "NISF-TEST"
 
@@ -119,3 +120,12 @@ def test_float64_payloads_round_trip_bitwise(values):
     _, _, out = _round_trip({"a": arr})
     assert out["a"].tobytes() == arr.tobytes()
     assert out["a"].shape == arr.shape
+
+
+def test_write_json_atomic_replaces_whole_file(tmp_path):
+    path = str(tmp_path / "record.json")
+    write_json_atomic(path, {"b": [1, 2], "a": 0.5})
+    write_json_atomic(path, {"c": 1})
+    with open(path, encoding="utf-8") as f:
+        assert json.load(f) == {"c": 1}
+    assert os.listdir(tmp_path) == ["record.json"]

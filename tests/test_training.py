@@ -10,8 +10,8 @@ from nisf.losses import LossWeights, one_hot, train_loss
 from nisf.model import FieldModel, ModelConfig
 from nisf.phantom import generate_subject
 from nisf.training import (LatentTable, TrainConfig, latest_checkpoint,
-                           load_checkpoint, make_batch, normalize_coords,
-                           train_prior)
+                           load_checkpoint, make_batch, train_prior)
+from nisf.volume import normalize_index
 
 TINY_MODEL = ModelConfig(num_res_layers=2, hidden_width=16, latent_dim=8)
 
@@ -31,9 +31,9 @@ def _subjects(n, grid=(6, 6, 3, 2), seed0=20):
 
 
 def test_normalize_coords_analytic_values():
-    assert normalize_coords(3, 11) == pytest.approx(0.3)
-    assert normalize_coords(0, 7) == 0.0
-    assert normalize_coords(6, 7) == 1.0
+    assert normalize_index(3, 11) == pytest.approx(0.3)
+    assert normalize_index(0, 7) == 0.0
+    assert normalize_index(6, 7) == 1.0
 
 
 def test_make_batch_counts_and_bounds():
@@ -54,8 +54,8 @@ def test_make_batch_raster_order_oracle():
     for i in range(3):
         for j in range(2):
             for k in range(2):
-                expect = [normalize_coords(i, 3), normalize_coords(j, 2),
-                          normalize_coords(k, 2), 1.0]
+                expect = [normalize_index(i, 3), normalize_index(j, 2),
+                          normalize_index(k, 2), 1.0]
                 assert batch.coords[row].tolist() == expect
                 assert batch.intensities[row, 0] == vol.intensity[i, j, k, 1]
                 assert batch.labels[row] == vol.labels[i, j, k, 1]
