@@ -8,8 +8,10 @@ Design notes:
 * Broadcasting is deliberately restricted to scalar-with-tensor and
   equal-shape operands so every backward rule stays auditable. The only
   row-broadcasts are fused into layers: ``linear`` adds a row-vector
-  bias, and ``latent_linear`` conditions every row of a coordinate batch
-  on one shared latent vector without ever tiling it.
+  bias, ``latent_linear`` conditions every row of a coordinate batch
+  on one shared latent vector without ever tiling it, and ``residual``
+  computes a block's x + psi @ w + b as one entry whose backward passes
+  the output gradient on to ``x`` without copying it.
 * Every operation validates that its output is finite; a NaN/Inf raises
   ``NumericalError`` instead of propagating silently.
 * Gradient tracking happens only while a ``Tape`` is active. Evaluating
@@ -221,11 +223,13 @@ def _as_operands(a, b, op: str):
 def _gemm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # Per-row results must be bit-identical across batch sizes. BLAS routes
     # m==1 through gemv-style kernels whose summation order differs from
-    # gemm, so a single row is padded to two. Products with fewer than 4
-    # columns run through edge kernels whose per-row sums depend on the
-    # row's position in the batch (OpenBLAS 0.3.31, even padded to 2
-    # columns); numpy's own einsum loop sums every row in the same order.
-    if y.shape[1] < 4:
+    # gemm, so a single row is padded to two. OpenBLAS 0.3.31 runs products
+    # with M*N*K <= 1e6 through small-matrix kernels; at K=128 and M >= 2
+    # their rows depend on the batch size for N = 1-4, 9-12 and 100, and
+    # are invariant for N = 5-8, 13-64 and 128. The heads (N = 1 and the
+    # default 4 classes) therefore take numpy's own einsum loop, which sums
+    # every row in the same order; the trunk's N = 128 stays on BLAS.
+    if y.shape[1] <= 4:
         return np.einsum("bk,kn->bn", x, y)
     if x.shape[0] < 2:
         return np.ascontiguousarray((np.concatenate([x, x], axis=0) @ y)[:1])
@@ -289,6 +293,38 @@ def latent_linear(coords: Tensor, h: Tensor, w: Tensor, b: Tensor) -> Tensor:
             _accumulate(b, g_sum, owned=True)  # last reader of g_sum
 
     return _make_output(vals, "latent_linear", (coords, h, w, b), rule)
+
+
+def residual(x: Tensor, psi: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Fused residual block output x + psi @ w + b: one tape entry per block.
+
+    The sum is taken as (psi @ w + b) + x, which is bit-identical to
+    ``add(x, linear(psi, w, b))`` because IEEE addition commutes. Backward
+    hands the output gradient ``g`` itself to ``x``, last, instead of
+    copying it for both branches: the tape frees ``g`` after this rule.
+    """
+    if x.ndim != 2 or psi.ndim != 2 or w.ndim != 2 or b.ndim != 1:
+        raise DimensionError(f"residual needs [B,n] + [B,k] @ [k,n] + [n], got {x.shape}, "
+                             f"{psi.shape}, {w.shape}, {b.shape}")
+    if (psi.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]
+            or x.shape != (psi.shape[0], w.shape[1])):
+        raise DimensionError(f"residual extents disagree: {x.shape}, {psi.shape}, "
+                             f"{w.shape}, {b.shape}")
+    vals = _gemm(psi.values, w.values)
+    vals += b.values  # _gemm's result is a fresh array
+    vals += x.values
+
+    def rule(g: np.ndarray) -> None:
+        if psi.requires_grad:
+            _accumulate(psi, g @ w.values.T, owned=True)
+        if w.requires_grad:
+            _accumulate(w, psi.values.T @ g, owned=True)
+        if b.requires_grad:
+            _accumulate(b, g.sum(axis=0), owned=True)
+        if x.requires_grad:
+            _accumulate(x, g, owned=True)  # last reader of g
+
+    return _make_output(vals, "residual", (x, psi, w, b), rule)
 
 
 # ---------------------------------------------------------------------------

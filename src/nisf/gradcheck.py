@@ -135,6 +135,7 @@ def run_op_checks(seed: int = 0) -> GradCheckReport:
     wide_coef = rng.normal(size=(3, 7))
     coords = rng.normal(size=(3, 2))
     latent = rng.normal(size=3)
+    skip = rng.normal(size=(3, 2))
 
     def contract(t, weights):
         return ad.reduce_sum(ad.mul(t, ad.Tensor(weights)))
@@ -156,6 +157,8 @@ def run_op_checks(seed: int = 0) -> GradCheckReport:
         ("linear", lambda p: contract(ad.linear(p[0], p[1], p[2]), wm), [m1, m2, bias]),
         ("latent_linear", lambda p: contract(ad.latent_linear(p[0], p[1], p[2], p[3]), wm),
          [coords, latent, m2, bias]),
+        ("residual", lambda p: contract(ad.residual(p[0], p[1], p[2], p[3]), wm),
+         [skip, m1, m2, bias]),
         ("sum_all", lambda p: ad.reduce_sum(p[0]), [a]),
         ("sum_axis0", lambda p: ad.reduce_sum(ad.mul(ad.reduce_sum(p[0], axis=0),
                                                      ad.Tensor(w[0]))), [a]),

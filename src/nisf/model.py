@@ -224,7 +224,7 @@ class FieldModel:
         for i in range(cfg.num_res_layers):
             pre = ad.linear(x, p[f"res{i}_w1"], p[f"res{i}_b1"])
             psi = ad.gabor(pre, cfg.gabor_omega0, cfg.gabor_s0)
-            x = ad.add(x, ad.linear(psi, p[f"res{i}_w2"], p[f"res{i}_b2"]))
+            x = ad.residual(x, psi, p[f"res{i}_w2"], p[f"res{i}_b2"])
             yield x
 
     # -- persistence ---------------------------------------------------

@@ -207,6 +207,30 @@ def test_latent_linear_matches_concat_formulation():
         ad.latent_linear(ad.Tensor(coords), ad.Tensor(h[:7]), ad.Tensor(w), ad.Tensor(b))
 
 
+@pytest.mark.parametrize("rows", [1, 53])
+def test_residual_matches_add_of_linear(rows):
+    # the fused block output keeps the bits of the unfused pair, value and gradients
+    rng = np.random.default_rng(7)
+    arrays = [rng.normal(size=(rows, 6)), rng.normal(size=(rows, 5)),
+              rng.normal(size=(5, 6)), rng.normal(size=6)]
+    coef = ad.Tensor(rng.normal(size=(rows, 6)))
+
+    def run(block):
+        tensors = [ad.Tensor(v.copy(), requires_grad=True) for v in arrays]
+        with ad.Tape() as tape:
+            out = block(*tensors)
+            tape.backward(ad.reduce_sum(ad.mul(out, coef)))
+        return out.values, [t.grad for t in tensors]
+
+    fused, fused_grads = run(ad.residual)
+    plain, plain_grads = run(lambda x, psi, w, b: ad.add(x, ad.linear(psi, w, b)))
+    assert np.array_equal(fused, plain)
+    for got, expect in zip(fused_grads, plain_grads):
+        assert np.array_equal(got, expect)
+    with pytest.raises(DimensionError):
+        ad.residual(*(ad.Tensor(v) for v in [arrays[0][:, :5]] + arrays[1:]))
+
+
 def test_same_seed_same_graph_same_gradients():
     def build(seed):
         rng = np.random.default_rng(seed)

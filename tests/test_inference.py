@@ -110,6 +110,20 @@ def test_evaluate_points_chunking_is_invisible():
     np.testing.assert_allclose(probs_a.sum(axis=1), 1.0, atol=1e-9)
 
 
+def test_default_model_points_are_chunk_invariant():
+    # at the default width every chunk size, including the default, gives the same bits
+    model = FieldModel.init(ModelConfig(), seed=0)
+    rng = np.random.default_rng(8)
+    coords = rng.uniform(size=(3456, 4))
+    h = rng.normal(scale=0.1, size=model.config.latent_dim)
+    lab, probs, inten = evaluate_points(model, h, coords, chunk=10 ** 6)
+    for chunk in (1, 7, 1000, 1024, 2048, None):
+        lab_c, probs_c, inten_c = evaluate_points(model, h, coords, chunk=chunk)
+        assert np.array_equal(lab_c, lab), chunk
+        assert np.array_equal(probs_c, probs), chunk
+        assert np.array_equal(inten_c, inten), chunk
+
+
 def test_decode_segmentation_is_argmax_of_probs():
     model = FieldModel.init(TINY, seed=1)
     coords = np.random.default_rng(0).uniform(size=(20, 4))

@@ -177,6 +177,20 @@ def test_one_training_step_updates_only_the_sampled_row():
     assert np.array_equal(after[2], before[2])
 
 
+def test_default_training_step_tape_entries():
+    # input layer + 8 x (linear, gabor, residual) + 2 heads + losses
+    model = FieldModel.init(ModelConfig(), seed=0)
+    rng = np.random.default_rng(2)
+    h = ad.Tensor(rng.normal(scale=0.01, size=model.config.latent_dim), requires_grad=True)
+    coords = rng.uniform(size=(4096, 4))
+    intensities = rng.uniform(size=(4096, 1))
+    labels = rng.integers(0, model.config.num_classes, size=4096)
+    with Tape() as tape:
+        terms = train_loss(model, h, coords, intensities, labels, LossWeights())
+        assert len(tape) == 180
+        tape.backward(terms.total)
+
+
 # -- the loop -----------------------------------------------------------------------
 
 
