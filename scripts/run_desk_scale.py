@@ -9,7 +9,6 @@ previous invocation stopped, and a completed cache returns instantly.
 """
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -17,6 +16,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from nisf.experiments import DEFAULT_CACHE_ROOT, DeskScaleConfig, DeskScaleRun
+from nisf.serial import write_json_atomic
 
 
 def main() -> int:
@@ -63,9 +63,7 @@ def main() -> int:
         print(f"oblique plane: model beats NN baseline on "
               f"{summary['oblique']['win_fraction']:.0%} of subjects")
 
-    with open(os.path.join(run.dir, "summary.json"), "w", encoding="utf-8") as f:
-        json.dump(summary, f, indent=1, sort_keys=True)
-        f.write("\n")
+    write_json_atomic(os.path.join(run.dir, "summary.json"), summary)
     print(f"done in {time.monotonic() - t0:.1f}s; cache at {run.dir}")
     return 0
 

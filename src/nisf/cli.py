@@ -9,9 +9,12 @@ Every command that produces an output directory writes a
 ``run_manifest.json`` there before doing any real work, recording the
 command line, the resolved configuration, and a timestamp.
 
-Options can come from a JSON config file (``--config``); explicit flags
-win over config-file values. The ``NISF_THREADS`` environment variable
-supplies the default for ``--threads``.
+Tunable options are declared once, in a table per command. gen-data,
+train-prior and infer also read a JSON ``--config`` file keyed by flag
+name (``_`` for ``-``): a flag wins over its key, an option set by
+neither keeps the default of the config dataclass it sets, and an
+unknown key is an error. ``NISF_THREADS`` supplies the default for
+``--threads``.
 
 Heavy imports happen inside the command handlers so that thread limits
 can be applied to the BLAS before numpy loads.
@@ -24,6 +27,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,31 +59,81 @@ def _fail(message: str, code: int = 1) -> int:
     return code
 
 
-def _parse_ints(text: str, n: int, what: str) -> tuple[int, ...]:
-    parts = text.split(",")
-    if len(parts) != n:
-        raise SystemExit(_fail(f"{what} needs {n} comma-separated values, got {text!r}"))
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        raise SystemExit(_fail(f"{what} must be integers, got {text!r}"))
+def _tuple(cast, n: int):
+    """Parser for ``n`` values, given as "a,b,c" (a flag) or a JSON list (a config value)."""
+    def parse(value):
+        parts = value.split(",") if isinstance(value, str) else value
+        try:
+            if len(parts) == n:
+                return tuple(cast(p) for p in parts)
+        except (TypeError, ValueError):
+            pass
+        raise argparse.ArgumentTypeError(
+            f"needs {n} comma-separated {cast.__name__} values, got {value!r}")
+    return parse
 
 
-def _parse_floats(text: str, n: int, what: str) -> tuple[float, ...]:
-    parts = text.split(",")
-    if len(parts) != n:
-        raise SystemExit(_fail(f"{what} needs {n} comma-separated values, got {text!r}"))
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        raise SystemExit(_fail(f"{what} must be numbers, got {text!r}"))
+# One row per option: (flag, parse, field, help). ``field`` names the
+# config-dataclass field the option sets; an option left unset keeps that
+# field's default.
+_GEN_DATA = (
+    ("--seed", int, "seed", None),
+    ("--subjects", int, "subjects", None),
+    ("--split", _tuple(int, 3), "split", "train,val,test counts"),
+    ("--grid", _tuple(int, 4), "grid", "X,Y,Z,T voxel counts"),
+    ("--spacing", _tuple(float, 3), "spacing", "x,y,z spacing in mm"),
+)
+_GEN_DATA_DEFAULTS = {"seed": 0, "subjects": 90, "split": (60, 10, 20)}
+
+_TRAIN_PRIOR = (  # TrainConfig fields, and LossWeights fields for its ``weights``
+    ("--epochs", int, "epochs", None),
+    ("--lr", float, "lr_prior", None),
+    ("--seed", int, "seed", None),
+    ("--alpha", float, "alpha", None),
+    ("--lambda-theta-phi", float, "lambda_theta_phi", None),
+    ("--lambda-h", float, "lambda_h", None),
+    ("--checkpoint-every", int, "checkpoint_every", None),
+    ("--log-every", int, "log_every", None),
+)
+
+_INFER = (  # InferConfig fields
+    ("--steps", int, "selected_steps", "run exactly this many steps"),
+    ("--max-steps", int, "max_steps", None),
+    ("--lr", float, "lr_infer", None),
+    ("--seed", int, "seed", None),
+    ("--cadence", int, "record_cadence", None),
+    ("--points-per-step", int, "points_per_step", None),
+    ("--lambda-h", float, "lambda_h", None),
+)
+
+_SAMPLE_PLANE = (  # PlaneSpec fields; each flag is required
+    ("--origin", _tuple(float, 3), "origin_norm", "normalized x,y,z of plane center"),
+    ("--dir1", _tuple(float, 3), "dir1_mm", "first in-plane direction (mm units)"),
+    ("--dir2", _tuple(float, 3), "dir2_mm", "second in-plane direction (mm units)"),
+    ("--extent", _tuple(float, 2), "extent_mm", "plane extent in mm: U,V"),
+    ("--counts", _tuple(int, 2), "counts", "pixel counts: NU,NV"),
+)
 
 
-def _load_config_file(path: str | None) -> dict:
+def _key(flag: str) -> str:
+    """The argparse dest and config-file key of a flag."""
+    return flag[2:].replace("-", "_")
+
+
+def _by_flag(cfg, table) -> dict:
+    """A config's tabled fields, keyed by flag name as in ``run_manifest.json``."""
+    return {_key(flag): getattr(cfg, field) for flag, _, field, _ in table}
+
+
+def _add_options(parser: argparse.ArgumentParser, table) -> None:
+    parser.add_argument("--config", default=None, help="JSON config file")
+    for flag, parse, _, help_text in table:
+        parser.add_argument(flag, type=parse, help=help_text)
+
+
+def _load_config_file(path: str | None, table, extra: tuple[str, ...] = ()) -> dict:
     if path is None:
         return {}
-    if not os.path.exists(path):
-        raise SystemExit(_fail(f"config file not found: {path}"))
     with open(path, "r", encoding="utf-8") as f:
         try:
             data = json.load(f)
@@ -87,29 +141,40 @@ def _load_config_file(path: str | None) -> dict:
             raise SystemExit(_fail(f"config file is not valid JSON: {exc}"))
     if not isinstance(data, dict):
         raise SystemExit(_fail("config file must hold a JSON object"))
+    known = {_key(row[0]) for row in table} | set(extra)
+    unknown = sorted(set(data) - known)
+    if unknown:
+        raise SystemExit(_fail(f"unknown key(s) {', '.join(map(repr, unknown))} in config "
+                               f"file {path}; known keys: {', '.join(sorted(known))}"))
     return data
 
 
-def _resolve(args: argparse.Namespace, config: dict, key: str, default):
-    """Flag beats config file beats default."""
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
+def _options(args: argparse.Namespace, config: dict, table) -> dict:
+    """The options that were set, by field: the flag, else the config value."""
+    out = {}
+    for flag, parse, field, _ in table:
+        key = _key(flag)
+        value = getattr(args, key)
+        if value is None and config.get(key) is not None:
+            try:
+                value = parse(config[key])
+            except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+                raise SystemExit(_fail(f"config key {key!r}: {exc}"))
+        if value is not None:
+            out[field] = value
+    return out
 
 
 def _write_manifest(out_dir: str, command: str, resolved: dict) -> None:
+    from .serial import write_json_atomic
+
     os.makedirs(out_dir, exist_ok=True)
-    manifest = {"command": command,
-                "argv": sys.argv[1:],
-                "resolved_config": resolved,
-                "created_unix": time.time(),
-                "created": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
-    with open(os.path.join(out_dir, "run_manifest.json"), "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
-        f.write("\n")
+    write_json_atomic(os.path.join(out_dir, "run_manifest.json"),
+                      {"command": command,
+                       "argv": sys.argv[1:],
+                       "resolved_config": resolved,
+                       "created_unix": time.time(),
+                       "created": time.strftime("%Y-%m-%dT%H:%M:%S%z")})
 
 
 # ---------------------------------------------------------------------------
@@ -117,56 +182,35 @@ def _write_manifest(out_dir: str, command: str, resolved: dict) -> None:
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
-    from .phantom import GENERATOR_VERSION, generate_subject, subject_seeds
+    from .phantom import (DEFAULT_GRID_SHAPE, DEFAULT_SPACING, GENERATOR_VERSION,
+                          generate_dataset)
     from .volume import save_volume, write_dataset_manifest
 
-    config = _load_config_file(args.config)
-    seed = int(_resolve(args, config, "seed", 0))
-    subjects = int(_resolve(args, config, "subjects", 90))
-    split = _resolve(args, config, "split", None)
-    if isinstance(split, str):
-        split = _parse_ints(split, 3, "--split")
-    if split is None:
-        split = (60, 10, 20)
-    split = tuple(int(s) for s in split)
-    if sum(split) != subjects:
-        return _fail(f"split {split} does not sum to {subjects} subjects")
-    grid = _resolve(args, config, "grid", None)
-    grid = _parse_ints(grid, 4, "--grid") if isinstance(grid, str) else \
-        tuple(grid) if grid else (32, 32, 8, 10)
-    spacing = _resolve(args, config, "spacing", None)
-    spacing = _parse_floats(spacing, 3, "--spacing") if isinstance(spacing, str) else \
-        tuple(spacing) if spacing else (2.0, 2.0, 10.0)
+    config = _load_config_file(args.config, _GEN_DATA)
+    opts = {"grid": DEFAULT_GRID_SHAPE, "spacing": DEFAULT_SPACING, **_GEN_DATA_DEFAULTS,
+            **_options(args, config, _GEN_DATA)}
+    if sum(opts["split"]) != opts["subjects"]:
+        return _fail(f"split {opts['split']} does not sum to {opts['subjects']} subjects")
 
     out_dir = args.out
     if os.path.exists(out_dir) and os.listdir(out_dir) and not args.force:
         return _fail(f"output directory {out_dir} is not empty (use --force)")
-    resolved = {"seed": seed, "subjects": subjects, "split": list(split),
-                "grid": list(grid), "spacing": list(spacing)}
-    _write_manifest(out_dir, "gen-data", resolved)
+    _write_manifest(out_dir, "gen-data", opts)
 
-    seeds = subject_seeds(seed, subjects)
     entries = []
-    for i in range(subjects):
-        if i < split[0]:
-            part = "train"
-        elif i < split[0] + split[1]:
-            part = "val"
-        else:
-            part = "test"
-        subject_id = f"s{i:04d}"
-        _, vol = generate_subject(int(seeds[i]), grid_shape=grid, spacing=spacing,
-                                  subject_id=subject_id)
-        filename = f"{subject_id}.nvol"
+    for split, seed, vol in generate_dataset(opts["seed"], opts["split"],
+                                             grid_shape=opts["grid"],
+                                             spacing=opts["spacing"]):
+        filename = f"{vol.subject_id}.nvol"
         save_volume(vol, os.path.join(out_dir, filename))
-        entries.append({"id": subject_id, "path": filename, "split": part,
-                        "seed": int(seeds[i])})
+        entries.append({"id": vol.subject_id, "path": filename, "split": split,
+                        "seed": seed})
         if not args.quiet:
-            print(f"wrote {filename} ({part})")
-    write_dataset_manifest(out_dir, entries, seed=seed,
+            print(f"wrote {filename} ({split})")
+    write_dataset_manifest(out_dir, entries, seed=opts["seed"],
                            generator_version=GENERATOR_VERSION)
     if not args.quiet:
-        print(f"dataset of {subjects} subjects written to {out_dir}")
+        print(f"dataset of {opts['subjects']} subjects written to {out_dir}")
     return 0
 
 
@@ -180,17 +224,12 @@ def cmd_train_prior(args: argparse.Namespace) -> int:
     from .training import (TrainConfig, LogRow, latest_checkpoint, train_prior)
     from .volume import load_dataset_manifest, load_volume, manifest_subjects
 
-    config = _load_config_file(args.config)
-    epochs = int(_resolve(args, config, "epochs", 200))
-    lr = float(_resolve(args, config, "lr", 1e-4))
-    seed = int(_resolve(args, config, "seed", 0))
-    alpha = float(_resolve(args, config, "alpha", 10.0))
-    lambda_theta_phi = float(_resolve(args, config, "lambda_theta_phi", 1e-6))
-    lambda_h = float(_resolve(args, config, "lambda_h", 1e-4))
-    checkpoint_every = int(_resolve(args, config, "checkpoint_every", 0))
-    log_every = int(_resolve(args, config, "log_every", 1))
-    model_cfg = ModelConfig.from_dict(config["model"]) if "model" in config \
-        else ModelConfig()
+    config = _load_config_file(args.config, _TRAIN_PRIOR, extra=("model",))
+    t = _options(args, config, _TRAIN_PRIOR)
+    w = {f.name: t.pop(f.name) for f in fields(LossWeights) if f.name in t}
+    if "model" in config:
+        t["model"] = ModelConfig.from_dict(config["model"])
+    tcfg = TrainConfig(weights=LossWeights(**w), **t)
 
     manifest = load_dataset_manifest(args.dataset)
     pairs = manifest_subjects(manifest, args.dataset, "train")
@@ -198,12 +237,6 @@ def cmd_train_prior(args: argparse.Namespace) -> int:
         return _fail(f"dataset {args.dataset} has no training subjects")
     subjects = [load_volume(path) for _, path in pairs]
 
-    tcfg = TrainConfig(model=model_cfg, epochs=epochs, lr_prior=lr,
-                       weights=LossWeights(alpha=alpha,
-                                           lambda_theta_phi=lambda_theta_phi,
-                                           lambda_h=lambda_h),
-                       seed=seed, checkpoint_every=checkpoint_every,
-                       log_every=log_every)
     resolved = tcfg.to_dict()
     resolved["dataset"] = os.path.abspath(args.dataset)
     _write_manifest(args.out, "train-prior", resolved)
@@ -223,7 +256,7 @@ def cmd_train_prior(args: argparse.Namespace) -> int:
                              resume_from=resume_from, log_file=lf)
     if not args.quiet and result.log:
         last = result.log[-1]
-        print(f"trained {epochs} epochs, final loss {last.report.total:.6f}")
+        print(f"trained {tcfg.epochs} epochs, final loss {last.report.total:.6f}")
     print(f"checkpoint: {latest_checkpoint(args.out)}")
     return 0
 
@@ -240,27 +273,14 @@ def cmd_infer(args: argparse.Namespace) -> int:
     from .training import load_checkpoint
     from .volume import load_volume, save_volume
 
-    config = _load_config_file(args.config)
-    max_steps = int(_resolve(args, config, "max_steps", 1000))
-    steps = _resolve(args, config, "steps", None)
-    steps = int(steps) if steps is not None else None
-    lr = float(_resolve(args, config, "lr", 1e-4))
-    seed = int(_resolve(args, config, "seed", 0))
-    cadence = int(_resolve(args, config, "cadence", 50))
-    points = _resolve(args, config, "points_per_step", None)
-    points = int(points) if points is not None else None
-    lambda_h = float(_resolve(args, config, "lambda_h", 1e-4))
-
+    config = _load_config_file(args.config, _INFER)
+    icfg = InferConfig(**_options(args, config, _INFER))
     model, _, _, _, _ = load_checkpoint(args.checkpoint)
     model.set_trainable(False)
     volume = load_volume(args.volume)
-    icfg = InferConfig(max_steps=max_steps, selected_steps=steps, lr_infer=lr,
-                       lambda_h=lambda_h, seed=seed, record_cadence=cadence,
-                       points_per_step=points)
     resolved = {"checkpoint": os.path.abspath(args.checkpoint),
                 "volume": os.path.abspath(args.volume),
-                "max_steps": max_steps, "steps": steps, "lr": lr, "seed": seed,
-                "cadence": cadence, "points_per_step": points, "lambda_h": lambda_h}
+                **_by_flag(icfg, _INFER)}
     _write_manifest(args.out, "infer", resolved)
 
     coords, intensities = full_observations(volume)
@@ -271,7 +291,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
                    {"subject_id": volume.subject_id,
                     "steps_run": icfg.steps_to_run,
                     "model_checksum": model.checksum(),
-                    "seed": seed},
+                    "seed": icfg.seed},
                    {"h": h.values.reshape(-1).astype(np.float64)})
     with open(os.path.join(args.out, "trace.csv"), "w", encoding="utf-8") as f:
         f.write(trace.csv_header() + "\n")
@@ -292,6 +312,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     from .metrics import aggregate, dice_report
+    from .serial import write_json_atomic
     from .volume import load_volume
 
     pairs: list[tuple[str, str]] = []
@@ -301,11 +322,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         names = sorted(n for n in os.listdir(args.pred_dir) if n.endswith(".nvol"))
         if not names:
             return _fail(f"no .nvol files in {args.pred_dir}")
-        for name in names:
-            true_path = os.path.join(args.true_dir, name)
-            if not os.path.exists(true_path):
-                return _fail(f"ground truth missing for {name}: {true_path}")
-            pairs.append((os.path.join(args.pred_dir, name), true_path))
+        pairs = [(os.path.join(args.pred_dir, name), os.path.join(args.true_dir, name))
+                 for name in names]
     else:
         return _fail("eval needs --pred and --true, or --pred-dir and --true-dir")
 
@@ -319,9 +337,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     combined = reports[0] if len(reports) == 1 else aggregate(reports)
     print(combined.table())
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as f:
-            json.dump(combined.to_dict(), f, indent=1, sort_keys=True)
-            f.write("\n")
+        write_json_atomic(args.report, combined.to_dict())
         print(f"report written to {args.report}")
     return 0
 
@@ -338,7 +354,7 @@ def cmd_sample_plane(args: argparse.Namespace) -> int:
     from .metrics import dice_report
     from .phantom import PhantomSpec
     from .sampling import PlaneSpec, nearest_neighbor_resample, sample_plane
-    from .serial import read_blob
+    from .serial import read_blob, write_json_atomic
     from .training import load_checkpoint
     from .volume import load_volume
 
@@ -351,20 +367,13 @@ def cmd_sample_plane(args: argparse.Namespace) -> int:
         return _fail("latent was fitted against a different model checkpoint")
     h = Tensor(arrays["h"].reshape(-1), requires_grad=False, name="h")
 
-    origin = _parse_floats(args.origin, 3, "--origin")
-    dir1 = _parse_floats(args.dir1, 3, "--dir1")
-    dir2 = _parse_floats(args.dir2, 3, "--dir2")
-    extent = _parse_floats(args.extent, 2, "--extent")
-    counts = _parse_ints(args.counts, 2, "--counts")
     span = tuple((volume.shape[a] - 1) * volume.spacing[a] for a in range(3))
-    spec = PlaneSpec(origin_norm=origin, dir1_mm=dir1, dir2_mm=dir2,
-                     extent_mm=extent, counts=counts, t=args.t, span_mm=span)
+    spec = PlaneSpec(**_options(args, {}, _SAMPLE_PLANE), t=args.t, span_mm=span)
 
     resolved = {"checkpoint": os.path.abspath(args.checkpoint),
                 "volume": os.path.abspath(args.volume),
                 "latent": os.path.abspath(args.latent),
-                "origin": list(origin), "dir1": list(dir1), "dir2": list(dir2),
-                "extent": list(extent), "counts": list(counts), "t": args.t}
+                **_by_flag(spec, _SAMPLE_PLANE), "t": args.t}
     _write_manifest(args.out, "sample-plane", resolved)
 
     sampled = sample_plane(model, h, spec)
@@ -377,7 +386,7 @@ def cmd_sample_plane(args: argparse.Namespace) -> int:
     write_raw_f64(os.path.join(args.out, "probs.nraw"), "probs",
                   sampled.probs, {"kind": "plane_probs", "t": spec.t})
 
-    lines = [f"plane {counts[0]}x{counts[1]} pixels, "
+    lines = [f"plane {spec.counts[0]}x{spec.counts[1]} pixels, "
              f"{int(sampled.out_of_volume.sum())} outside the volume"]
     if args.baseline:
         nn_int, nn_labels, inside = nearest_neighbor_resample(volume, spec)
@@ -394,11 +403,8 @@ def cmd_sample_plane(args: argparse.Namespace) -> int:
                                  oracle.reshape(-1)[keep])
             lines.append(f"dice vs analytic truth: model {model_rep.mean:.4f}, "
                          f"nearest-neighbor {nn_rep.mean:.4f}")
-            with open(os.path.join(args.out, "baseline_report.json"), "w",
-                      encoding="utf-8") as f:
-                json.dump({"model": model_rep.to_dict(), "baseline": nn_rep.to_dict()},
-                          f, indent=1, sort_keys=True)
-                f.write("\n")
+            write_json_atomic(os.path.join(args.out, "baseline_report.json"),
+                              {"model": model_rep.to_dict(), "baseline": nn_rep.to_dict()})
     if not args.quiet:
         for line in lines:
             print(line)
@@ -437,12 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate a synthetic heart dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--subjects", type=int, default=None)
-    p.add_argument("--split", default=None, help="train,val,test counts")
-    p.add_argument("--grid", default=None, help="X,Y,Z,T voxel counts")
-    p.add_argument("--spacing", default=None, help="x,y,z spacing in mm")
+    _add_options(p, _GEN_DATA)
     p.add_argument("--force", action="store_true")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_gen_data)
@@ -450,15 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-prior", help="train the shared field on a dataset")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--lambda-theta-phi", type=float, default=None)
-    p.add_argument("--lambda-h", type=float, default=None)
-    p.add_argument("--checkpoint-every", type=int, default=None)
-    p.add_argument("--log-every", type=int, default=None)
+    _add_options(p, _TRAIN_PRIOR)
     p.add_argument("--resume", nargs="?", const="auto", default=None,
                    help="resume from a checkpoint path, or 'auto' for the latest")
     p.add_argument("--quiet", action="store_true")
@@ -468,15 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--volume", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--steps", type=int, default=None,
-                   help="run exactly this many steps")
-    p.add_argument("--max-steps", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--cadence", type=int, default=None)
-    p.add_argument("--points-per-step", type=int, default=None)
-    p.add_argument("--lambda-h", type=float, default=None)
+    _add_options(p, _INFER)
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_infer)
 
@@ -493,11 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--volume", required=True)
     p.add_argument("--latent", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--origin", required=True, help="normalized x,y,z of plane center")
-    p.add_argument("--dir1", required=True, help="first in-plane direction (mm units)")
-    p.add_argument("--dir2", required=True, help="second in-plane direction (mm units)")
-    p.add_argument("--extent", required=True, help="plane extent in mm: U,V")
-    p.add_argument("--counts", required=True, help="pixel counts: NU,NV")
+    for flag, parse, _, help_text in _SAMPLE_PLANE:
+        p.add_argument(flag, required=True, type=parse, help=help_text)
     p.add_argument("--t", type=float, default=0.0, help="normalized time in [0,1]")
     p.add_argument("--baseline", action="store_true",
                    help="also write the nearest-neighbor baseline and compare")
@@ -518,12 +500,10 @@ def main(argv: list[str] | None = None) -> int:
     from .errors import ContractError, NumericalError, VolumeIOError
     try:
         return args.func(args)
-    except (ContractError, VolumeIOError) as exc:
+    except (ContractError, VolumeIOError, FileNotFoundError) as exc:
         return _fail(str(exc), 1)
     except NumericalError as exc:
         return _fail(str(exc), 2)
-    except FileNotFoundError as exc:
-        return _fail(str(exc), 1)
 
 
 if __name__ == "__main__":

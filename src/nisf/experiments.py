@@ -27,13 +27,14 @@ from .losses import LossWeights, train_loss
 from .metrics import DiceReport, aggregate, dice_report
 from .model import FieldModel, ModelConfig
 from .optim import Adam, select_trainables
-from .phantom import PhantomSpec, generate_subject, subject_seeds
+from .phantom import (DEFAULT_GRID_SHAPE, DEFAULT_SPACING, PhantomSpec, generate_dataset,
+                      generate_subject)
 from .sampling import (GridSpec, PlaneSpec, nearest_neighbor_resample,
                        predict_heldout_slice, sample_grid, sample_plane)
 from .serial import config_dict, config_hash, write_json_atomic
 from .training import (LATENT_PRIOR_SIGMA, TrainConfig, latest_checkpoint,
                        load_checkpoint, make_batch, train_prior)
-from .volume import VolumeSample
+from .volume import SPLITS, VolumeSample
 
 DEFAULT_CACHE_ROOT = ".acceptance_cache"
 CACHE_KEY_CHARS = 16  # hex digits of a config hash in a cache directory name
@@ -51,8 +52,8 @@ class DeskScaleConfig:
     train_subjects: int = 60
     val_subjects: int = 10
     test_subjects: int = 20
-    grid_shape: tuple[int, int, int, int] = (32, 32, 8, 10)
-    spacing: tuple[float, float, float] = (2.0, 2.0, 10.0)
+    grid_shape: tuple[int, int, int, int] = DEFAULT_GRID_SHAPE
+    spacing: tuple[float, float, float] = DEFAULT_SPACING
     train: TrainConfig = field(default_factory=lambda: TrainConfig(
         model=ModelConfig(), epochs=150, lr_prior=1e-3, seed=23,
         weights=LossWeights(), checkpoint_every=50, log_every=10))
@@ -86,18 +87,10 @@ class DeskScaleConfig:
 
 def build_splits(cfg: DeskScaleConfig) -> dict[str, list[VolumeSample]]:
     """Deterministic train/val/test phantom sets with disjoint ids."""
-    total = cfg.train_subjects + cfg.val_subjects + cfg.test_subjects
-    seeds = subject_seeds(cfg.dataset_seed, total)
-    splits: dict[str, list[VolumeSample]] = {"train": [], "val": [], "test": []}
-    for i in range(total):
-        if i < cfg.train_subjects:
-            split = "train"
-        elif i < cfg.train_subjects + cfg.val_subjects:
-            split = "val"
-        else:
-            split = "test"
-        _, vol = generate_subject(int(seeds[i]), grid_shape=cfg.grid_shape,
-                                  spacing=cfg.spacing, subject_id=f"s{i:04d}")
+    splits: dict[str, list[VolumeSample]] = {split: [] for split in SPLITS}
+    counts = (cfg.train_subjects, cfg.val_subjects, cfg.test_subjects)
+    for split, _, vol in generate_dataset(cfg.dataset_seed, counts,
+                                          grid_shape=cfg.grid_shape, spacing=cfg.spacing):
         splits[split].append(vol)
     return splits
 

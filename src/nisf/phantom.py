@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ContractError
-from .volume import CLASS_NAMES, NUM_CLASSES, VolumeSample, normalize_index
+from .volume import CLASS_NAMES, NUM_CLASSES, SPLITS, VolumeSample, normalize_index
 
 GENERATOR_VERSION = 1
 
@@ -207,6 +207,23 @@ def subject_seeds(dataset_seed: int, count: int) -> np.ndarray:
     """Per-subject generator seeds derived from one dataset seed."""
     rng = np.random.default_rng(np.random.SeedSequence([0xD5, dataset_seed]))
     return rng.integers(0, 2 ** 62, size=count)
+
+
+def generate_dataset(dataset_seed: int, counts: tuple[int, int, int],
+                     grid_shape=DEFAULT_GRID_SHAPE, spacing=DEFAULT_SPACING):
+    """Yield ``(split, seed, volume)`` for every subject of a dataset, in id order.
+
+    ``counts`` gives the train, val and test sizes. Subject ``i`` is
+    ``s{i:04d}`` with seed ``subject_seeds(dataset_seed, sum(counts))[i]``;
+    the first ``counts[0]`` subjects are train, the next ``counts[1]`` val
+    and the rest test.
+    """
+    seeds = subject_seeds(dataset_seed, sum(counts))
+    splits = [split for split, count in zip(SPLITS, counts) for _ in range(count)]
+    for i, (split, seed) in enumerate(zip(splits, seeds.tolist())):
+        _, volume = generate_subject(seed, grid_shape=grid_shape, spacing=spacing,
+                                     subject_id=f"s{i:04d}")
+        yield split, seed, volume
 
 
 def class_fractions(labels: np.ndarray) -> dict[str, float]:

@@ -106,8 +106,10 @@ def config_hash(d: dict, chars: int = 64) -> str:
 
 
 def write_json_atomic(path: str, obj) -> None:
-    """Write ``obj`` as indented sorted-key JSON, renamed into place when complete."""
+    """Write ``obj`` as indented sorted-key JSON and a final newline, renamed
+    into place when complete."""
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as f:
         json.dump(obj, f, indent=1, sort_keys=True)
+        f.write("\n")
     os.replace(tmp, path)

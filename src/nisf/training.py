@@ -56,6 +56,9 @@ class TrainConfig:
             raise ContractError("epochs must be >= 1")
         if self.lr_prior <= 0:
             raise ContractError("lr_prior must be positive")
+        for name in ("checkpoint_every", "log_every"):
+            if getattr(self, name) < 0:
+                raise ContractError(f"{name} must be >= 0 (0 turns it off)")
 
     def to_dict(self) -> dict:
         return config_dict(self)

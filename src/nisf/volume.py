@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ContractError, DimensionError, PayloadError
-from .serial import read_blob, write_blob
+from .serial import read_blob, write_blob, write_json_atomic
 
 VOLUME_MAGIC = "NISF-VOL"
 VOLUME_VERSION = 1
@@ -223,6 +223,7 @@ def load_volume(path: str) -> VolumeSample:
 
 
 MANIFEST_NAME = "dataset.json"
+SPLITS = ("train", "val", "test")
 
 
 def write_dataset_manifest(out_dir: str, entries: list[dict], seed: int,
@@ -239,12 +240,10 @@ def write_dataset_manifest(out_dir: str, entries: list[dict], seed: int,
         "class_names": list(CLASS_NAMES),
         "subjects": entries,
         "splits": {split: [e["id"] for e in entries if e["split"] == split]
-                   for split in ("train", "val", "test")},
+                   for split in SPLITS},
     }
     path = os.path.join(out_dir, MANIFEST_NAME)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
-        f.write("\n")
+    write_json_atomic(path, manifest)
     return path
 
 
@@ -262,7 +261,7 @@ def load_dataset_manifest(dataset_dir: str) -> dict:
 
 def manifest_subjects(manifest: dict, dataset_dir: str, split: str) -> list[tuple[str, str]]:
     """(subject_id, absolute volume path) pairs for one split."""
-    if split not in ("train", "val", "test"):
+    if split not in SPLITS:
         raise ContractError(f"unknown split {split!r}")
     wanted = set(manifest["splits"][split])
     return [(e["id"], os.path.join(dataset_dir, e["path"]))

@@ -230,3 +230,160 @@ def test_config_file_flag_precedence(dataset, tmp_path):
     run = json.load(open(os.path.join(out, "run_manifest.json")))
     assert run["resolved_config"]["epochs"] == 1
     assert run["resolved_config"]["lr_prior"] == 1e-3
+
+
+# -- resolved options -----------------------------------------------------------
+
+
+def _resolved(out):
+    """The manifest's resolved_config as sorted-key JSON text, so 2 and 2.0 differ."""
+    with open(os.path.join(out, "run_manifest.json")) as f:
+        return json.dumps(json.load(f)["resolved_config"], sort_keys=True)
+
+
+def _same_json(expected):
+    return json.dumps(expected, sort_keys=True)
+
+
+def test_gen_data_resolved_config_at_defaults(tmp_path):
+    out = str(tmp_path / "full")
+    res = run_cli("gen-data", "--out", out, "--quiet")
+    assert res.returncode == 0, res.stderr
+    assert _resolved(out) == _same_json(
+        {"seed": 0, "subjects": 90, "split": [60, 10, 20],
+         "grid": [32, 32, 8, 10], "spacing": [2.0, 2.0, 10.0]})
+    assert len(os.listdir(out)) == 92
+
+
+def test_train_prior_resolved_config_at_defaults(dataset, tmp_path):
+    out = str(tmp_path / "defaults")
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps(TINY))
+    res = run_cli("train-prior", "--dataset", dataset, "--out", out,
+                  "--config", str(cfg), "--quiet")
+    assert res.returncode == 0, res.stderr
+    assert _resolved(out) == _same_json(
+        {"checkpoint_every": 0, "dataset": os.path.abspath(dataset), "epochs": 200,
+         "log_every": 1, "lr_prior": 0.0001, "model": TINY["model"], "seed": 0,
+         "weights": {"alpha": 10.0, "lambda_h": 0.0001, "lambda_theta_phi": 1e-06}})
+
+
+def test_infer_resolved_config_at_defaults(dataset, trained, tmp_path):
+    _, ckpt = trained
+    out = str(tmp_path / "defaults")
+    volume = os.path.join(dataset, "s0003.nvol")
+    res = run_cli("infer", "--checkpoint", ckpt, "--volume", volume, "--out", out,
+                  "--quiet")
+    assert res.returncode == 0, res.stderr
+    assert _resolved(out) == _same_json(
+        {"cadence": 50, "checkpoint": os.path.abspath(ckpt), "lambda_h": 0.0001,
+         "lr": 0.0001, "max_steps": 1000, "points_per_step": None, "seed": 0,
+         "steps": None, "volume": os.path.abspath(volume)})
+
+
+def test_sample_plane_resolved_config_at_defaults(inferred, dataset, trained, tmp_path):
+    _, ckpt = trained
+    out = str(tmp_path / "plane")
+    volume = os.path.join(dataset, "s0003.nvol")
+    latent = os.path.join(inferred, "latent.nlat")
+    res = run_cli("sample-plane", "--checkpoint", ckpt, "--volume", volume,
+                  "--latent", latent, "--out", out, "--origin", "0.5,0.5,0.5",
+                  "--dir1", "1,0,0", "--dir2", "0,1,0", "--extent", "14,14",
+                  "--counts", "8,8", "--quiet")
+    assert res.returncode == 0, res.stderr
+    assert _resolved(out) == _same_json(
+        {"checkpoint": os.path.abspath(ckpt), "volume": os.path.abspath(volume),
+         "latent": os.path.abspath(latent), "origin": [0.5, 0.5, 0.5],
+         "dir1": [1.0, 0.0, 0.0], "dir2": [0.0, 1.0, 0.0], "extent": [14.0, 14.0],
+         "counts": [8, 8], "t": 0.0})
+
+
+def test_gen_data_reads_lists_from_config(dataset, tmp_path):
+    """JSON lists in the config file stand for the comma flags."""
+    cfg = tmp_path / "data.json"
+    cfg.write_text(json.dumps({"seed": 5, "subjects": 4, "split": [2, 1, 1],
+                               "grid": [8, 8, 2, 2]}))
+    out = str(tmp_path / "from_config")
+    res = run_cli("gen-data", "--out", out, "--config", str(cfg), "--quiet")
+    assert res.returncode == 0, res.stderr
+    assert _resolved(out) == _resolved(dataset)
+    assert sorted(os.listdir(out)) == sorted(os.listdir(dataset))
+    for name in os.listdir(dataset):
+        if name != "run_manifest.json":
+            with open(os.path.join(dataset, name), "rb") as a, \
+                    open(os.path.join(out, name), "rb") as b:
+                assert a.read() == b.read(), name
+
+
+def test_infer_flag_beats_config_value(dataset, trained, tmp_path):
+    _, ckpt = trained
+    cfg = tmp_path / "infer.json"
+    cfg.write_text(json.dumps({"max_steps": 4, "cadence": 2, "lr": 0.5, "seed": 9}))
+    out = str(tmp_path / "fit")
+    res = run_cli("infer", "--checkpoint", ckpt,
+                  "--volume", os.path.join(dataset, "s0003.nvol"), "--out", out,
+                  "--config", str(cfg), "--lr", "1e-2", "--quiet")
+    assert res.returncode == 0, res.stderr
+    resolved = json.loads(_resolved(out))
+    assert (resolved["max_steps"], resolved["cadence"], resolved["lr"],
+            resolved["seed"]) == (4, 2, 1e-2, 9)
+    with open(os.path.join(out, "latent.nlat"), "rb") as f:
+        _, header, _ = read_blob(f, "NISF-LATENT", 1)
+    assert (header["steps_run"], header["seed"]) == (4, 9)
+
+
+def test_malformed_option_values_exit_1(dataset, tmp_path):
+    res = run_cli("gen-data", "--out", str(tmp_path / "g"), "--grid", "8,8,2", "--quiet")
+    assert res.returncode == 1
+    assert "--grid" in res.stderr
+    assert not os.path.exists(tmp_path / "g")
+    res = run_cli("train-prior", "--dataset", dataset, "--out", str(tmp_path / "t"),
+                  "--epochs", "x", "--quiet")
+    assert res.returncode == 1
+    assert "--epochs" in res.stderr
+    assert not os.path.exists(tmp_path / "t")
+
+
+def test_gen_data_matches_build_splits(dataset, tmp_path):
+    """The CLI writes the same subjects, ids and splits as the experiment pipeline."""
+    from dataclasses import replace
+
+    from nisf.experiments import DeskScaleConfig, build_splits
+    from nisf.volume import save_volume
+
+    cfg = replace(DeskScaleConfig(), dataset_seed=5, train_subjects=2, val_subjects=1,
+                  test_subjects=1, grid_shape=(8, 8, 2, 2), spacing=(2.0, 2.0, 10.0))
+    with open(os.path.join(dataset, "dataset.json")) as f:
+        manifest = json.load(f)
+    splits = build_splits(cfg)
+    assert {k: [v.subject_id for v in vols] for k, vols in splits.items()} \
+        == manifest["splits"]
+    for vol in (v for vols in splits.values() for v in vols):
+        path = str(tmp_path / f"{vol.subject_id}.nvol")
+        save_volume(vol, path)
+        with open(path, "rb") as a, \
+                open(os.path.join(dataset, f"{vol.subject_id}.nvol"), "rb") as b:
+            assert a.read() == b.read(), vol.subject_id
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train-prior", "infer"])
+def test_unknown_config_key_exits_1_naming_it(command, dataset, trained, tmp_path):
+    """{"epoch": 5} must not silently train the default epoch count."""
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps({**TINY, "epoch": 5}))
+    out = str(tmp_path / "out")
+    required = {"gen-data": [],
+                "train-prior": ["--dataset", dataset],
+                "infer": ["--checkpoint", trained[1],
+                          "--volume", os.path.join(dataset, "s0003.nvol")]}[command]
+    res = run_cli(command, *required, "--out", out, "--config", str(cfg), "--quiet")
+    assert res.returncode == 1
+    assert "'epoch'" in res.stderr
+    assert not os.path.exists(out)
+
+
+def test_negative_checkpoint_cadence_exits_1(dataset, tmp_path):
+    res = run_cli("train-prior", "--dataset", dataset, "--out", str(tmp_path / "neg"),
+                  "--checkpoint-every", "-1", "--quiet")
+    assert res.returncode == 1
+    assert "checkpoint_every" in res.stderr

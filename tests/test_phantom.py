@@ -6,7 +6,7 @@ import pytest
 from nisf.errors import ContractError
 from nisf.phantom import (BACKGROUND, CLASS_FRACTION_BOUNDS, LV_MYO, LV_POOL,
                           RV_POOL, PhantomSpec, class_fractions, draw_spec,
-                          generate_subject, subject_seeds)
+                          generate_dataset, generate_subject, subject_seeds)
 from nisf.volume import CLASS_NAMES, normalize_index
 
 # Hand-checkable geometry: LV at (30,30,20) with endo radii (10,10,12) and a
@@ -213,6 +213,16 @@ def test_subject_seeds_deterministic_and_distinct():
     assert len(set(a.tolist())) == 90
     c = subject_seeds(12, 90)
     assert not np.array_equal(a, c)
+
+
+def test_generate_dataset_layout():
+    """Splits in train/val/test order, ids s0000.., seeds from subject_seeds."""
+    rows = list(generate_dataset(11, (2, 1, 2), grid_shape=(6, 6, 2, 2)))
+    assert [split for split, _, _ in rows] == ["train", "train", "val", "test", "test"]
+    assert [vol.subject_id for _, _, vol in rows] == [f"s{i:04d}" for i in range(5)]
+    assert [seed for _, seed, _ in rows] == subject_seeds(11, 5).tolist()
+    _, first = generate_subject(rows[0][1], grid_shape=(6, 6, 2, 2))
+    assert np.array_equal(first.intensity, rows[0][2].intensity)
 
 
 def test_class_fractions_cover_all_classes_and_sum_to_one():

@@ -129,3 +129,11 @@ def test_write_json_atomic_replaces_whole_file(tmp_path):
     with open(path, encoding="utf-8") as f:
         assert json.load(f) == {"c": 1}
     assert os.listdir(tmp_path) == ["record.json"]
+
+
+def test_write_json_atomic_writes_indented_sorted_lines(tmp_path):
+    path = str(tmp_path / "record.json")
+    obj = {"b": [1, 2.0], "a": {"z": None, "y": "x"}}
+    write_json_atomic(path, obj)
+    with open(path, encoding="utf-8") as f:
+        assert f.read() == json.dumps(obj, indent=1, sort_keys=True) + "\n"

@@ -106,6 +106,14 @@ def test_train_config_validation():
         _cfg(lr_prior=0.0)
 
 
+@pytest.mark.parametrize("field", ["checkpoint_every", "log_every"])
+def test_train_config_rejects_negative_cadence(field):
+    # (epoch + 1) % -1 == 0, so a negative cadence would act at every step
+    with pytest.raises(ContractError, match=field):
+        _cfg(**{field: -1})
+    assert getattr(_cfg(**{field: 0}), field) == 0
+
+
 def test_train_config_round_trip():
     cfg = _cfg(weights=LossWeights(alpha=5.0), checkpoint_every=7)
     assert TrainConfig.from_dict(cfg.to_dict()) == cfg
