@@ -9,9 +9,9 @@ Design notes:
   equal-shape operands so every backward rule stays auditable. The only
   row-broadcasts are fused into layers: ``linear`` adds a row-vector
   bias, ``latent_linear`` conditions every row of a coordinate batch
-  on one shared latent vector without ever tiling it, and ``residual``
-  computes a block's x + psi @ w + b as one entry whose backward passes
-  the output gradient on to ``x`` without copying it.
+  on one shared latent vector without ever tiling it, and ``gabor_block``
+  computes a whole residual block x + gabor(x @ w1 + b1) @ w2 + b2 as one
+  entry that keeps only the arrays its backward reads.
 * Every operation validates that its output is finite; a NaN/Inf raises
   ``NumericalError`` instead of propagating silently.
 * Gradient tracking happens only while a ``Tape`` is active. Evaluating
@@ -28,6 +28,10 @@ import numpy as np
 from .errors import ContractError, DimensionError, NumericalError
 
 LOG_EPS = 1e-12  # single numerical guard: log(x) reads max(x, LOG_EPS)
+# Row blocks and frozen query chunks are sized so that one [rows, width]
+# float64 array fills this many bytes and fits a core's L2 cache (2 MiB on
+# a Xeon with AVX-512) instead of streaming from memory.
+L2_BLOCK_BYTES = 1 << 20
 
 _active_tape: "Tape | None" = None
 
@@ -295,36 +299,69 @@ def latent_linear(coords: Tensor, h: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _make_output(vals, "latent_linear", (coords, h, w, b), rule)
 
 
-def residual(x: Tensor, psi: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Fused residual block output x + psi @ w + b: one tape entry per block.
+def block_rows(width: int) -> int:
+    """Rows of a [rows, width] float64 array that fill ``L2_BLOCK_BYTES``."""
+    return max(1, L2_BLOCK_BYTES // (8 * width))
 
-    The sum is taken as (psi @ w + b) + x, which is bit-identical to
-    ``add(x, linear(psi, w, b))`` because IEEE addition commutes. Backward
-    hands the output gradient ``g`` itself to ``x``, last, instead of
-    copying it for both branches: the tape frees ``g`` after this rule.
+
+def gabor_block(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+                omega0: float, s0: float) -> Tensor:
+    """Residual Gabor block x + gabor(x @ w1 + b1) @ w2 + b2: one tape entry.
+
+    Both products go through ``_gemm``. The wavelet runs in place over the
+    pre-activation buffer in row blocks with block-sized scratch (see
+    ``_gabor_kernel``), so the block allocates three full-batch arrays
+    when taped (pre-activation, derivative, output) and two when frozen,
+    and the scratch is gone before the second product runs. Backward
+    keeps only what it reads: the derivative while ``x``, ``w1`` or ``b1``
+    needs a gradient, the wavelet values only if ``w2`` does and ``x``'s
+    values only if ``w1`` does. A latent-only step therefore holds the
+    derivative and the output of each block.
+
+    Every elementwise step and every sum runs in the order of
+    ``add(x, linear(gabor(linear(x, w1, b1)), w2, b2))``, so values and
+    gradients are bit-identical to that composition.
     """
-    if x.ndim != 2 or psi.ndim != 2 or w.ndim != 2 or b.ndim != 1:
-        raise DimensionError(f"residual needs [B,n] + [B,k] @ [k,n] + [n], got {x.shape}, "
-                             f"{psi.shape}, {w.shape}, {b.shape}")
-    if (psi.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]
-            or x.shape != (psi.shape[0], w.shape[1])):
-        raise DimensionError(f"residual extents disagree: {x.shape}, {psi.shape}, "
-                             f"{w.shape}, {b.shape}")
-    vals = _gemm(psi.values, w.values)
-    vals += b.values  # _gemm's result is a fresh array
+    if x.ndim != 2 or w1.ndim != 2 or b1.ndim != 1 or w2.ndim != 2 or b2.ndim != 1:
+        raise DimensionError(f"gabor_block needs [B,n], [n,k], [k], [k,n], [n], got {x.shape}, "
+                             f"{w1.shape}, {b1.shape}, {w2.shape}, {b2.shape}")
+    n, k = w1.shape
+    if x.shape[1] != n or b1.shape[0] != k or w2.shape != (k, n) or b2.shape[0] != n:
+        raise DimensionError(f"gabor_block extents disagree: {x.shape}, {w1.shape}, "
+                             f"{b1.shape}, {w2.shape}, {b2.shape}")
+    taped = _active_tape is not None
+    need_x, need_w1, need_b1, need_w2, need_b2 = (
+        taped and t.requires_grad for t in (x, w1, b1, w2, b2))
+    need_gp = need_x or need_w1 or need_b1
+    pre = _gemm(x.values, w1.values)
+    pre += b1.values  # _gemm's result is a fresh array
+    deriv = np.empty_like(pre) if need_gp else None
+    _gabor_kernel(pre, omega0, s0, deriv)
+    vals = _gemm(pre, w2.values)
+    vals += b2.values
     vals += x.values
+    psi = pre if need_w2 else None
+    x_in = x.values if need_w1 else None
 
     def rule(g: np.ndarray) -> None:
-        if psi.requires_grad:
-            _accumulate(psi, g @ w.values.T, owned=True)
-        if w.requires_grad:
-            _accumulate(w, psi.values.T @ g, owned=True)
-        if b.requires_grad:
-            _accumulate(b, g.sum(axis=0), owned=True)
-        if x.requires_grad:
-            _accumulate(x, g, owned=True)  # last reader of g
+        if need_w2:
+            _accumulate(w2, psi.T @ g, owned=True)
+        if need_b2:
+            _accumulate(b2, g.sum(axis=0), owned=True)
+        if not need_gp:
+            return
+        gp = g @ w2.values.T
+        gp *= deriv
+        if need_w1:
+            _accumulate(w1, x_in.T @ gp, owned=True)
+        if need_b1:
+            _accumulate(b1, gp.sum(axis=0), owned=True)
+        if need_x:
+            gx = gp @ w1.values.T
+            gx += g
+            _accumulate(x, gx, owned=True)
 
-    return _make_output(vals, "residual", (x, psi, w, b), rule)
+    return _make_output(vals, "gabor_block", (x, w1, b1, w2, b2), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -417,48 +454,77 @@ def log(x: Tensor) -> Tensor:
     return _make_output(vals, "log", (x,), rule)
 
 
+def _gabor_kernel(v: np.ndarray, omega0: float, s0: float, deriv: np.ndarray | None) -> None:
+    """Overwrite the [rows, width] array ``v`` with cos(omega0*v) * exp(-(s0*v)^2).
+
+    Computed from a single transcendental besides the envelope's exp:
+    with t = tan(omega0*v/2),
+
+        cos(omega0*v) = 2/(1+t^2) - 1,   sin(omega0*v) = 2t/(1+t^2).
+
+    numpy's float64 ``cos``/``sin`` run as scalar loops that slow down as
+    |omega0*v| grows (trained pre-activations reach |omega0*v| ~ 40), while
+    ``tan`` and ``exp`` are vectorised and cost the same at any range
+    (numpy 2.4, AVX-512). Next to omega0*v = pi (mod 2pi), t is huge but
+    finite and both forms stay accurate to a few ulp.
+
+    With ``deriv`` given, the derivative is written into it as well. The
+    work runs ``block_rows(width)`` rows at a time in ``out=`` buffers of
+    that size (three with ``deriv``, one without), so it stays in L2.
+    """
+    rows = block_rows(v.shape[1])
+    scratch = np.empty((1 if deriv is None else 3, min(rows, v.shape[0]), v.shape[1]),
+                       dtype=v.dtype)
+    for lo in range(0, v.shape[0], rows):
+        x = v[lo:lo + rows]
+        buf = scratch[:, :x.shape[0]]
+        t = np.multiply(x, 0.5 * omega0, out=buf[0])
+        np.tan(t, out=t)
+        if deriv is None:
+            # t is not needed again: q overwrites it and the envelope overwrites x
+            q = np.multiply(t, t, out=t)
+            q += 1.0
+            np.divide(2.0, q, out=q)  # 2/(1+t^2) = 1 + cos(omega0*x)
+            envelope = np.multiply(x, s0, out=x)
+            np.square(envelope, out=envelope)
+            np.negative(envelope, out=envelope)
+            np.exp(envelope, out=envelope)
+            q -= 1.0
+            envelope *= q
+            continue
+        q = np.multiply(t, t, out=buf[1])
+        q += 1.0
+        np.divide(2.0, q, out=q)
+        envelope = np.multiply(x, s0, out=buf[2])
+        np.square(envelope, out=envelope)
+        np.negative(envelope, out=envelope)
+        np.exp(envelope, out=envelope)
+        # d/dx = -omega0 * sin(omega0*x) * envelope - 2 s0^2 * x * value
+        d = np.multiply(t, q, out=deriv[lo:lo + rows])  # sin(omega0*x)
+        d *= envelope
+        d *= -omega0
+        q -= 1.0  # cos(omega0*x)
+        slope = np.multiply(x, -2.0 * s0 * s0, out=t)  # the last read of x's input
+        vals = np.multiply(q, envelope, out=x)
+        slope *= vals
+        d += slope
+
+
 def gabor(x: Tensor, omega0: float, s0: float) -> Tensor:
     """Real Gabor wavelet cos(omega0*x) * exp(-(s0*x)^2), elementwise.
 
-    Fused into one tape entry, and computed from a single transcendental
-    besides the envelope's exp: with t = tan(omega0*x/2),
-
-        cos(omega0*x) = 2/(1+t^2) - 1,   sin(omega0*x) = 2t/(1+t^2).
-
-    numpy's float64 ``cos``/``sin`` run as scalar loops that slow down as
-    |omega0*x| grows (trained pre-activations reach |omega0*x| ~ 40), while
-    ``tan`` and ``exp`` are vectorised and cost the same at any range
-    (numpy 2.4, AVX-512). Next to omega0*x = pi (mod 2pi), t is huge but
-    finite and both forms stay accurate to a few ulp. The work happens in
-    ``out=`` buffers; the derivative factor is computed, and kept for
-    backward, only while a tape records ``x``.
+    One tape entry over ``_gabor_kernel``, which ``gabor_block`` shares.
+    The derivative factor is computed, and kept for backward, only while
+    a tape records ``x``, so frozen forwards hold none.
     """
-    xv = x.values
     taped = _active_tape is not None and x.requires_grad
-    # Explicit out= arrays keep 0-d inputs arrays rather than numpy scalars.
-    t = np.multiply(xv, 0.5 * omega0, out=np.empty_like(xv))
-    np.tan(t, out=t)
-    # Frozen, t is not needed again and q can overwrite it.
-    q = np.multiply(t, t, out=np.empty_like(t) if taped else t)
-    q += 1.0
-    np.divide(2.0, q, out=q)  # 2/(1+t^2) = 1 + cos(omega0*x)
-    envelope = np.multiply(xv, s0, out=np.empty_like(xv))
-    np.square(envelope, out=envelope)
-    np.negative(envelope, out=envelope)
-    np.exp(envelope, out=envelope)
+    # A C-ordered copy, so the kernel can work on a [size, 1] view of it; a
+    # 0-d input stays an array rather than a numpy scalar.
+    vals = x.values.copy()
+    deriv = np.empty_like(vals) if taped else None
+    _gabor_kernel(vals.reshape(-1, 1), omega0, s0, None if deriv is None else deriv.reshape(-1, 1))
     if not taped:
-        q -= 1.0
-        envelope *= q
-        return _make_output(envelope, "gabor", (x,), None)
-    # d/dx = -omega0 * sin(omega0*x) * envelope - 2 s0^2 * x * value
-    deriv = np.multiply(t, q, out=t)  # sin(omega0*x)
-    deriv *= envelope
-    deriv *= -omega0
-    q -= 1.0  # cos(omega0*x)
-    vals = np.multiply(q, envelope, out=q)
-    slope = np.multiply(xv, -2.0 * s0 * s0, out=envelope)
-    slope *= vals
-    deriv += slope
+        return _make_output(vals, "gabor", (x,), None)
 
     def rule(g: np.ndarray) -> None:
         _accumulate(x, g * deriv, owned=True)

@@ -59,6 +59,17 @@ def _fail(message: str, code: int = 1) -> int:
     return code
 
 
+def integer(value) -> int:
+    """Parser for an integer option: a flag's text, or a config number.
+
+    A config number must be integral: ``int()`` alone would train 2
+    epochs for ``{"epochs": 2.7}`` without a word.
+    """
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _tuple(cast, n: int):
     """Parser for ``n`` values, given as "a,b,c" (a flag) or a JSON list (a config value)."""
     def parse(value):
@@ -77,32 +88,32 @@ def _tuple(cast, n: int):
 # config-dataclass field the option sets; an option left unset keeps that
 # field's default.
 _GEN_DATA = (
-    ("--seed", int, "seed", None),
-    ("--subjects", int, "subjects", None),
-    ("--split", _tuple(int, 3), "split", "train,val,test counts"),
-    ("--grid", _tuple(int, 4), "grid", "X,Y,Z,T voxel counts"),
+    ("--seed", integer, "seed", None),
+    ("--subjects", integer, "subjects", None),
+    ("--split", _tuple(integer, 3), "split", "train,val,test counts"),
+    ("--grid", _tuple(integer, 4), "grid", "X,Y,Z,T voxel counts"),
     ("--spacing", _tuple(float, 3), "spacing", "x,y,z spacing in mm"),
 )
 _GEN_DATA_DEFAULTS = {"seed": 0, "subjects": 90, "split": (60, 10, 20)}
 
 _TRAIN_PRIOR = (  # TrainConfig fields, and LossWeights fields for its ``weights``
-    ("--epochs", int, "epochs", None),
+    ("--epochs", integer, "epochs", None),
     ("--lr", float, "lr_prior", None),
-    ("--seed", int, "seed", None),
+    ("--seed", integer, "seed", None),
     ("--alpha", float, "alpha", None),
     ("--lambda-theta-phi", float, "lambda_theta_phi", None),
     ("--lambda-h", float, "lambda_h", None),
-    ("--checkpoint-every", int, "checkpoint_every", None),
-    ("--log-every", int, "log_every", None),
+    ("--checkpoint-every", integer, "checkpoint_every", None),
+    ("--log-every", integer, "log_every", None),
 )
 
 _INFER = (  # InferConfig fields
-    ("--steps", int, "selected_steps", "run exactly this many steps"),
-    ("--max-steps", int, "max_steps", None),
+    ("--steps", integer, "selected_steps", "run exactly this many steps"),
+    ("--max-steps", integer, "max_steps", None),
     ("--lr", float, "lr_infer", None),
-    ("--seed", int, "seed", None),
-    ("--cadence", int, "record_cadence", None),
-    ("--points-per-step", int, "points_per_step", None),
+    ("--seed", integer, "seed", None),
+    ("--cadence", integer, "record_cadence", None),
+    ("--points-per-step", integer, "points_per_step", None),
     ("--lambda-h", float, "lambda_h", None),
 )
 
@@ -111,7 +122,7 @@ _SAMPLE_PLANE = (  # PlaneSpec fields; each flag is required
     ("--dir1", _tuple(float, 3), "dir1_mm", "first in-plane direction (mm units)"),
     ("--dir2", _tuple(float, 3), "dir2_mm", "second in-plane direction (mm units)"),
     ("--extent", _tuple(float, 2), "extent_mm", "plane extent in mm: U,V"),
-    ("--counts", _tuple(int, 2), "counts", "pixel counts: NU,NV"),
+    ("--counts", _tuple(integer, 2), "counts", "pixel counts: NU,NV"),
 )
 
 
@@ -221,7 +232,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 def cmd_train_prior(args: argparse.Namespace) -> int:
     from .losses import LossWeights
     from .model import ModelConfig
-    from .training import (TrainConfig, LogRow, latest_checkpoint, train_prior)
+    from .training import TrainConfig, latest_checkpoint, open_train_log, train_prior
     from .volume import load_dataset_manifest, load_volume, manifest_subjects
 
     config = _load_config_file(args.config, _TRAIN_PRIOR, extra=("model",))
@@ -247,11 +258,7 @@ def cmd_train_prior(args: argparse.Namespace) -> int:
         if resume_from is None:
             print("no checkpoint found, starting fresh", file=sys.stderr)
 
-    log_path = os.path.join(args.out, "train_log.csv")
-    fresh_log = not (resume_from and os.path.exists(log_path))
-    with open(log_path, "w" if fresh_log else "a", encoding="utf-8") as lf:
-        if fresh_log:
-            lf.write(LogRow.csv_header() + "\n")
+    with open_train_log(args.out, resuming=resume_from is not None) as lf:
         result = train_prior(subjects, tcfg, out_dir=args.out,
                              resume_from=resume_from, log_file=lf)
     if not args.quiet and result.log:

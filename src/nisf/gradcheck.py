@@ -135,7 +135,14 @@ def run_op_checks(seed: int = 0) -> GradCheckReport:
     wide_coef = rng.normal(size=(3, 7))
     coords = rng.normal(size=(3, 2))
     latent = rng.normal(size=3)
-    skip = rng.normal(size=(3, 2))
+    # a residual block [3,4] -> [3,5] -> [3,4]. Its pre-activations stay
+    # inside the wavelet's envelope, like gabor's own case: with a wider
+    # input, FD truncation on w1 (curvature ~ omega0^2 times |x|^2) reached
+    # 1e-6 relative on gradients that cancel over rows (seeds 1, 3, 7, 12).
+    blk_w1 = 0.05 * rng.normal(size=(4, 5))
+    blk_b1 = 0.1 * rng.normal(size=5)
+    blk_w2 = rng.normal(size=(5, 4))
+    blk_b2 = rng.normal(size=4)
 
     def contract(t, weights):
         return ad.reduce_sum(ad.mul(t, ad.Tensor(weights)))
@@ -157,8 +164,9 @@ def run_op_checks(seed: int = 0) -> GradCheckReport:
         ("linear", lambda p: contract(ad.linear(p[0], p[1], p[2]), wm), [m1, m2, bias]),
         ("latent_linear", lambda p: contract(ad.latent_linear(p[0], p[1], p[2], p[3]), wm),
          [coords, latent, m2, bias]),
-        ("residual", lambda p: contract(ad.residual(p[0], p[1], p[2], p[3]), wm),
-         [skip, m1, m2, bias]),
+        ("gabor_block",
+         lambda p: contract(ad.gabor_block(p[0], p[1], p[2], p[3], p[4], 10.0, 5.0), w),
+         [0.5 * a, blk_w1, blk_b1, blk_w2, blk_b2]),
         ("sum_all", lambda p: ad.reduce_sum(p[0]), [a]),
         ("sum_axis0", lambda p: ad.reduce_sum(ad.mul(ad.reduce_sum(p[0], axis=0),
                                                      ad.Tensor(w[0]))), [a]),

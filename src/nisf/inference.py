@@ -115,20 +115,25 @@ def evaluate_points(model: FieldModel, h, coords: np.ndarray, chunk: int | None 
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Frozen forward over arbitrarily many points.
 
-    Returns (labels [B], seg_probs [B,M], intensity [B]). Chunking does
-    not change values: the forward pass is point-wise independent, and
+    Returns (labels [B], seg_probs [B,M], intensity [B]). The forward
+    pass is point-wise independent, so chunking changes no value wherever
     every product sums each row in an order that does not depend on the
-    batch (see ``autodiff._gemm``).
+    batch (see ``autodiff._gemm``). With OpenBLAS 0.3.31 on AVX-512 that
+    held at every hidden width that is a multiple of 8 from 8 to 256
+    (the default is 128) and at widths up to 12, but not at widths 20,
+    36, 50 or 100: there the trunk's [B, w] @ [w, w] rows depend on the
+    batch size.
 
-    By default a chunk holds as many rows as make one [rows, hidden_width]
-    float64 activation 1 MiB (1024 rows at width 128). Each trunk op then
-    reads and writes arrays that fit a core's L2 cache (2 MiB on a Xeon
-    with AVX-512) instead of streaming them from memory. On that machine
+    By default a chunk holds ``autodiff.block_rows(hidden_width)`` rows,
+    so that one float64 activation fills ``autodiff.L2_BLOCK_BYTES``
+    (1 MiB: 1024 rows at width 128). Each trunk op then reads and writes
+    arrays that fit a core's L2 cache instead of streaming them from
+    memory. On a 2-vCPU AVX-512 Xeon with 2 MiB of L2 per core
     65,536 points ran at 43-49k points/s in 1024-row chunks against
     30-32k in 16384-row chunks; chunks of 256-2048 rows ran alike.
     """
     if chunk is None:
-        chunk = max(1, (1 << 20) // (8 * model.config.hidden_width))
+        chunk = ad.block_rows(model.config.hidden_width)
     coords = np.asarray(coords, dtype=np.float64)
     h_arr = h.values if isinstance(h, Tensor) else np.asarray(h)
     h_t = Tensor(h_arr)

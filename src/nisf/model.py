@@ -222,9 +222,8 @@ class FieldModel:
         x = ad.latent_linear(c, h, p["w_in"], p["b_in"])
         yield x
         for i in range(cfg.num_res_layers):
-            pre = ad.linear(x, p[f"res{i}_w1"], p[f"res{i}_b1"])
-            psi = ad.gabor(pre, cfg.gabor_omega0, cfg.gabor_s0)
-            x = ad.residual(x, psi, p[f"res{i}_w2"], p[f"res{i}_b2"])
+            x = ad.gabor_block(x, p[f"res{i}_w1"], p[f"res{i}_b1"], p[f"res{i}_w2"],
+                               p[f"res{i}_b2"], cfg.gabor_omega0, cfg.gabor_s0)
             yield x
 
     # -- persistence ---------------------------------------------------

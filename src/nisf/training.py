@@ -195,6 +195,21 @@ class LogRow:
                          f"{self.wall_time:.3f}"])
 
 
+def open_train_log(out_dir: str, resuming: bool):
+    """Open ``out_dir``'s ``train_log.csv`` for a prior-training run.
+
+    A resumed run appends to the log if it exists; every other run starts
+    the file afresh with one header row, so the header is never repeated
+    and rows of an earlier, abandoned run never precede a fresh one.
+    """
+    path = os.path.join(out_dir, "train_log.csv")
+    append = resuming and os.path.exists(path)
+    f = open(path, "a" if append else "w", encoding="utf-8")
+    if not append:
+        f.write(LogRow.csv_header() + "\n")
+    return f
+
+
 @dataclass
 class TrainResult:
     model: FieldModel

@@ -207,28 +207,66 @@ def test_latent_linear_matches_concat_formulation():
         ad.latent_linear(ad.Tensor(coords), ad.Tensor(h[:7]), ad.Tensor(w), ad.Tensor(b))
 
 
-@pytest.mark.parametrize("rows", [1, 53])
-def test_residual_matches_add_of_linear(rows):
-    # the fused block output keeps the bits of the unfused pair, value and gradients
+def _block_arrays(rows, rng):
+    # x [rows, 24] -> pre [rows, 128] -> out [rows, 24]: at width 128 a row
+    # block is 1024 rows, so 2500 rows end in a ragged block of 452
+    n, k = 24, 128
+    return [rng.normal(size=(rows, n)), rng.normal(scale=0.3 / np.sqrt(n), size=(n, k)),
+            rng.normal(scale=0.1, size=k), rng.normal(scale=1 / np.sqrt(k), size=(k, n)),
+            rng.normal(size=n)]
+
+
+def _composed_block(x, w1, b1, w2, b2, omega0, s0):
+    return ad.add(x, ad.linear(ad.gabor(ad.linear(x, w1, b1), omega0, s0), w2, b2))
+
+
+@pytest.mark.parametrize("rows", [1, 53, 2500])
+@pytest.mark.parametrize("trainable", ["all", "x", "w2", "none"])
+def test_gabor_block_matches_composed_ops(rows, trainable):
+    # the fused block keeps the bits of the five-op composition: value and gradients
     rng = np.random.default_rng(7)
-    arrays = [rng.normal(size=(rows, 6)), rng.normal(size=(rows, 5)),
-              rng.normal(size=(5, 6)), rng.normal(size=6)]
-    coef = ad.Tensor(rng.normal(size=(rows, 6)))
+    arrays = _block_arrays(rows, rng)
+    coef = ad.Tensor(rng.normal(size=(rows, 24)))
+    grads = {"all": range(5), "x": [0], "w2": [3], "none": []}[trainable]
 
     def run(block):
-        tensors = [ad.Tensor(v.copy(), requires_grad=True) for v in arrays]
+        tensors = [ad.Tensor(v.copy(), requires_grad=i in grads) for i, v in enumerate(arrays)]
         with ad.Tape() as tape:
-            out = block(*tensors)
-            tape.backward(ad.reduce_sum(ad.mul(out, coef)))
+            out = block(*tensors, 10.0, 5.0)
+            if grads:
+                tape.backward(ad.reduce_sum(ad.mul(out, coef)))
+        frozen = block(*tensors, 10.0, 5.0).values
+        assert np.array_equal(frozen, out.values)
         return out.values, [t.grad for t in tensors]
 
-    fused, fused_grads = run(ad.residual)
-    plain, plain_grads = run(lambda x, psi, w, b: ad.add(x, ad.linear(psi, w, b)))
+    fused, fused_grads = run(ad.gabor_block)
+    plain, plain_grads = run(_composed_block)
     assert np.array_equal(fused, plain)
-    for got, expect in zip(fused_grads, plain_grads):
-        assert np.array_equal(got, expect)
+    for i, (got, expect) in enumerate(zip(fused_grads, plain_grads)):
+        assert (got is None) == (i not in grads)
+        assert got is None or np.array_equal(got, expect), i
+
+
+def test_gabor_block_second_backward_doubles_gradients():
+    rng = np.random.default_rng(8)
+    tensors = [ad.Tensor(v, requires_grad=True) for v in _block_arrays(40, rng)]
+    coef = ad.Tensor(rng.normal(size=(40, 24)))
+    with ad.Tape() as tape:
+        loss = ad.reduce_sum(ad.mul(ad.gabor_block(*tensors, 10.0, 5.0), coef))
+        tape.backward(loss)
+        once = [t.grad.copy() for t in tensors]
+        tape.backward(loss)
+    for t, g in zip(tensors, once):
+        assert np.array_equal(t.grad, 2.0 * g)
+
+
+def test_gabor_block_rejects_non_finite_and_bad_shapes():
+    arrays = _block_arrays(5, np.random.default_rng(9))
+    arrays[0][3, 2] = np.nan
+    with pytest.raises(NumericalError, match="gabor_block"):
+        ad.gabor_block(*(ad.Tensor(v) for v in arrays), 10.0, 5.0)
     with pytest.raises(DimensionError):
-        ad.residual(*(ad.Tensor(v) for v in [arrays[0][:, :5]] + arrays[1:]))
+        ad.gabor_block(*(ad.Tensor(v) for v in [arrays[0][:, :5]] + arrays[1:]), 10.0, 5.0)
 
 
 def test_same_seed_same_graph_same_gradients():

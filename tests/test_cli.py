@@ -387,3 +387,53 @@ def test_negative_checkpoint_cadence_exits_1(dataset, tmp_path):
                   "--checkpoint-every", "-1", "--quiet")
     assert res.returncode == 1
     assert "checkpoint_every" in res.stderr
+
+
+@pytest.mark.parametrize("command,key,value", [("train-prior", "epochs", 2.7),
+                                               ("gen-data", "grid", [8.5, 8, 2, 2])])
+def test_non_integral_config_number_exits_1_naming_it(command, key, value, dataset,
+                                                      tmp_path):
+    """{"epochs": 2.7} must not silently train 2 epochs."""
+    cfg = tmp_path / "frac.json"
+    cfg.write_text(json.dumps({**TINY, key: value} if command == "train-prior"
+                              else {key: value}))
+    out = str(tmp_path / "out")
+    required = ["--dataset", dataset] if command == "train-prior" else []
+    res = run_cli(command, *required, "--out", out, "--config", str(cfg), "--quiet")
+    assert res.returncode == 1
+    assert f"config key '{key}'" in res.stderr
+    assert ("8.5" if command == "gen-data" else "2.7") in res.stderr
+    assert not os.path.exists(out)
+
+
+def test_integer_parser_takes_integral_numbers_only():
+    from nisf.cli import integer
+
+    assert integer("12") == 12 and integer(3) == 3 and integer(2.0) == 2
+    with pytest.raises(ValueError):
+        integer(2.7)
+    with pytest.raises(ValueError):
+        integer("2.7")
+
+
+def test_train_prior_log_starts_fresh_unless_resuming(dataset, tmp_path):
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps(TINY))
+    out = str(tmp_path / "prior")
+    log_path = os.path.join(out, "train_log.csv")
+
+    def train(*extra):
+        res = run_cli("train-prior", "--dataset", dataset, "--out", out, "--config",
+                      str(cfg), "--checkpoint-every", "1", "--quiet", *extra)
+        assert res.returncode == 0, res.stderr
+        with open(log_path) as f:
+            return f.read().splitlines()
+
+    first = train("--epochs", "1")
+    assert first[0].startswith("step,epoch,") and len(first) == 1 + 2  # 2 subjects
+    again = train("--epochs", "1")  # a fresh run replaces the log
+    assert len(again) == 1 + 2
+    resumed = train("--epochs", "2", "--resume")
+    assert resumed[:3] == again
+    assert len(resumed) == 1 + 4
+    assert sum(line.startswith("step,") for line in resumed) == 1

@@ -176,3 +176,23 @@ def test_cached_overfit_recomputes_record_from_other_code(tmp_path, monkeypatch,
     assert json.loads(path.read_text()) == fresh
     assert cached_overfit(cfg, cache_root=str(tmp_path)) == fresh
     assert calls == [cfg]
+
+
+def test_desk_prior_log_starts_fresh_unless_resuming(tmp_path):
+    from dataclasses import replace
+
+    cfg = replace(MICRO, train=replace(MICRO.train, checkpoint_every=1))
+    run = DeskScaleRun(cfg, cache_root=str(tmp_path))
+    log_path = os.path.join(run.dir, "train_log.csv")
+    with open(log_path, "w") as f:  # left by a run stopped before its first checkpoint
+        f.write("stale\n")
+    run.model()
+    with open(log_path) as f:
+        first = f.read().splitlines()
+    assert first[0].startswith("step,epoch,") and len(first) == 1 + 4
+    os.remove(os.path.join(run.dir, "ckpt_epoch00002.nckpt"))
+    run.model()  # resumes from epoch 1 and appends
+    with open(log_path) as f:
+        resumed = f.read().splitlines()
+    assert resumed[:5] == first and len(resumed) == 1 + 4 + 2
+    assert sum(line.startswith("step,") for line in resumed) == 1

@@ -1,5 +1,7 @@
 """Field model: shapes, initialization health, conditioning, persistence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,29 @@ def test_init_activation_scale_healthy():
     h = rng.normal(scale=0.1, size=cfg.latent_dim)
     for depth, act in enumerate(model.trunk_activations(coords, h)):
         assert 0.1 <= act.std() <= 2.0, f"layer {depth} std {act.std():.3f}"
+
+
+def test_latent_only_taped_forward_keeps_two_arrays_per_block():
+    # A latent-only step's backward reads each block's wavelet derivative and
+    # output; nothing else of batch size may outlive the forward.
+    cfg = ModelConfig()
+    model = FieldModel.init(cfg, seed=0)
+    model.set_trainable(False)
+    rng = np.random.default_rng(4)
+    rows = 4096
+    coords = rng.uniform(0, 1, size=(rows, cfg.coord_dim))
+    h = Tensor(rng.normal(scale=0.1, size=cfg.latent_dim), requires_grad=True)
+    block = rows * cfg.hidden_width * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with ad.Tape():
+            out = model.forward(coords, h)
+            held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out.intensity.requires_grad
+    assert held <= (2 * cfg.num_res_layers + 4) * block, held / block
 
 
 def test_init_is_seed_deterministic_and_seed_sensitive():

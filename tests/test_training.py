@@ -186,7 +186,7 @@ def test_one_training_step_updates_only_the_sampled_row():
 
 
 def test_default_training_step_tape_entries():
-    # input layer + 8 x (linear, gabor, residual) + 2 heads + losses
+    # input layer + 8 gabor_blocks + 2 heads + losses
     model = FieldModel.init(ModelConfig(), seed=0)
     rng = np.random.default_rng(2)
     h = ad.Tensor(rng.normal(scale=0.01, size=model.config.latent_dim), requires_grad=True)
@@ -195,7 +195,7 @@ def test_default_training_step_tape_entries():
     labels = rng.integers(0, model.config.num_classes, size=4096)
     with Tape() as tape:
         terms = train_loss(model, h, coords, intensities, labels, LossWeights())
-        assert len(tape) == 180
+        assert len(tape) == 164
         tape.backward(terms.total)
 
 
