@@ -5,13 +5,20 @@ Design notes:
 * numpy arrays are the storage; the tape and all backward rules are
   implemented here. New tensors are float64 (finite differences are
   unreliable in float32); a float32 array passed in is kept as is.
+* The op set is what the model and the losses run: layers ``linear``,
+  ``latent_linear`` and ``gabor_block``; elementwise ``add``, ``sub``,
+  ``mul``, ``div``, ``sigmoid``, ``log``, ``gabor`` and ``softmax``;
+  reductions ``reduce_sum``, ``reduce_mean`` and ``sum_squares``.
+  ``gabor`` is the composed reference that ``gabor_block`` is tested
+  against.
 * Broadcasting is deliberately restricted to scalar-with-tensor and
   equal-shape operands so every backward rule stays auditable. The only
   row-broadcasts are fused into layers: ``linear`` adds a row-vector
   bias, ``latent_linear`` conditions every row of a coordinate batch
   on one shared latent vector without ever tiling it, and ``gabor_block``
   computes a whole residual block x + gabor(x @ w1 + b1) @ w2 + b2 as one
-  entry that keeps only the arrays its backward reads.
+  entry that keeps only the arrays its backward reads. ``sum_squares``
+  records a whole L2 prior over a list of tensors as one entry.
 * Every operation validates that its output is finite; a NaN/Inf raises
   ``NumericalError`` instead of propagating silently.
 * Gradient tracking happens only while a ``Tape`` is active. Evaluating
@@ -21,7 +28,7 @@ Design notes:
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -82,37 +89,6 @@ class Tensor:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
 
-    # Arithmetic sugar; the module-level functions carry the contracts.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-
-def reset_grads(tensors: Iterable[Tensor]) -> None:
-    for t in tensors:
-        t.reset_grad()
-
 
 class Tape:
     """Ordered record of executed operations with their backward rules.
@@ -120,7 +96,7 @@ class Tape:
     Entries are appended in execution order, so inputs of any op were
     recorded before the op itself; ``backward`` walks the record in
     reverse. Repeated ``backward`` calls accumulate into leaf gradients
-    (clear with ``reset_grads``). A tape is confined to one logical
+    (clear with ``Tensor.reset_grad``). A tape is confined to one logical
     training context; it is not safe to share a recording tape between
     threads.
     """
@@ -163,13 +139,6 @@ class Tape:
             # An entry's output grad is complete here (all consumers were
             # recorded later, hence already walked); free it to cap memory.
             out.grad = None
-
-
-def backward(loss: Tensor) -> None:
-    """Run backward on the active tape (must be inside a ``with Tape()`` block)."""
-    if _active_tape is None:
-        raise ContractError("backward called with no active tape")
-    _active_tape.backward(loss)
 
 
 # ---------------------------------------------------------------------------
@@ -420,16 +389,6 @@ def div(a, b) -> Tensor:
     return _make_output(vals, "div", [t for t in (ta, tb) if t is not None], rule)
 
 
-def square(x: Tensor) -> Tensor:
-    vals = x.values * x.values
-
-    def rule(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accumulate(x, 2.0 * g * x.values)
-
-    return _make_output(vals, "square", (x,), rule)
-
-
 def sigmoid(x: Tensor) -> Tensor:
     # exp(-|x|) never overflows; both branches share it.
     z = np.exp(-np.abs(x.values))
@@ -582,3 +541,22 @@ def reduce_mean(x: Tensor, axis: int | None = None) -> Tensor:
             _accumulate(x, np.broadcast_to(np.expand_dims(scaled, axis), x.shape))
 
     return _make_output(vals, "mean", (x,), rule)
+
+
+def sum_squares(tensors: Sequence[Tensor]) -> Tensor:
+    """Sum of every squared entry of every tensor: an L2 prior as one entry.
+
+    Each tensor's squares are summed by numpy and the per-tensor sums are
+    added in list order; each tensor gets the gradient 2*g*t.
+    """
+    if not tensors:
+        raise ContractError("sum_squares needs at least one tensor")
+    vals = np.asarray(sum(np.square(t.values).sum() for t in tensors))
+
+    def rule(g: np.ndarray) -> None:
+        g2 = 2.0 * g
+        for t in tensors:
+            if t.requires_grad:
+                _accumulate(t, g2 * t.values, owned=True)
+
+    return _make_output(vals, "sum_squares", tensors, rule)

@@ -232,7 +232,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 def cmd_train_prior(args: argparse.Namespace) -> int:
     from .losses import LossWeights
     from .model import ModelConfig
-    from .training import TrainConfig, latest_checkpoint, open_train_log, train_prior
+    from .training import TrainConfig, latest_checkpoint, train_prior
     from .volume import load_dataset_manifest, load_volume, manifest_subjects
 
     config = _load_config_file(args.config, _TRAIN_PRIOR, extra=("model",))
@@ -258,9 +258,7 @@ def cmd_train_prior(args: argparse.Namespace) -> int:
         if resume_from is None:
             print("no checkpoint found, starting fresh", file=sys.stderr)
 
-    with open_train_log(args.out, resuming=resume_from is not None) as lf:
-        result = train_prior(subjects, tcfg, out_dir=args.out,
-                             resume_from=resume_from, log_file=lf)
+    result = train_prior(subjects, tcfg, out_dir=args.out, resume_from=resume_from)
     if not args.quiet and result.log:
         last = result.log[-1]
         print(f"trained {tcfg.epochs} epochs, final loss {last.report.total:.6f}")

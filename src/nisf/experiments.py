@@ -33,7 +33,7 @@ from .sampling import (GridSpec, PlaneSpec, nearest_neighbor_resample,
                        predict_heldout_slice, sample_grid, sample_plane)
 from .serial import config_dict, config_hash, write_json_atomic
 from .training import (LATENT_PRIOR_SIGMA, TrainConfig, latest_checkpoint,
-                       load_checkpoint, make_batch, open_train_log, train_prior)
+                       load_checkpoint, make_batch, train_prior)
 from .volume import SPLITS, VolumeSample
 
 DEFAULT_CACHE_ROOT = ".acceptance_cache"
@@ -160,9 +160,8 @@ class DeskScaleRun:
         ckpt = latest_checkpoint(self.dir)
         if ckpt is None or _ckpt_epochs(ckpt) < self.cfg.train.epochs:
             self._log("training prior" + (" (resuming)" if ckpt else ""))
-            with open_train_log(self.dir, resuming=ckpt is not None) as lf:
-                result = train_prior(self.splits()["train"], self.cfg.train,
-                                     out_dir=self.dir, resume_from=ckpt, log_file=lf)
+            result = train_prior(self.splits()["train"], self.cfg.train,
+                                 out_dir=self.dir, resume_from=ckpt)
             return result.model
         model, _, _, _, _ = load_checkpoint(ckpt)
         model.set_trainable(False)

@@ -5,6 +5,24 @@ significant digits, so per-operation checks are held to 1e-6 relative
 error and a full composed training loss to 1e-4 (longer chains compound
 roundoff). Relative error uses max(|a|, |b|, 1e-6) in the denominator so
 near-zero gradients compare absolutely.
+
+``run_op_checks`` passes at seeds 0-3 but not at every seed, and where it
+fails the finite difference is wrong, not the tape:
+
+* seed 7, ``linear``: the analytic gradients equal the closed forms
+  ``wm @ m2.T``, ``m1.T @ wm`` and ``wm.sum(0)`` bit for bit. The failing
+  element of d/dm2 is -1.2315e-5, where the central difference at
+  ``FD_STEP`` misses by 7e-11 (5.9e-6 relative). The op is linear in m2,
+  so there is no truncation error: the miss is cancellation. A step of
+  1e-3 agrees to 3e-8.
+* seeds 5 and 10, ``chain_gabor_linear`` (2.0e-6 and 1.2e-6): the tape's
+  gradients agree to 1.2e-14 relative with a complex-step derivative of
+  the same loss written in plain numpy. The failing elements are tiny
+  (|g| ~ 1e-8 to 1e-7, below the 1e-6 floor), and the FD misses them by
+  ~1e-12 absolute, which is the cancellation noise eps*|f|/FD_STEP of a
+  loss near 0.17. Richardson extrapolation from steps of 1e-4 to 1e-3
+  agrees to within 1.1e-6; from smaller steps it agrees worse, as noise
+  would have it.
 """
 
 from __future__ import annotations
@@ -147,6 +165,9 @@ def run_op_checks(seed: int = 0) -> GradCheckReport:
     def contract(t, weights):
         return ad.reduce_sum(ad.mul(t, ad.Tensor(weights)))
 
+    def squared(t):
+        return ad.mul(t, t)
+
     cases = [
         ("add", lambda p: contract(ad.add(p[0], p[1]), w), [a, b]),
         ("add_scalar", lambda p: contract(ad.add(p[0], 1.7), w), [a]),
@@ -156,7 +177,7 @@ def run_op_checks(seed: int = 0) -> GradCheckReport:
         ("mul_scalar", lambda p: contract(ad.mul(p[0], -2.5), w), [a]),
         ("div", lambda p: contract(ad.div(p[0], p[1]), w), [a, b]),
         ("div_scalar", lambda p: contract(ad.div(p[0], 3.0), w), [a]),
-        ("square", lambda p: contract(ad.square(p[0]), w), [a]),
+        ("sum_squares", ad.sum_squares, [a, bias, latent]),
         ("sigmoid", lambda p: contract(ad.sigmoid(p[0]), w), [a]),
         ("log", lambda p: contract(ad.log(p[0]), w), [pos]),
         ("gabor", lambda p: contract(ad.gabor(p[0], 10.0, 5.0), w), [0.1 * a]),
@@ -173,9 +194,8 @@ def run_op_checks(seed: int = 0) -> GradCheckReport:
         ("mean_all", lambda p: ad.reduce_mean(p[0]), [a]),
         ("mean_axis1", lambda p: ad.reduce_sum(ad.mul(ad.reduce_mean(p[0], axis=1),
                                                       ad.Tensor(w[:, 0]))), [a]),
-        ("chain_gabor_linear",
-         lambda p: ad.reduce_mean(ad.square(ad.gabor(ad.linear(p[0], p[1], p[2]), 10.0, 5.0))),
-         [m1, m2, bias]),
+        ("chain_gabor_linear", lambda p: ad.reduce_mean(squared(ad.gabor(
+            ad.linear(p[0], p[1], p[2]), 10.0, 5.0))), [m1, m2, bias]),
         ("chain_softmax_log",
          lambda p: ad.reduce_mean(ad.mul(ad.log(ad.softmax(p[0])),
                                          ad.Tensor(wide_coef))),

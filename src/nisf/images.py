@@ -28,15 +28,19 @@ def _check_image(img: np.ndarray) -> np.ndarray:
     return img
 
 
+def _write_pgm(path: str, data: np.ndarray, maxval: int) -> None:
+    """P5 header for the [rows, cols] samples ``data``, then their bytes."""
+    with open(path, "wb") as f:
+        f.write(f"P5\n{data.shape[1]} {data.shape[0]}\n{maxval}\n".encode("ascii"))
+        f.write(data.tobytes())
+
+
 def write_pgm8(path: str, img: np.ndarray) -> None:
     """Intensity image in [0,1] to 8-bit PGM (values scaled by 255, rounded)."""
     img = _check_image(img)
     if img.size and (img.min() < 0.0 or img.max() > 1.0):
         raise ContractError("pgm8 expects intensities in [0,1]")
-    data = np.rint(img * 255.0).astype(np.uint8)
-    with open(path, "wb") as f:
-        f.write(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii"))
-        f.write(data.tobytes())
+    _write_pgm(path, np.rint(img * 255.0).astype(np.uint8), 255)
 
 
 def write_pgm16(path: str, img: np.ndarray) -> None:
@@ -44,10 +48,7 @@ def write_pgm16(path: str, img: np.ndarray) -> None:
     img = _check_image(img)
     if img.size and (img.min() < 0.0 or img.max() > 1.0):
         raise ContractError("pgm16 expects intensities in [0,1]")
-    data = np.rint(img * 65535.0).astype(">u2")
-    with open(path, "wb") as f:
-        f.write(f"P5\n{img.shape[1]} {img.shape[0]}\n65535\n".encode("ascii"))
-        f.write(data.tobytes())
+    _write_pgm(path, np.rint(img * 65535.0).astype(">u2"), 65535)
 
 
 def write_label_pgm(path: str, labels: np.ndarray, num_classes: int) -> None:
@@ -58,9 +59,7 @@ def write_label_pgm(path: str, labels: np.ndarray, num_classes: int) -> None:
     if labels.size and int(labels.max()) >= num_classes:
         raise ContractError("label id outside palette")
     gray = np.rint(labels.astype(np.float64) * (255.0 / (num_classes - 1))).astype(np.uint8)
-    with open(path, "wb") as f:
-        f.write(f"P5\n{labels.shape[1]} {labels.shape[0]}\n255\n".encode("ascii"))
-        f.write(gray.tobytes())
+    _write_pgm(path, gray, 255)
 
 
 def read_pgm(path: str) -> np.ndarray:

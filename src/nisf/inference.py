@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .errors import ContractError, NumericalError
-from .losses import LossWeights, inference_loss
+from .losses import LossWeights, bce, inference_loss
 from .model import FieldModel
 from .optim import Adam, select_trainables
 from .training import make_batch
@@ -216,9 +216,7 @@ def infer_latent(model: FieldModel, coords: np.ndarray, intensities: np.ndarray,
 
     def record(step: int) -> None:
         _, probs, inten = evaluate_points(model, h, coords)
-        recon = float(np.mean(-(intensities[:, 0] * np.log(np.maximum(inten, ad.LOG_EPS))
-                                + (1.0 - intensities[:, 0])
-                                * np.log(np.maximum(1.0 - inten, ad.LOG_EPS)))))
+        recon = bce(Tensor(inten), intensities[:, 0]).item()
         norm = float(np.sqrt(np.sum(h.values * h.values)))
         dice_vals = None
         if analysis is not None:

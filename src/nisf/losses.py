@@ -153,16 +153,6 @@ def dice_loss(seg_probs: Tensor, target_onehot) -> Tensor:
     return ad.sub(1.0, fg_mean)
 
 
-def l2_sum_sq(tensors: list[Tensor]) -> Tensor:
-    """Sum of squared entries over a list of tensors."""
-    if not tensors:
-        raise ContractError("l2_sum_sq needs at least one tensor")
-    acc = ad.reduce_sum(ad.square(tensors[0]))
-    for t in tensors[1:]:
-        acc = ad.add(acc, ad.reduce_sum(ad.square(t)))
-    return acc
-
-
 def training_loss(seg_probs: Tensor, intensity: Tensor, labels, intensity_targets,
                   params: list[Tensor], latent: Tensor,
                   weights: LossWeights) -> LossTerms:
@@ -178,8 +168,8 @@ def training_loss(seg_probs: Tensor, intensity: Tensor, labels, intensity_target
     bce_seg = ad.mul(bce(seg_probs, onehot), float(seg_probs.shape[1]))
     dice_seg = dice_loss(seg_probs, onehot)
     bce_recon = bce(intensity, targets)
-    l2_params = l2_sum_sq(params)
-    l2_latent = l2_sum_sq([latent])
+    l2_params = ad.sum_squares(params)
+    l2_latent = ad.sum_squares([latent])
     total = ad.add(ad.add(bce_seg, dice_seg), ad.mul(bce_recon, weights.alpha))
     total = ad.add(total, ad.mul(l2_params, weights.lambda_theta_phi))
     total = ad.add(total, ad.mul(l2_latent, weights.lambda_h))
@@ -191,7 +181,7 @@ def inference_loss(intensity: Tensor, intensity_targets, latent: Tensor,
     """Reconstruction-only objective: bce_recon + lambda_h * ||h||^2."""
     targets = np.asarray(intensity_targets, dtype=intensity.dtype).reshape(intensity.shape)
     bce_recon = bce(intensity, targets)
-    l2_latent = l2_sum_sq([latent])
+    l2_latent = ad.sum_squares([latent])
     total = ad.add(bce_recon, ad.mul(l2_latent, weights.lambda_h))
     return LossTerms(total, None, None, bce_recon, None, l2_latent)
 

@@ -190,41 +190,21 @@ class FieldModel:
         conditions every row. Coordinates are expected in [0,1]^N; rows
         outside are evaluated anyway and flagged in ``out_of_range``.
         """
-        c, h = self._inputs(coords, latent)
-        for x in self._trunk(c, h):
-            pass  # keep only the last block output alive
-        p = self.params
-        seg = ad.softmax(ad.linear(x, p["w_seg"], p["b_seg"]))
-        intensity = ad.sigmoid(ad.linear(x, p["w_int"], p["b_int"]))
-        oor = np.any((c.values < 0.0) | (c.values > 1.0), axis=1)
-        return FieldOutput(seg, intensity, oor)
-
-    def trunk_activations(self, coords, latent) -> list[np.ndarray]:
-        """Values of the input projection and each residual block output.
-
-        Diagnostic used to check initialization scale health.
-        """
-        return [x.values for x in self._trunk(*self._inputs(coords, latent))]
-
-    def _inputs(self, coords, latent) -> tuple[Tensor, Tensor]:
-        cfg = self.config
+        cfg, p = self.config, self.params
         c = coords if isinstance(coords, Tensor) else Tensor(coords)
         h = latent if isinstance(latent, Tensor) else Tensor(latent)
         if c.ndim != 2 or c.shape[1] != cfg.coord_dim:
             raise DimensionError(f"coords must be [B,{cfg.coord_dim}], got {c.shape}")
         if h.shape != (cfg.latent_dim,):
             raise DimensionError(f"latent must be [{cfg.latent_dim}], got {h.shape}")
-        return c, h
-
-    def _trunk(self, c: Tensor, h: Tensor):
-        """Yield the input projection, then each residual block output."""
-        cfg, p = self.config, self.params
         x = ad.latent_linear(c, h, p["w_in"], p["b_in"])
-        yield x
         for i in range(cfg.num_res_layers):
             x = ad.gabor_block(x, p[f"res{i}_w1"], p[f"res{i}_b1"], p[f"res{i}_w2"],
                                p[f"res{i}_b2"], cfg.gabor_omega0, cfg.gabor_s0)
-            yield x
+        seg = ad.softmax(ad.linear(x, p["w_seg"], p["b_seg"]))
+        intensity = ad.sigmoid(ad.linear(x, p["w_int"], p["b_int"]))
+        oor = np.any((c.values < 0.0) | (c.values > 1.0), axis=1)
+        return FieldOutput(seg, intensity, oor)
 
     # -- persistence ---------------------------------------------------
 

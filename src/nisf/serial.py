@@ -105,11 +105,15 @@ def config_hash(d: dict, chars: int = 64) -> str:
     return hashlib.sha256(blob).hexdigest()[:chars]
 
 
+def write_text_atomic(path: str, text: str) -> None:
+    """Write ``text`` to ``path + ".tmp"``, then rename it into place."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as f:
+        f.write(text)
+    os.replace(tmp, path)
+
+
 def write_json_atomic(path: str, obj) -> None:
     """Write ``obj`` as indented sorted-key JSON and a final newline, renamed
     into place when complete."""
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=1, sort_keys=True)
-        f.write("\n")
-    os.replace(tmp, path)
+    write_text_atomic(path, json.dumps(obj, indent=1, sort_keys=True) + "\n")

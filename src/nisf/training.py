@@ -26,7 +26,7 @@ from .errors import ContractError, NumericalError
 from .losses import LossReport, LossWeights, train_loss
 from .model import FieldModel, ModelConfig
 from .optim import Adam
-from .serial import config_dict, config_hash, read_blob, write_blob
+from .serial import config_dict, config_hash, read_blob, write_blob, write_text_atomic
 from .volume import VolumeSample, normalize_index
 
 CKPT_MAGIC = "NISF-CKPT"
@@ -195,19 +195,24 @@ class LogRow:
                          f"{self.wall_time:.3f}"])
 
 
-def open_train_log(out_dir: str, resuming: bool):
-    """Open ``out_dir``'s ``train_log.csv`` for a prior-training run.
+def _start_train_log(out_dir: str, global_step: int) -> str:
+    """Rewrite ``out_dir``'s ``train_log.csv`` to end at ``global_step``.
 
-    A resumed run appends to the log if it exists; every other run starts
-    the file afresh with one header row, so the header is never repeated
-    and rows of an earlier, abandoned run never precede a fresh one.
+    A resumed run keeps the rows its checkpoint covers and drops any that
+    an interrupted run logged after it, since it logs those steps again; a
+    fresh run (step 0) keeps none. The file is replaced atomically and
+    starts with one header row. Returns its path.
     """
     path = os.path.join(out_dir, "train_log.csv")
-    append = resuming and os.path.exists(path)
-    f = open(path, "a" if append else "w", encoding="utf-8")
-    if not append:
-        f.write(LogRow.csv_header() + "\n")
-    return f
+    lines = [LogRow.csv_header()]
+    if global_step and os.path.exists(path):
+        with open(path, encoding="utf-8") as f:
+            for line in f.read().splitlines()[1:]:
+                step = line.split(",", 1)[0]
+                if step.isdigit() and int(step) <= global_step:
+                    lines.append(line)
+    write_text_atomic(path, "\n".join(lines) + "\n")
+    return path
 
 
 @dataclass
@@ -226,14 +231,13 @@ def _epoch_rngs(seed: int, epoch: int) -> tuple[np.random.Generator, np.random.G
 
 
 def train_prior(subjects: list[VolumeSample], config: TrainConfig,
-                out_dir: str | None = None, resume_from: str | None = None,
-                log_file=None) -> TrainResult:
+                out_dir: str | None = None, resume_from: str | None = None) -> TrainResult:
     """Run the prior-training loop over epochs; optionally resumable.
 
     ``subjects`` order defines latent-table row order and must match
     between original and resumed runs (the checkpoint records the ids
-    and refuses a mismatch). ``log_file`` is an optional open text file
-    receiving CSV rows as they are produced.
+    and refuses a mismatch). With ``out_dir``, checkpoints go there and
+    log rows are appended to its ``train_log.csv`` as they are produced.
     """
     if not subjects:
         raise ContractError("train_prior needs at least one subject")
@@ -256,6 +260,7 @@ def train_prior(subjects: list[VolumeSample], config: TrainConfig,
                           lr=config.lr_prior)
         start_epoch, global_step = 0, 0
 
+    log_path = None if out_dir is None else _start_train_log(out_dir, global_step)
     log: list[LogRow] = []
     t_start = time.monotonic()
     final_ckpt = None
@@ -289,9 +294,9 @@ def train_prior(subjects: list[VolumeSample], config: TrainConfig,
                              t_index=t_index, report=report,
                              wall_time=time.monotonic() - t_start)
                 log.append(row)
-                if log_file is not None:
-                    log_file.write(row.csv() + "\n")
-                    log_file.flush()
+                if log_path is not None:
+                    with open(log_path, "a", encoding="utf-8") as f:
+                        f.write(row.csv() + "\n")
         at_cadence = config.checkpoint_every and (epoch + 1) % config.checkpoint_every == 0
         if out_dir is not None and (at_cadence or epoch + 1 == config.epochs):
             final_ckpt = os.path.join(out_dir, f"ckpt_epoch{epoch + 1:05d}.nckpt")

@@ -18,6 +18,20 @@ def test_pgm8_exact_bytes(tmp_path):
     assert raw == b"P5\n2 2\n255\n" + bytes([0, 255, 128, 64])
 
 
+def test_pgm16_exact_bytes(tmp_path):
+    path = str(tmp_path / "deep.pgm")
+    write_pgm16(path, np.array([[0.0, 1.0, 0.5]]))
+    raw = open(path, "rb").read()
+    assert raw == b"P5\n3 1\n65535\n" + bytes([0, 0, 255, 255, 128, 0])
+
+
+def test_label_pgm_exact_bytes(tmp_path):
+    path = str(tmp_path / "lab.pgm")
+    write_label_pgm(path, np.array([[0, 1, 2], [3, 2, 1]], dtype=np.uint8), 4)
+    raw = open(path, "rb").read()
+    assert raw == b"P5\n3 2\n255\n" + bytes([0, 85, 170, 255, 170, 85])
+
+
 def test_pgm8_round_trip_quantizes_to_half_ulp(tmp_path):
     rng = np.random.default_rng(5)
     img = rng.uniform(size=(7, 11))

@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 import nisf.autodiff as ad
 from nisf.autodiff import Tensor
 from nisf.errors import ContractError, DimensionError
-from nisf.losses import (DICE_EPS, LossWeights, bce, dice_loss, inference_loss,
-                         l2_sum_sq, one_hot, training_loss)
+from nisf.losses import (DICE_EPS, LossWeights, bce, dice_loss, inference_loss, one_hot,
+                         training_loss)
 
 LN2 = 0.6931471805599453
 ENTROPY_03 = 0.6108643020548935          # -[0.3 ln 0.3 + 0.7 ln 0.7]
@@ -180,11 +180,15 @@ def test_loss_gradients_flow_to_latent_only_at_inference():
 
 
 def test_l2_sum_sq_hand_value():
-    t1 = Tensor(np.array([1.0, 2.0]))
-    t2 = Tensor(np.array([[3.0]]))
-    assert l2_sum_sq([t1, t2]).item() == 14.0
-    with pytest.raises(ContractError):
-        l2_sum_sq([])
+    t1 = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    t2 = Tensor(np.array([[3.0]]))  # frozen: no gradient
+    with ad.Tape() as tape:
+        total = ad.sum_squares([t1, t2])
+        tape.backward(total)
+    assert total.item() == 14.0
+    assert np.array_equal(t1.grad, [2.0, -4.0]) and t2.grad is None
+    with pytest.raises(ContractError, match="at least one"):
+        ad.sum_squares([])
 
 
 def test_loss_weights_validation():

@@ -195,7 +195,7 @@ def test_default_training_step_tape_entries():
     labels = rng.integers(0, model.config.num_classes, size=4096)
     with Tape() as tape:
         terms = train_loss(model, h, coords, intensities, labels, LossWeights())
-        assert len(tape) == 164
+        assert len(tape) == 51
         tape.backward(terms.total)
 
 
