@@ -6,19 +6,22 @@ Design notes:
   implemented here. New tensors are float64 (finite differences are
   unreliable in float32); a float32 array passed in is kept as is.
 * The op set is what the model and the losses run: layers ``linear``,
-  ``latent_linear`` and ``gabor_block``; elementwise ``add``, ``sub``,
+  ``latent_linear`` and ``gabor_trunk``; elementwise ``add``, ``sub``,
   ``mul``, ``div``, ``sigmoid``, ``log``, ``gabor`` and ``softmax``;
   reductions ``reduce_sum``, ``reduce_mean`` and ``sum_squares``.
-  ``gabor`` is the composed reference that ``gabor_block`` is tested
+  ``gabor`` is the composed reference that ``gabor_trunk`` is tested
   against.
 * Broadcasting is deliberately restricted to scalar-with-tensor and
   equal-shape operands so every backward rule stays auditable. The only
   row-broadcasts are fused into layers: ``linear`` adds a row-vector
   bias, ``latent_linear`` conditions every row of a coordinate batch
-  on one shared latent vector without ever tiling it, and ``gabor_block``
-  computes a whole residual block x + gabor(x @ w1 + b1) @ w2 + b2 as one
-  entry that keeps only the arrays its backward reads. ``sum_squares``
-  records a whole L2 prior over a list of tensors as one entry.
+  on one shared latent vector without ever tiling it, and ``gabor_trunk``
+  computes every residual block x + gabor(x @ w1 + b1) @ w2 + b2 of the
+  trunk as one entry that keeps only the arrays its backward reads.
+  ``sum_squares`` records a whole L2 prior over a list of tensors as one
+  entry.
+* ``Tape.backward`` detaches each entry's output gradient before calling
+  its rule, so the rule owns the only reference and may drop it early.
 * Every operation validates that its output is finite; a NaN/Inf raises
   ``NumericalError`` instead of propagating silently.
 * Gradient tracking happens only while a ``Tape`` is active. Evaluating
@@ -133,12 +136,16 @@ class Tape:
             out.grad = None
         loss.grad = np.ones_like(loss.values)
         for out, rule in reversed(self._entries):
-            if out.grad is None:
-                continue
-            rule(out.grad)
-            # An entry's output grad is complete here (all consumers were
-            # recorded later, hence already walked); free it to cap memory.
-            out.grad = None
+            if out.grad is not None:
+                rule(_take_grad(out))
+
+
+def _take_grad(t: Tensor) -> np.ndarray:
+    # Complete once the walk reaches t (its consumers were recorded later,
+    # hence walked). Passed straight into the rule, it is the rule's only
+    # reference, so ``gabor_trunk`` frees it when it moves on to a block's input.
+    g, t.grad = t.grad, None
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -273,64 +280,84 @@ def block_rows(width: int) -> int:
     return max(1, L2_BLOCK_BYTES // (8 * width))
 
 
-def gabor_block(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+def gabor_trunk(x: Tensor, blocks: Sequence[tuple[Tensor, Tensor, Tensor, Tensor]],
                 omega0: float, s0: float) -> Tensor:
-    """Residual Gabor block x + gabor(x @ w1 + b1) @ w2 + b2: one tape entry.
+    """The residual Gabor trunk as one tape entry.
 
-    Both products go through ``_gemm``. The wavelet runs in place over the
+    Each ``(w1, b1, w2, b2)`` in ``blocks`` maps x to
+    x + gabor(x @ w1 + b1) @ w2 + b2, and the blocks run in order. Both
+    products go through ``_gemm``; the wavelet runs in place over the
     pre-activation buffer in row blocks with block-sized scratch (see
-    ``_gabor_kernel``), so the block allocates three full-batch arrays
-    when taped (pre-activation, derivative, output) and two when frozen,
-    and the scratch is gone before the second product runs. Backward
-    keeps only what it reads: the derivative while ``x``, ``w1`` or ``b1``
-    needs a gradient, the wavelet values only if ``w2`` does and ``x``'s
-    values only if ``w1`` does. A latent-only step therefore holds the
-    derivative and the output of each block.
+    ``_gabor_kernel``). Only the current activation stays alive between
+    blocks, and the finite check runs once, on the trunk output (a
+    non-finite value cannot vanish through the skip path).
 
-    Every elementwise step and every sum runs in the order of
-    ``add(x, linear(gabor(linear(x, w1, b1)), w2, b2))``, so values and
-    gradients are bit-identical to that composition.
+    Backward keeps, per block, only what it reads: the derivative while a
+    gradient flows into the block's input or its ``w1``/``b1`` needs one,
+    the block input only if ``w1`` does, and the wavelet values only if
+    ``w2`` does. A latent-only step therefore holds one array per block.
+    The backward is one reverse loop over the blocks, and every
+    elementwise step and every sum runs in the order of
+    ``add(x, linear(gabor(linear(x, w1, b1)), w2, b2))`` chained over the
+    blocks, so values and gradients are bit-identical to that composition.
     """
-    if x.ndim != 2 or w1.ndim != 2 or b1.ndim != 1 or w2.ndim != 2 or b2.ndim != 1:
-        raise DimensionError(f"gabor_block needs [B,n], [n,k], [k], [k,n], [n], got {x.shape}, "
-                             f"{w1.shape}, {b1.shape}, {w2.shape}, {b2.shape}")
-    n, k = w1.shape
-    if x.shape[1] != n or b1.shape[0] != k or w2.shape != (k, n) or b2.shape[0] != n:
-        raise DimensionError(f"gabor_block extents disagree: {x.shape}, {w1.shape}, "
-                             f"{b1.shape}, {w2.shape}, {b2.shape}")
+    if not blocks:
+        raise ContractError("gabor_trunk needs at least one block")
+    if x.ndim != 2:
+        raise DimensionError(f"gabor_trunk needs a [B,n] input, got {x.shape}")
+    n = x.shape[1]
+    for w1, b1, w2, b2 in blocks:
+        if w1.ndim != 2 or b1.ndim != 1 or w2.ndim != 2 or b2.ndim != 1:
+            raise DimensionError(f"gabor_trunk blocks need [n,k], [k], [k,n], [n], got "
+                                 f"{w1.shape}, {b1.shape}, {w2.shape}, {b2.shape}")
+        k = w1.shape[1]
+        if w1.shape[0] != n or b1.shape[0] != k or w2.shape != (k, n) or b2.shape[0] != n:
+            raise DimensionError(f"gabor_trunk extents disagree: {x.shape}, {w1.shape}, "
+                                 f"{b1.shape}, {w2.shape}, {b2.shape}")
     taped = _active_tape is not None
-    need_x, need_w1, need_b1, need_w2, need_b2 = (
-        taped and t.requires_grad for t in (x, w1, b1, w2, b2))
-    need_gp = need_x or need_w1 or need_b1
-    pre = _gemm(x.values, w1.values)
-    pre += b1.values  # _gemm's result is a fresh array
-    deriv = np.empty_like(pre) if need_gp else None
-    _gabor_kernel(pre, omega0, s0, deriv)
-    vals = _gemm(pre, w2.values)
-    vals += b2.values
-    vals += x.values
-    psi = pre if need_w2 else None
-    x_in = x.values if need_w1 else None
+    flows = taped and x.requires_grad  # a gradient reaches the current block's input
+    saved = []  # per block: (derivative, block input, wavelet values, flows into input)
+    cur = x.values
+    for w1, b1, w2, b2 in blocks:
+        need_w1, need_w2 = taped and w1.requires_grad, taped and w2.requires_grad
+        need_gp = flows or need_w1 or (taped and b1.requires_grad)
+        pre = _gemm(cur, w1.values)
+        pre += b1.values  # _gemm's result is a fresh array
+        deriv = np.empty_like(pre) if need_gp else None
+        _gabor_kernel(pre, omega0, s0, deriv)
+        vals = _gemm(pre, w2.values)
+        vals += b2.values
+        vals += cur
+        saved.append((deriv, cur if need_w1 else None, pre if need_w2 else None, flows))
+        flows = need_gp or need_w2 or (taped and b2.requires_grad)
+        cur = vals
+        del pre, deriv, vals  # the next block's arrays replace these, not join them
 
     def rule(g: np.ndarray) -> None:
-        if need_w2:
-            _accumulate(w2, psi.T @ g, owned=True)
-        if need_b2:
-            _accumulate(b2, g.sum(axis=0), owned=True)
-        if not need_gp:
-            return
-        gp = g @ w2.values.T
-        gp *= deriv
-        if need_w1:
-            _accumulate(w1, x_in.T @ gp, owned=True)
-        if need_b1:
-            _accumulate(b1, gp.sum(axis=0), owned=True)
-        if need_x:
+        # g is this rule's own array (see Tape.backward); each step drops it.
+        for (w1, b1, w2, b2), (deriv, x_in, psi, flows_in) in zip(reversed(blocks),
+                                                                  reversed(saved)):
+            if psi is not None:
+                _accumulate(w2, psi.T @ g, owned=True)
+            if b2.requires_grad:
+                _accumulate(b2, g.sum(axis=0), owned=True)
+            if deriv is None:
+                return
+            gp = g @ w2.values.T
+            gp *= deriv
+            if x_in is not None:
+                _accumulate(w1, x_in.T @ gp, owned=True)
+            if b1.requires_grad:
+                _accumulate(b1, gp.sum(axis=0), owned=True)
+            if not flows_in:
+                return
             gx = gp @ w1.values.T
+            del gp
             gx += g
-            _accumulate(x, gx, owned=True)
+            g = gx
+        _accumulate(x, g, owned=True)
 
-    return _make_output(vals, "gabor_block", (x, w1, b1, w2, b2), rule)
+    return _make_output(cur, "gabor_trunk", (x, *(t for blk in blocks for t in blk)), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +499,7 @@ def _gabor_kernel(v: np.ndarray, omega0: float, s0: float, deriv: np.ndarray | N
 def gabor(x: Tensor, omega0: float, s0: float) -> Tensor:
     """Real Gabor wavelet cos(omega0*x) * exp(-(s0*x)^2), elementwise.
 
-    One tape entry over ``_gabor_kernel``, which ``gabor_block`` shares.
+    One tape entry over ``_gabor_kernel``, which ``gabor_trunk`` shares.
     The derivative factor is computed, and kept for backward, only while
     a tape records ``x``, so frozen forwards hold none.
     """

@@ -92,7 +92,14 @@ class FieldOutput:
 
 class FieldModel:
     """Parameter container + forward pass. Parameters live in a dict keyed
-    by canonical names; ``param_names`` fixes the serialization order."""
+    by canonical names; ``param_names`` fixes the serialization order.
+
+    A taped forward records six entries: the input layer
+    (``latent_linear``), the whole residual trunk (``ad.gabor_trunk``),
+    and each head's layer and activation. The trunk entry keeps
+    only what its backward reads, so a latent-only step holds one
+    [B, hidden_width] array per residual block (its wavelet derivative).
+    """
 
     def __init__(self, config: ModelConfig, params: dict[str, Tensor]):
         self.config = config
@@ -198,9 +205,9 @@ class FieldModel:
         if h.shape != (cfg.latent_dim,):
             raise DimensionError(f"latent must be [{cfg.latent_dim}], got {h.shape}")
         x = ad.latent_linear(c, h, p["w_in"], p["b_in"])
-        for i in range(cfg.num_res_layers):
-            x = ad.gabor_block(x, p[f"res{i}_w1"], p[f"res{i}_b1"], p[f"res{i}_w2"],
-                               p[f"res{i}_b2"], cfg.gabor_omega0, cfg.gabor_s0)
+        blocks = [tuple(p[f"res{i}_{n}"] for n in ("w1", "b1", "w2", "b2"))
+                  for i in range(cfg.num_res_layers)]
+        x = ad.gabor_trunk(x, blocks, cfg.gabor_omega0, cfg.gabor_s0)
         seg = ad.softmax(ad.linear(x, p["w_seg"], p["b_seg"]))
         intensity = ad.sigmoid(ad.linear(x, p["w_int"], p["b_int"]))
         oor = np.any((c.values < 0.0) | (c.values > 1.0), axis=1)

@@ -195,13 +195,14 @@ class LogRow:
                          f"{self.wall_time:.3f}"])
 
 
-def _start_train_log(out_dir: str, global_step: int) -> str:
+def _start_train_log(out_dir: str, global_step: int) -> tuple[str, float]:
     """Rewrite ``out_dir``'s ``train_log.csv`` to end at ``global_step``.
 
     A resumed run keeps the rows its checkpoint covers and drops any that
     an interrupted run logged after it, since it logs those steps again; a
     fresh run (step 0) keeps none. The file is replaced atomically and
-    starts with one header row. Returns its path.
+    starts with one header row. Returns its path and the last kept row's
+    ``wall_time`` (0.0 if none), from which a resumed run's clock goes on.
     """
     path = os.path.join(out_dir, "train_log.csv")
     lines = [LogRow.csv_header()]
@@ -212,7 +213,8 @@ def _start_train_log(out_dir: str, global_step: int) -> str:
                 if step.isdigit() and int(step) <= global_step:
                     lines.append(line)
     write_text_atomic(path, "\n".join(lines) + "\n")
-    return path
+    wall_time = float(lines[-1].rsplit(",", 1)[1]) if len(lines) > 1 else 0.0
+    return path, wall_time
 
 
 @dataclass
@@ -237,7 +239,8 @@ def train_prior(subjects: list[VolumeSample], config: TrainConfig,
     ``subjects`` order defines latent-table row order and must match
     between original and resumed runs (the checkpoint records the ids
     and refuses a mismatch). With ``out_dir``, checkpoints go there and
-    log rows are appended to its ``train_log.csv`` as they are produced.
+    log rows are appended to its ``train_log.csv`` as they are produced;
+    a resumed run's ``wall_time`` goes on from the rows it keeps.
     """
     if not subjects:
         raise ContractError("train_prior needs at least one subject")
@@ -260,9 +263,10 @@ def train_prior(subjects: list[VolumeSample], config: TrainConfig,
                           lr=config.lr_prior)
         start_epoch, global_step = 0, 0
 
-    log_path = None if out_dir is None else _start_train_log(out_dir, global_step)
+    log_path, wall_offset = (None, 0.0) if out_dir is None else _start_train_log(
+        out_dir, global_step)
     log: list[LogRow] = []
-    t_start = time.monotonic()
+    t_start = time.monotonic() - wall_offset  # a resumed log's wall_time goes on
     final_ckpt = None
 
     for epoch in range(start_epoch, config.epochs):

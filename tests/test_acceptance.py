@@ -28,10 +28,11 @@ from nisf.losses import (LossWeights, bce, dice_loss, infer_loss, one_hot,
 from nisf.model import FieldModel, ModelConfig
 from nisf.optim import Adam, select_trainables
 from nisf.phantom import generate_subject
-from nisf.sampling import brute_force_nn, nn_lookup
+from nisf.sampling import nn_lookup
 from nisf.training import (LatentTable, TrainConfig, latest_checkpoint,
                            load_checkpoint, train_prior)
 from nisf.volume import VolumeSample, load_volume, save_volume
+from oracles import brute_force_nn
 
 CACHE_ROOT = os.path.join(os.path.dirname(__file__), "..", ".acceptance_cache")
 TINY = ModelConfig(num_res_layers=2, hidden_width=16, latent_dim=8)

@@ -207,52 +207,64 @@ def test_latent_linear_matches_concat_formulation():
         ad.latent_linear(ad.Tensor(coords), ad.Tensor(h[:7]), ad.Tensor(w), ad.Tensor(b))
 
 
-def _block_arrays(rows, rng):
-    # x [rows, 24] -> pre [rows, 128] -> out [rows, 24]: at width 128 a row
-    # block is 1024 rows, so 2500 rows end in a ragged block of 452
+def _trunk_arrays(rows, num_blocks, rng):
+    # x [rows, 24] -> pre [rows, 128] -> out [rows, 24] per block: at width
+    # 128 a row block is 1024 rows, so 2500 rows end in a ragged block of 452
     n, k = 24, 128
-    return [rng.normal(size=(rows, n)), rng.normal(scale=0.3 / np.sqrt(n), size=(n, k)),
-            rng.normal(scale=0.1, size=k), rng.normal(scale=1 / np.sqrt(k), size=(k, n)),
-            rng.normal(size=n)]
+    arrays = [rng.normal(size=(rows, n))]
+    for _ in range(num_blocks):
+        arrays += [rng.normal(scale=0.3 / np.sqrt(n), size=(n, k)), rng.normal(scale=0.1, size=k),
+                   rng.normal(scale=0.3 / np.sqrt(k), size=(k, n)), rng.normal(scale=0.1, size=n)]
+    return arrays
 
 
-def _composed_block(x, w1, b1, w2, b2, omega0, s0):
-    return ad.add(x, ad.linear(ad.gabor(ad.linear(x, w1, b1), omega0, s0), w2, b2))
+def _trunk(fn, tensors):
+    blocks = [tuple(tensors[i:i + 4]) for i in range(1, len(tensors), 4)]
+    return fn(tensors[0], blocks, 10.0, 5.0)
+
+
+def _composed_trunk(x, blocks, omega0, s0):
+    for w1, b1, w2, b2 in blocks:
+        x = ad.add(x, ad.linear(ad.gabor(ad.linear(x, w1, b1), omega0, s0), w2, b2))
+    return x
 
 
 @pytest.mark.parametrize("rows", [1, 53, 2500])
 @pytest.mark.parametrize("trainable", ["all", "x", "w2", "none"])
-def test_gabor_block_matches_composed_ops(rows, trainable):
-    # the fused block keeps the bits of the five-op composition: value and gradients
-    rng = np.random.default_rng(7)
-    arrays = _block_arrays(rows, rng)
-    coef = ad.Tensor(rng.normal(size=(rows, 24)))
-    grads = {"all": range(5), "x": [0], "w2": [3], "none": []}[trainable]
+def test_gabor_trunk_matches_composed_ops(rows, trainable):
+    # the one-entry trunk keeps the bits of the chained five-op blocks:
+    # value and every gradient, at 1, 3 and 8 blocks
+    for num_blocks in (1, 3, 8):
+        rng = np.random.default_rng(7)
+        arrays = _trunk_arrays(rows, num_blocks, rng)
+        coef = ad.Tensor(rng.normal(size=(rows, 24)))
+        grads = {"all": range(len(arrays)), "x": [0], "none": [],
+                 "w2": range(3, len(arrays), 4)}[trainable]
 
-    def run(block):
-        tensors = [ad.Tensor(v.copy(), requires_grad=i in grads) for i, v in enumerate(arrays)]
-        with ad.Tape() as tape:
-            out = block(*tensors, 10.0, 5.0)
-            if grads:
-                tape.backward(ad.reduce_sum(ad.mul(out, coef)))
-        frozen = block(*tensors, 10.0, 5.0).values
-        assert np.array_equal(frozen, out.values)
-        return out.values, [t.grad for t in tensors]
+        def run(fn):
+            tensors = [ad.Tensor(v.copy(), requires_grad=i in grads) for i, v in enumerate(arrays)]
+            with ad.Tape() as tape:
+                out = _trunk(fn, tensors)
+                if grads:
+                    tape.backward(ad.reduce_sum(ad.mul(out, coef)))
+            frozen = _trunk(fn, tensors).values
+            assert np.array_equal(frozen, out.values)
+            return out.values, [t.grad for t in tensors]
 
-    fused, fused_grads = run(ad.gabor_block)
-    plain, plain_grads = run(_composed_block)
-    assert np.array_equal(fused, plain)
-    for i, (got, expect) in enumerate(zip(fused_grads, plain_grads)):
-        assert (got is None) == (i not in grads)
-        assert got is None or np.array_equal(got, expect), i
+        fused, fused_grads = run(ad.gabor_trunk)
+        plain, plain_grads = run(_composed_trunk)
+        assert np.array_equal(fused, plain), num_blocks
+        for i, (got, expect) in enumerate(zip(fused_grads, plain_grads)):
+            assert (got is None) == (i not in grads), (num_blocks, i)
+            assert got is None or np.array_equal(got, expect), (num_blocks, i)
 
 
-def test_gabor_block_second_backward_doubles_gradients():
+def test_gabor_trunk_second_backward_doubles_gradients():
     rng = np.random.default_rng(8)
-    tensors = [ad.Tensor(v, requires_grad=True) for v in _block_arrays(40, rng)]
+    tensors = [ad.Tensor(v, requires_grad=True) for v in _trunk_arrays(40, 3, rng)]
     coef = ad.Tensor(rng.normal(size=(40, 24)))
     with ad.Tape() as tape:
-        loss = ad.reduce_sum(ad.mul(ad.gabor_block(*tensors, 10.0, 5.0), coef))
+        loss = ad.reduce_sum(ad.mul(_trunk(ad.gabor_trunk, tensors), coef))
         tape.backward(loss)
         once = [t.grad.copy() for t in tensors]
         tape.backward(loss)
@@ -260,13 +272,20 @@ def test_gabor_block_second_backward_doubles_gradients():
         assert np.array_equal(t.grad, 2.0 * g)
 
 
-def test_gabor_block_rejects_non_finite_and_bad_shapes():
-    arrays = _block_arrays(5, np.random.default_rng(9))
+def test_gabor_trunk_rejects_non_finite_and_bad_shapes():
+    arrays = _trunk_arrays(5, 2, np.random.default_rng(9))
     arrays[0][3, 2] = np.nan
-    with pytest.raises(NumericalError, match="gabor_block"):
-        ad.gabor_block(*(ad.Tensor(v) for v in arrays), 10.0, 5.0)
-    with pytest.raises(DimensionError):
-        ad.gabor_block(*(ad.Tensor(v) for v in [arrays[0][:, :5]] + arrays[1:]), 10.0, 5.0)
+    with pytest.raises(NumericalError, match="gabor_trunk"):
+        _trunk(ad.gabor_trunk, [ad.Tensor(v) for v in arrays])
+    arrays[0][3, 2] = 0.0
+    narrow_x = [arrays[0][:, :5]] + arrays[1:]
+    bad_w2 = arrays[:7] + [arrays[7][:, :5]] + arrays[8:]
+    flat_x = [arrays[0].reshape(-1)] + arrays[1:]
+    for bad in (narrow_x, bad_w2, flat_x):
+        with pytest.raises(DimensionError):
+            _trunk(ad.gabor_trunk, [ad.Tensor(v) for v in bad])
+    with pytest.raises(ContractError, match="at least one block"):
+        ad.gabor_trunk(ad.Tensor(arrays[0]), [], 10.0, 5.0)
 
 
 def _sum_squares_chain(tensors):

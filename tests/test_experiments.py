@@ -195,8 +195,10 @@ def test_desk_prior_log_starts_fresh_unless_resuming(tmp_path):
     with open(log_path) as f:
         resumed = f.read().splitlines()
     # rows past the checkpoint are dropped and logged again, with the same
-    # losses; only the wall_time column differs
+    # losses; only their wall_time differs, and it goes on from the kept rows
     assert [line.rsplit(",", 1)[0] for line in resumed] == [
         line.rsplit(",", 1)[0] for line in first]
     assert resumed[:3] == first[:3]
+    walls = [float(line.rsplit(",", 1)[1]) for line in resumed[1:]]
+    assert walls == sorted(walls)
     assert sum(line.startswith("step,") for line in resumed) == 1

@@ -90,7 +90,7 @@ def test_every_op_matches_finite_differences():
 def test_every_tape_op_has_an_fd_case():
     # each op name recorded by autodiff needs a case named after it ("sum_all" for "sum")
     ops = set(re.findall(r'_make_output\(\w+, "(\w+)"', Path(ad.__file__).read_text()))
-    assert {"linear", "latent_linear", "gabor", "gabor_block", "softmax", "sigmoid"} <= ops
+    assert {"linear", "latent_linear", "gabor", "gabor_trunk", "softmax", "sigmoid"} <= ops
     cases = [r.name for r in run_op_checks(seed=0).results]
     missing = [op for op in sorted(ops)
                if not any(c == op or c.startswith(op + "_") for c in cases)]
@@ -105,7 +105,24 @@ def test_composed_training_loss_matches_finite_differences():
 
 def test_gradcheck_is_seed_robust_and_fast():
     t0 = time.monotonic()
-    for seed in (1, 2):
-        assert run_op_checks(seed=seed).passed
+    for seed in range(12):
+        report = run_op_checks(seed=seed)
+        assert report.passed, f"seed {seed}:\n" + "\n".join(report.lines())
     assert run_model_check(seed=3).passed
     assert time.monotonic() - t0 < 30.0
+
+
+def test_op_checks_catch_a_broken_linear_rule_at_every_seed(monkeypatch):
+    # The rescaled inputs must not blunt the check: a linear op whose
+    # gradients are 1e-5 too large (ten times OP_TOL) fails at every seed.
+    # Its values are exact, as a detached copy subtracts to zero.
+    real = ad.linear
+
+    def broken(x, w, b):
+        y = real(x, w, b)
+        return ad.add(y, ad.mul(ad.sub(y, ad.Tensor(y.values)), 1e-5))
+
+    monkeypatch.setattr(ad, "linear", broken)
+    for seed in range(12):
+        result = {r.name: r for r in run_op_checks(seed=seed).results}["linear"]
+        assert not result.passed, seed

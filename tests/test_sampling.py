@@ -7,12 +7,12 @@ from nisf.errors import ContractError, DimensionError
 from nisf.inference import InferConfig, evaluate_points
 from nisf.model import FieldModel, ModelConfig
 from nisf.phantom import generate_subject
-from nisf.sampling import (GridSpec, PlaneSpec, brute_force_nn,
-                           copy_nearest_slice_labels, nearest_frame,
-                           nearest_neighbor_resample, nn_lookup,
+from nisf.sampling import (GridSpec, PlaneSpec, copy_nearest_slice_labels,
+                           nearest_frame, nearest_neighbor_resample, nn_lookup,
                            predict_heldout_slice, sample_grid, sample_plane)
 from nisf.training import make_batch
 from nisf.volume import VolumeSample, normalize_index
+from oracles import brute_force_nn
 
 TINY = ModelConfig(num_res_layers=2, hidden_width=16, latent_dim=8)
 

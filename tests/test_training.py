@@ -186,7 +186,7 @@ def test_one_training_step_updates_only_the_sampled_row():
 
 
 def test_default_training_step_tape_entries():
-    # input layer + 8 gabor_blocks + 2 heads + losses
+    # input layer + one gabor_trunk + 2 heads + losses
     model = FieldModel.init(ModelConfig(), seed=0)
     rng = np.random.default_rng(2)
     h = ad.Tensor(rng.normal(scale=0.01, size=model.config.latent_dim), requires_grad=True)
@@ -195,7 +195,7 @@ def test_default_training_step_tape_entries():
     labels = rng.integers(0, model.config.num_classes, size=4096)
     with Tape() as tape:
         terms = train_loss(model, h, coords, intensities, labels, LossWeights())
-        assert len(tape) == 51
+        assert len(tape) == 44
         tape.backward(terms.total)
 
 
@@ -292,6 +292,23 @@ def test_resumed_run_matches_uninterrupted(tmp_path):
         assert np.array_equal(resumed.model.params[name].values,
                               straight.model.params[name].values)
     assert np.array_equal(resumed.table.matrix(), straight.table.matrix())
+
+
+def test_resumed_log_wall_time_continues_from_the_first_session(tmp_path):
+    # criterion 4 reads the training time off the last row's wall_time, so a
+    # resumed run must count the sessions before it
+    subjects = _subjects(2)
+    train_prior(subjects, _cfg(epochs=3), out_dir=str(tmp_path))
+    log_path = tmp_path / "train_log.csv"
+    first = [float(line.rsplit(",", 1)[1]) for line in log_path.read_text().splitlines()[1:]]
+    resumed = train_prior(subjects, _cfg(epochs=6), out_dir=str(tmp_path),
+                          resume_from=latest_checkpoint(str(tmp_path)))
+    walls = [float(line.rsplit(",", 1)[1]) for line in log_path.read_text().splitlines()[1:]]
+    assert len(first) == 6 and len(walls) == 12
+    assert walls[:6] == first
+    assert walls == sorted(walls)
+    assert walls[-1] >= first[-1]
+    assert [round(row.wall_time, 3) for row in resumed.log] == walls[6:]
 
 
 def test_checkpoint_restores_optimizer_and_counters(tmp_path):
