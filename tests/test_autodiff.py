@@ -229,39 +229,36 @@ def _composed_trunk(x, blocks, omega0, s0):
     return x
 
 
-@pytest.mark.parametrize("rows", [1, 53, 2500])
-@pytest.mark.parametrize("trainable", ["all", "x", "w2", "none"])
-def test_gabor_trunk_matches_composed_ops(rows, trainable):
+def _check_matches_composed(rows, trainable, num_blocks):
     # the one-entry trunk keeps the bits of the chained five-op blocks:
-    # value and every gradient, at 1, 3 and 8 blocks
-    for num_blocks in (1, 3, 8):
-        rng = np.random.default_rng(7)
-        arrays = _trunk_arrays(rows, num_blocks, rng)
-        coef = ad.Tensor(rng.normal(size=(rows, 24)))
-        grads = {"all": range(len(arrays)), "x": [0], "none": [],
-                 "w2": range(3, len(arrays), 4)}[trainable]
+    # value and every gradient
+    rng = np.random.default_rng(7)
+    arrays = _trunk_arrays(rows, num_blocks, rng)
+    coef = ad.Tensor(rng.normal(size=(rows, 24)))
+    grads = {"all": range(len(arrays)), "x": [0], "none": [],
+             "w2": range(3, len(arrays), 4)}[trainable]
 
-        def run(fn):
-            tensors = [ad.Tensor(v.copy(), requires_grad=i in grads) for i, v in enumerate(arrays)]
-            with ad.Tape() as tape:
-                out = _trunk(fn, tensors)
-                if grads:
-                    tape.backward(ad.reduce_sum(ad.mul(out, coef)))
-            frozen = _trunk(fn, tensors).values
-            assert np.array_equal(frozen, out.values)
-            return out.values, [t.grad for t in tensors]
+    def run(fn):
+        tensors = [ad.Tensor(v.copy(), requires_grad=i in grads) for i, v in enumerate(arrays)]
+        with ad.Tape() as tape:
+            out = _trunk(fn, tensors)
+            if grads:
+                tape.backward(ad.reduce_sum(ad.mul(out, coef)))
+        frozen = _trunk(fn, tensors).values
+        assert np.array_equal(frozen, out.values)
+        return out.values, [t.grad for t in tensors]
 
-        fused, fused_grads = run(ad.gabor_trunk)
-        plain, plain_grads = run(_composed_trunk)
-        assert np.array_equal(fused, plain), num_blocks
-        for i, (got, expect) in enumerate(zip(fused_grads, plain_grads)):
-            assert (got is None) == (i not in grads), (num_blocks, i)
-            assert got is None or np.array_equal(got, expect), (num_blocks, i)
+    fused, fused_grads = run(ad.gabor_trunk)
+    plain, plain_grads = run(_composed_trunk)
+    assert np.array_equal(fused, plain), num_blocks
+    for i, (got, expect) in enumerate(zip(fused_grads, plain_grads)):
+        assert (got is None) == (i not in grads), (num_blocks, i)
+        assert got is None or np.array_equal(got, expect), (num_blocks, i)
 
 
-def test_gabor_trunk_second_backward_doubles_gradients():
+def _check_second_backward_doubles(num_blocks):
     rng = np.random.default_rng(8)
-    tensors = [ad.Tensor(v, requires_grad=True) for v in _trunk_arrays(40, 3, rng)]
+    tensors = [ad.Tensor(v, requires_grad=True) for v in _trunk_arrays(40, num_blocks, rng)]
     coef = ad.Tensor(rng.normal(size=(40, 24)))
     with ad.Tape() as tape:
         loss = ad.reduce_sum(ad.mul(_trunk(ad.gabor_trunk, tensors), coef))
@@ -272,16 +269,52 @@ def test_gabor_trunk_second_backward_doubles_gradients():
         assert np.array_equal(t.grad, 2.0 * g)
 
 
-def test_gabor_trunk_rejects_non_finite_and_bad_shapes():
-    arrays = _trunk_arrays(5, 2, np.random.default_rng(9))
+def _check_rejects_nan(arrays):
     arrays[0][3, 2] = np.nan
     with pytest.raises(NumericalError, match="gabor_trunk"):
         _trunk(ad.gabor_trunk, [ad.Tensor(v) for v in arrays])
     arrays[0][3, 2] = 0.0
+
+
+@pytest.mark.parametrize("rows", [1, 53, 2500])
+@pytest.mark.parametrize("trainable", ["all", "x", "w2", "none"])
+def test_gabor_block_matches_composed_ops(rows, trainable):
+    # a single residual block: the trunk op with one block
+    _check_matches_composed(rows, trainable, 1)
+
+
+@pytest.mark.parametrize("rows", [1, 53, 2500])
+@pytest.mark.parametrize("trainable", ["all", "x", "w2", "none"])
+def test_gabor_trunk_matches_composed_ops(rows, trainable):
+    for num_blocks in (3, 8):
+        _check_matches_composed(rows, trainable, num_blocks)
+
+
+def test_gabor_block_second_backward_doubles_gradients():
+    _check_second_backward_doubles(1)
+
+
+def test_gabor_trunk_second_backward_doubles_gradients():
+    _check_second_backward_doubles(3)
+
+
+def test_gabor_block_rejects_non_finite_and_bad_shapes():
+    arrays = _trunk_arrays(5, 1, np.random.default_rng(9))
+    _check_rejects_nan(arrays)
+    narrow_x = [arrays[0][:, :5]] + arrays[1:]
+    bad_w1 = [arrays[0], arrays[1][:5]] + arrays[2:]
+    flat_x = [arrays[0].reshape(-1)] + arrays[1:]
+    for bad in (narrow_x, bad_w1, flat_x):
+        with pytest.raises(DimensionError):
+            _trunk(ad.gabor_trunk, [ad.Tensor(v) for v in bad])
+
+
+def test_gabor_trunk_rejects_non_finite_and_bad_shapes():
+    arrays = _trunk_arrays(5, 2, np.random.default_rng(9))
+    _check_rejects_nan(arrays)
     narrow_x = [arrays[0][:, :5]] + arrays[1:]
     bad_w2 = arrays[:7] + [arrays[7][:, :5]] + arrays[8:]
-    flat_x = [arrays[0].reshape(-1)] + arrays[1:]
-    for bad in (narrow_x, bad_w2, flat_x):
+    for bad in (narrow_x, bad_w2):
         with pytest.raises(DimensionError):
             _trunk(ad.gabor_trunk, [ad.Tensor(v) for v in bad])
     with pytest.raises(ContractError, match="at least one block"):
