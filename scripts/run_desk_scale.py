@@ -15,7 +15,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from nisf.experiments import DEFAULT_CACHE_ROOT, DeskScaleConfig, DeskScaleRun
+from nisf.experiments import DEFAULT_CACHE_ROOT, STAGES, DeskScaleConfig, DeskScaleRun
 from nisf.serial import write_json_atomic
 
 
@@ -24,8 +24,7 @@ def main() -> int:
     parser.add_argument("--cache-root", default=DEFAULT_CACHE_ROOT,
                         help="where stage results are stored (default: %(default)s)")
     parser.add_argument("--stage", default="all",
-                        choices=["all", "model", "validation", "longrun",
-                                 "test_eval", "heldout", "oblique"],
+                        choices=["all", "model", *STAGES],
                         help="run a single stage instead of the whole pipeline")
     args = parser.parse_args()
 

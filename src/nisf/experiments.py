@@ -1,11 +1,19 @@
 """Desk-scale experiment pipeline: dataset, prior, validation, evaluation.
 
-The full pipeline (train a prior on 60 phantoms, select an early-stop
-step count on 10 validation subjects, evaluate 20 unseen test subjects,
-run the held-out-slice and oblique-plane comparisons) takes on the order
-of an hour of single-core compute, so every stage is cached on disk
-keyed by a hash of the experiment config. Tests and scripts share the
-cache: the first caller pays, everyone else loads.
+The full pipeline trains a prior on 60 phantoms, then runs the five
+per-subject stages of ``STAGES``: the validation curve and its early-stop
+selection on 10 subjects, the same curve over four times the selected
+budget, and three comparisons on 20 unseen test subjects (test-set Dice,
+the held-out slice and the oblique plane). Sequentially that is several
+hours of compute (about 5.5-9.3 h on a 2-vCPU machine, depending on the
+selected step count), so every stage is cached on disk keyed by a hash of
+the experiment config. Tests and scripts share the cache: the first caller
+pays, everyone else loads.
+
+This module is the only one that knows the protocols. Each stage applies a
+row function (``curve_row``, ``eval_row``, ``heldout_row`` or
+``oblique_row``) to every subject of its split through one loop,
+``DeskScaleRun._rows``, and assembles its file from the rows.
 """
 
 from __future__ import annotations
@@ -15,29 +23,33 @@ import json
 import os
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractError
-from .inference import (InferConfig, ValidationResult, analysis_points, evaluate_points,
-                        full_observations, infer_latent, select_early_stop_steps,
-                        validate_prior)
+from .inference import (InferConfig, InferenceTrace, analysis_points, evaluate_points,
+                        full_observations, infer_latent, select_early_stop_steps)
 from .losses import LossWeights, train_loss
-from .metrics import DiceReport, aggregate, dice_report
+from .metrics import DiceReport, aggregate, dice_report, reconstruction_error
 from .model import FieldModel, ModelConfig
 from .optim import Adam, select_trainables
 from .phantom import (DEFAULT_GRID_SHAPE, DEFAULT_SPACING, PhantomSpec, generate_dataset,
                       generate_subject)
-from .sampling import (GridSpec, PlaneSpec, nearest_neighbor_resample,
-                       predict_heldout_slice, sample_grid, sample_plane)
+from .sampling import (GridSpec, PlaneSpec, nearest_neighbor_resample, sample_grid,
+                       sample_plane)
 from .serial import config_dict, config_hash, write_json_atomic
 from .training import (LATENT_PRIOR_SIGMA, TrainConfig, latest_checkpoint,
                        load_checkpoint, make_batch, train_prior)
-from .volume import SPLITS, VolumeSample
+from .volume import SPLITS, VolumeSample, degrade, normalize_index
 
 DEFAULT_CACHE_ROOT = ".acceptance_cache"
 CACHE_KEY_CHARS = 16  # hex digits of a config hash in a cache directory name
+
+# The per-subject stages in run order; each is a ``DeskScaleRun`` method
+# that writes ``<stage>.json``.
+STAGES = ("validation", "longrun", "test_eval", "heldout", "oblique")
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +129,125 @@ def oblique_plane_spec(volume: VolumeSample, tilt_deg: float,
 
 
 # ---------------------------------------------------------------------------
+# per-subject protocols: each returns the row its stage file holds
+
+
+def curve_row(model: FieldModel, subject: VolumeSample, cfg: InferConfig) -> dict:
+    """Dice and reconstruction curves of one validation fit over ``cfg``'s steps.
+
+    The fit sees intensities only; Dice is recorded on ``analysis_points``.
+    """
+    coords, intensities = full_observations(subject)
+    _, trace = infer_latent(model, coords, intensities, cfg,
+                            analysis=analysis_points(subject))
+    return {"steps": trace.steps, "dice_mean": trace.dice_mean,
+            "recon_loss": trace.recon_loss}
+
+
+def curve_summary(rows: list[dict]) -> dict:
+    """Mean Dice curve over ``curve_row`` rows and the step count it peaks at."""
+    selected = select_early_stop_steps([InferenceTrace(**row) for row in rows])
+    mean_curve = np.mean([row["dice_mean"] for row in rows], axis=0)
+    return {"steps": rows[0]["steps"], "mean_dice": [float(v) for v in mean_curve],
+            "selected_steps": selected}
+
+
+def eval_row(model: FieldModel, subject: VolumeSample, cfg: InferConfig
+             ) -> tuple[dict, np.ndarray]:
+    """Fit one test subject and score it on every voxel of every frame.
+
+    Labels and intensities are scored against the truth of the same rows
+    they are decoded at. Returns the row and the fitted latent.
+    """
+    coords, intensities = full_observations(subject)
+    h, trace = infer_latent(model, coords, intensities, cfg)
+    unmasked = replace(subject, mask=None)  # ground truth exists even where unobserved
+    frames = [make_batch(unmasked, t) for t in range(subject.num_frames)]
+    pred_labels, _, pred_intensity = evaluate_points(
+        model, h, np.concatenate([b.coords for b in frames]))
+    report = dice_report(pred_labels, np.concatenate([b.labels for b in frames]))
+    truth = np.concatenate([b.intensities[:, 0] for b in frames])
+    return {"id": subject.subject_id,
+            "dice_per_class": list(report.per_class),
+            "dice_mean": report.mean,
+            "recon_mae": float(np.mean(np.abs(pred_intensity - truth))),
+            "final_recon_bce": trace.recon_loss[-1],
+            "seed": cfg.seed}, h.values.copy()
+
+
+def copy_nearest_slice_labels(volume: VolumeSample, slice_index: int) -> np.ndarray:
+    """Baseline: labels of the nearest observed z slice, copied in place.
+
+    Nearest by index distance among slices not equal to the held-out one;
+    ties toward the lower index.
+    """
+    gz = volume.shape[2]
+    candidates = [z for z in range(gz) if z != slice_index]
+    if not candidates:
+        raise ContractError("cannot copy-fill a volume with a single slice")
+    donor = min(candidates, key=lambda z: (abs(z - slice_index), z))
+    return volume.labels[:, :, donor, :]
+
+
+def heldout_row(model: FieldModel, subject: VolumeSample, cfg: InferConfig,
+                slice_index: int) -> dict:
+    """Fit the latent without one z slice, then predict that slice.
+
+    Scores the prediction against ground truth on the held-out slice
+    only (all frames), next to the copy-nearest-slice baseline.
+    """
+    if not 0 <= slice_index < subject.shape[2]:
+        raise ContractError(f"slice index {slice_index} outside [0,{subject.shape[2]})")
+    reduced = degrade(subject, "drop_slices", slices=[slice_index])
+    coords, intensities = full_observations(reduced)
+    # by construction the held-out slice cannot appear in the observations
+    z_norm = normalize_index(slice_index, subject.shape[2])
+    if np.any(coords[:, 2] == z_norm):
+        raise ContractError("held-out slice leaked into the observation set")
+    h, _ = infer_latent(model, coords, intensities, cfg)
+
+    gx, gy, _, gt = subject.shape
+    full = GridSpec.matching_volume(subject).ranges
+    pred = sample_grid(model, h, GridSpec(counts=(gx, gy, 1, gt),
+                                          ranges=(full[0], full[1], (z_norm, z_norm), full[3])))
+    truth = subject.labels[:, :, slice_index, :]
+    recon = reconstruction_error(np.clip(pred.intensity[:, :, 0, :], 0.0, 1.0),
+                                 subject.intensity[:, :, slice_index, :])
+    return {**_versus(subject, dice_report(pred.labels[:, :, 0, :], truth),
+                      dice_report(copy_nearest_slice_labels(subject, slice_index), truth)),
+            "recon_mae": recon.mae}
+
+
+def oblique_row(model: FieldModel, subject: VolumeSample, latents: dict[str, np.ndarray],
+                cfg: DeskScaleConfig) -> dict:
+    """The oblique plane decoded from the subject's fitted latent, next to
+    nearest-neighbor resampling, both scored against the analytic labels
+    inside the voxel hull."""
+    spec = oblique_plane_spec(subject, cfg.plane_tilt_deg, cfg.plane_extent_mm,
+                              cfg.plane_counts)
+    oracle = PhantomSpec.from_dict(subject.phantom).label_at(spec.pixel_mm(), spec.t)
+    pred = sample_plane(model, latents[subject.subject_id], spec)
+    _, nn_labels, inside = nearest_neighbor_resample(subject, spec)
+    keep = inside.reshape(-1)
+    truth = oracle.reshape(-1)[keep]
+    return _versus(subject, dice_report(pred.labels.reshape(-1)[keep], truth),
+                   dice_report(nn_labels.reshape(-1)[keep], truth))
+
+
+def _versus(subject: VolumeSample, model_report: DiceReport,
+            baseline_report: DiceReport) -> dict:
+    return {"id": subject.subject_id,
+            "model_mean": model_report.mean,
+            "baseline_mean": baseline_report.mean,
+            "model_per_class": list(model_report.per_class),
+            "baseline_per_class": list(baseline_report.per_class)}
+
+
+def _win_fraction(rows: list[dict]) -> float:
+    return sum(r["model_mean"] > r["baseline_mean"] for r in rows) / len(rows)
+
+
+# ---------------------------------------------------------------------------
 # cached pipeline
 
 
@@ -142,45 +273,59 @@ class DeskScaleRun:
             self._splits = build_splits(self.cfg)
         return self._splits
 
-    def _json_stage(self, name: str, builder) -> dict:
+    def _json_stage(self, name: str, build) -> dict:
         path = os.path.join(self.dir, name)
-        if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as f:
-                return json.load(f)
-        t0 = time.monotonic()
-        self._log(f"running stage {name}")
-        result = builder()
-        result["elapsed_seconds"] = round(time.monotonic() - t0, 3)
-        write_json_atomic(path, result)
-        return result
+        if not os.path.exists(path):
+            self._log(f"running stage {name}")
+        return _cached_record(path, build)
 
-    # -- stage 1: prior -------------------------------------------------
+    def _rows(self, split: str, row, fit: InferConfig | None = None,
+              stride: int = 0) -> list:
+        """``row(model, subject[, cfg])`` for each subject of ``split``, in order.
+
+        ``row`` is a module-level row function or a ``partial`` of one, so it
+        pickles.
+
+        With ``fit``, subject i (counting from 0) is fitted under ``fit`` with
+        seed ``fit.seed + stride * (i + 1)``, so every subject of every stage
+        draws its own streams.
+        """
+        model = self.model()
+        subjects = self.splits()[split]
+        rows = []
+        for i, subject in enumerate(subjects):
+            cfg = () if fit is None else (replace(fit, seed=fit.seed + stride * (i + 1)),)
+            rows.append(row(model, subject, *cfg))
+            self._log(f"{split} {subject.subject_id} done ({i + 1}/{len(subjects)})")
+        return rows
+
+    # -- the prior ------------------------------------------------------
 
     def model(self) -> FieldModel:
+        """The frozen prior, trained (or resumed) first if needed."""
         ckpt = latest_checkpoint(self.dir)
         if ckpt is None or _ckpt_epochs(ckpt) < self.cfg.train.epochs:
             self._log("training prior" + (" (resuming)" if ckpt else ""))
-            result = train_prior(self.splits()["train"], self.cfg.train,
-                                 out_dir=self.dir, resume_from=ckpt)
-            return result.model
-        model, _, _, _, _ = load_checkpoint(ckpt)
+            model = train_prior(self.splits()["train"], self.cfg.train,
+                                out_dir=self.dir, resume_from=ckpt).model
+        else:
+            model = load_checkpoint(ckpt)[0]
         model.set_trainable(False)
         return model
 
-    # -- stage 2: validation curve + early stop --------------------------
+    # -- validation curve + early stop ----------------------------------
 
     def validation(self) -> dict:
+        """Dice curves on the validation split and the step count they select.
+
+        Every fit runs all ``infer_max_steps``, so each curve's shape stays
+        visible past the eventual selection.
+        """
         def build() -> dict:
-            model = self.model()
-            model.set_trainable(False)
-            result: ValidationResult = validate_prior(model, self.splits()["val"],
-                                                      self.cfg.infer_config())
-            return {"steps": result.steps,
-                    "mean_dice": [float(v) for v in result.mean_dice],
-                    "per_subject": [list(map(float, tr.dice_mean)) for tr in result.traces],
-                    "recon_per_subject": [list(map(float, tr.recon_loss))
-                                          for tr in result.traces],
-                    "selected_steps": result.selected_steps}
+            rows = self._rows("val", curve_row, self.cfg.infer_config(), 1000)
+            return {**curve_summary(rows),
+                    "per_subject": [row["dice_mean"] for row in rows],
+                    "recon_per_subject": [row["recon_loss"] for row in rows]}
 
         return self._json_stage("validation.json", build)
 
@@ -191,50 +336,24 @@ class DeskScaleRun:
         """Validation curve again, but with a step budget of four times the
         selected count, to expose the rise-then-decline shape."""
         def build() -> dict:
-            model = self.model()
-            model.set_trainable(False)
             budget = 4 * self.selected_steps()
-            cfg = replace(self.cfg.infer_config(), max_steps=budget,
-                          selected_steps=None, seed=self.cfg.infer_seed + 5)
-            result = validate_prior(model, self.splits()["val"], cfg)
-            return {"budget": budget,
-                    "steps": result.steps,
-                    "mean_dice": [float(v) for v in result.mean_dice],
-                    "argmax_steps": result.selected_steps}
+            fit = replace(self.cfg.infer_config(), max_steps=budget,
+                          seed=self.cfg.infer_seed + 5)
+            curve = curve_summary(self._rows("val", curve_row, fit, 1000))
+            return {"budget": budget, "steps": curve["steps"],
+                    "mean_dice": curve["mean_dice"], "argmax_steps": curve["selected_steps"]}
 
         return self._json_stage("longrun.json", build)
 
-    # -- stage 3: test-set inference -------------------------------------
+    # -- test-set inference ---------------------------------------------
 
     def test_eval(self) -> dict:
         def build() -> dict:
-            model = self.model()
-            model.set_trainable(False)
             selected = self.selected_steps()
-            subjects = self.splits()["test"]
-            rows = []
-            latents = {}
-            for i, subject in enumerate(subjects):
-                cfg = replace(self.cfg.infer_config(selected),
-                              seed=self.cfg.infer_seed + 777 * (i + 1))
-                coords, intensities = full_observations(subject)
-                h, trace = infer_latent(model, coords, intensities, cfg)
-                latents[subject.subject_id] = h.values.copy()
-                eval_coords, eval_labels = analysis_points(
-                    subject, frames=tuple(range(subject.num_frames)))
-                pred_labels, _, pred_intensity = evaluate_points(model, h, eval_coords)
-                report = dice_report(pred_labels, eval_labels)
-                truth = np.concatenate([subject.intensity[:, :, :, t].reshape(-1)
-                                        for t in range(subject.num_frames)])
-                mae = float(np.mean(np.abs(pred_intensity - truth)))
-                rows.append({"id": subject.subject_id,
-                             "dice_per_class": list(report.per_class),
-                             "dice_mean": report.mean,
-                             "recon_mae": mae,
-                             "final_recon_bce": trace.recon_loss[-1],
-                             "seed": cfg.seed})
-                self._log(f"test {subject.subject_id}: dice={report.mean:.4f}")
-            _save_latents(os.path.join(self.dir, "test_latents.npz"), latents)
+            fits = self._rows("test", eval_row, self.cfg.infer_config(selected), 777)
+            rows = [row for row, _ in fits]
+            _save_latents(os.path.join(self.dir, "test_latents.npz"),
+                          {row["id"]: latent for row, latent in fits})
             mean_report = aggregate([DiceReport(classes=("lv_pool", "lv_myocardium",
                                                          "rv_pool"),
                                                 per_class=tuple(r["dice_per_class"]),
@@ -248,75 +367,33 @@ class DeskScaleRun:
         self.test_eval()
         return _load_latents(os.path.join(self.dir, "test_latents.npz"))
 
-    # -- stage 4: held-out slice ------------------------------------------
+    # -- held-out slice ---------------------------------------------------
 
     def heldout(self) -> dict:
         def build() -> dict:
-            model = self.model()
-            model.set_trainable(False)
-            selected = self.selected_steps()
-            rows = []
-            for i, subject in enumerate(self.splits()["test"]):
-                cfg = replace(self.cfg.infer_config(selected),
-                              seed=self.cfg.infer_seed + 3331 * (i + 1))
-                rep = predict_heldout_slice(model, subject, self.cfg.heldout_slice, cfg)
-                rows.append({"id": subject.subject_id,
-                             "model_mean": rep.dice_model.mean,
-                             "baseline_mean": rep.dice_baseline.mean,
-                             "model_per_class": list(rep.dice_model.per_class),
-                             "baseline_per_class": list(rep.dice_baseline.per_class),
-                             "recon_mae": rep.recon.mae})
-                self._log(f"heldout {subject.subject_id}: model={rep.dice_model.mean:.4f} "
-                          f"baseline={rep.dice_baseline.mean:.4f}")
-            wins = sum(r["model_mean"] > r["baseline_mean"] for r in rows)
-            return {"slice_index": self.cfg.heldout_slice, "subjects": rows,
-                    "win_fraction": wins / len(rows)}
+            k = self.cfg.heldout_slice
+            rows = self._rows("test", partial(heldout_row, slice_index=k),
+                              self.cfg.infer_config(self.selected_steps()), 3331)
+            return {"slice_index": k, "subjects": rows, "win_fraction": _win_fraction(rows)}
 
         return self._json_stage("heldout.json", build)
 
-    # -- stage 5: oblique plane -------------------------------------------
+    # -- oblique plane ----------------------------------------------------
 
     def oblique(self) -> dict:
         def build() -> dict:
-            model = self.model()
-            model.set_trainable(False)
-            latents = self.test_latents()
-            rows = []
-            for subject in self.splits()["test"]:
-                spec = oblique_plane_spec(subject, self.cfg.plane_tilt_deg,
-                                          self.cfg.plane_extent_mm, self.cfg.plane_counts)
-                phantom = PhantomSpec.from_dict(subject.phantom)
-                oracle = phantom.label_at(spec.pixel_mm(), spec.t)
-                pred = sample_plane(model, latents[subject.subject_id], spec)
-                _, nn_labels, inside = nearest_neighbor_resample(subject, spec)
-                keep = inside.reshape(-1)
-                model_report = dice_report(pred.labels.reshape(-1)[keep],
-                                           oracle.reshape(-1)[keep])
-                nn_report = dice_report(nn_labels.reshape(-1)[keep],
-                                        oracle.reshape(-1)[keep])
-                rows.append({"id": subject.subject_id,
-                             "model_mean": model_report.mean,
-                             "baseline_mean": nn_report.mean,
-                             "model_per_class": list(model_report.per_class),
-                             "baseline_per_class": list(nn_report.per_class)})
-                self._log(f"oblique {subject.subject_id}: model={model_report.mean:.4f} "
-                          f"baseline={nn_report.mean:.4f}")
-            wins = sum(r["model_mean"] > r["baseline_mean"] for r in rows)
+            rows = self._rows("test", partial(oblique_row, latents=self.test_latents(),
+                                              cfg=self.cfg))
             return {"tilt_deg": self.cfg.plane_tilt_deg, "subjects": rows,
-                    "win_fraction": wins / len(rows)}
+                    "win_fraction": _win_fraction(rows)}
 
         return self._json_stage("oblique.json", build)
 
     def run_all(self) -> dict:
         """Execute every stage (or load it) and return the summary dict."""
         self.model()
-        summary = {"config_hash": self.cfg.content_hash(),
-                   "validation": self.validation(),
-                   "longrun": self.longrun(),
-                   "test_eval": self.test_eval(),
-                   "heldout": self.heldout(),
-                   "oblique": self.oblique()}
-        return summary
+        return {"config_hash": self.cfg.content_hash(),
+                **{stage: getattr(self, stage)() for stage in STAGES}}
 
 
 def _ckpt_epochs(path: str) -> int:
@@ -420,29 +497,40 @@ def cached_overfit(cfg: OverfitConfig = OverfitConfig(),
                    cache_root: str = DEFAULT_CACHE_ROOT) -> dict:
     """Load the overfit record for ``cfg``, running it if absent or stale.
 
-    The recorded elapsed time is from the real run, so the cache never
-    hides how long the experiment actually takes. Each record carries the
-    ``code_fingerprint`` of the code that computed it; a record without
-    one, or with another, is recomputed and replaced.
+    Each record carries the ``code_fingerprint`` of the code that computed
+    it; a record without one, or with another, is recomputed and replaced.
     """
-    out_dir = os.path.join(cache_root, f"overfit_{cfg.content_hash()}")
-    path = os.path.join(out_dir, "overfit.json")
-    fingerprint = code_fingerprint()
+    def build() -> dict:
+        res = run_overfit(cfg)
+        return {"config": cfg.to_dict(),
+                "initial_loss": res.initial_loss,
+                "final_loss": res.final_loss,
+                "loss_ratio": res.final_loss / res.initial_loss,
+                "recon_mae_frame0": res.recon_mae_frame0,
+                "losses": res.losses}
+
+    path = os.path.join(cache_root, f"overfit_{cfg.content_hash()}", "overfit.json")
+    return _cached_record(path, build, code_fingerprint())
+
+
+def _cached_record(path: str, build, fingerprint: str | None = None) -> dict:
+    """The JSON record at ``path``, or else ``build()``'s, timed and written.
+
+    A built record gains ``elapsed_seconds``, the build's own wall time, so
+    the cache never hides how long the computation takes, and it is written
+    atomically. With a ``fingerprint``, a stored record is served only if
+    its ``code_fingerprint`` matches; otherwise it is rebuilt and stamped.
+    """
     if os.path.exists(path):
         with open(path, "r", encoding="utf-8") as f:
             record = json.load(f)
-        if record.get("code_fingerprint") == fingerprint:
+        if fingerprint is None or record.get("code_fingerprint") == fingerprint:
             return record
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     t0 = time.monotonic()
-    res = run_overfit(cfg)
-    record = {"config": cfg.to_dict(),
-              "code_fingerprint": fingerprint,
-              "initial_loss": res.initial_loss,
-              "final_loss": res.final_loss,
-              "loss_ratio": res.final_loss / res.initial_loss,
-              "recon_mae_frame0": res.recon_mae_frame0,
-              "elapsed_seconds": round(time.monotonic() - t0, 3),
-              "losses": res.losses}
+    record = build()
+    if fingerprint is not None:
+        record["code_fingerprint"] = fingerprint
+    record["elapsed_seconds"] = round(time.monotonic() - t0, 3)
     write_json_atomic(path, record)
     return record

@@ -139,9 +139,9 @@ def evaluate_points(model: FieldModel, h, coords: np.ndarray, chunk: int | None 
     h_t = Tensor(h_arr)
     probs_parts, int_parts = [], []
     for lo in range(0, coords.shape[0], chunk):
-        out = model.forward(coords[lo:lo + chunk], h_t)
-        probs_parts.append(out.seg_probs.values)
-        int_parts.append(out.intensity.values[:, 0])
+        probs, intensity = model.forward(coords[lo:lo + chunk], h_t)
+        probs_parts.append(probs.values)
+        int_parts.append(intensity.values[:, 0])
     probs = np.concatenate(probs_parts, axis=0)
     intensity = np.concatenate(int_parts, axis=0)
     return np.argmax(probs, axis=1).astype(np.uint8), probs, intensity
@@ -284,33 +284,3 @@ def analysis_points(volume: VolumeSample, frames: tuple[int, ...] | None = None
         labels.append(volume.labels[:, :, :, t].reshape(-1))
     return np.concatenate(coords, axis=0), np.concatenate(labels, axis=0)
 
-
-@dataclass
-class ValidationResult:
-    traces: list[InferenceTrace]
-    steps: list[int]
-    mean_dice: np.ndarray
-    selected_steps: int
-
-
-def validate_prior(model: FieldModel, val_subjects: list[VolumeSample],
-                   config: InferConfig) -> ValidationResult:
-    """Dice-vs-step curves on validation subjects and the selected stop.
-
-    Each subject gets an independent seed derived from the config seed;
-    inference runs the full ``max_steps`` budget so the curve's shape
-    (rise then fall) is observable past the eventual selection.
-    """
-    if not val_subjects:
-        raise ContractError("validation needs at least one subject")
-    traces = []
-    for i, subject in enumerate(val_subjects):
-        cfg = replace(config, selected_steps=None, seed=config.seed + 1000 * (i + 1))
-        obs_coords, obs_inten = full_observations(subject)
-        _, trace = infer_latent(model, obs_coords, obs_inten, cfg,
-                                analysis=analysis_points(subject))
-        traces.append(trace)
-    mean_curve = np.mean([tr.dice_mean for tr in traces], axis=0)
-    selected = select_early_stop_steps(traces)
-    return ValidationResult(traces=traces, steps=list(traces[0].steps),
-                            mean_dice=mean_curve, selected_steps=selected)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,24 +71,11 @@ def param_count(cfg: ModelConfig) -> int:
     return n_in + n_res + n_heads
 
 
-class FieldOutput:
-    """Forward result: (seg_probs, intensity) plus query metadata.
+class FieldOutput(NamedTuple):
+    """Forward result: the pair ``(seg_probs, intensity)``, also readable by name."""
 
-    Unpacks as the pair ``seg_probs, intensity``. ``out_of_range`` is a
-    boolean row mask marking coordinates outside [0,1]^N; such queries
-    are legal (extrapolation) but callers that care must check the flag.
-    """
-
-    __slots__ = ("seg_probs", "intensity", "out_of_range")
-
-    def __init__(self, seg_probs: Tensor, intensity: Tensor, out_of_range: np.ndarray):
-        self.seg_probs = seg_probs
-        self.intensity = intensity
-        self.out_of_range = out_of_range
-
-    def __iter__(self):
-        yield self.seg_probs
-        yield self.intensity
+    seg_probs: Tensor
+    intensity: Tensor
 
 
 class FieldModel:
@@ -195,7 +183,7 @@ class FieldModel:
 
         coords: [B, N] tensor or array; latent: one [d] vector that
         conditions every row. Coordinates are expected in [0,1]^N; rows
-        outside are evaluated anyway and flagged in ``out_of_range``.
+        outside are evaluated anyway (extrapolation).
         """
         cfg, p = self.config, self.params
         c = coords if isinstance(coords, Tensor) else Tensor(coords)
@@ -210,8 +198,7 @@ class FieldModel:
         x = ad.gabor_trunk(x, blocks, cfg.gabor_omega0, cfg.gabor_s0)
         seg = ad.softmax(ad.linear(x, p["w_seg"], p["b_seg"]))
         intensity = ad.sigmoid(ad.linear(x, p["w_int"], p["b_int"]))
-        oor = np.any((c.values < 0.0) | (c.values > 1.0), axis=1)
-        return FieldOutput(seg, intensity, oor)
+        return FieldOutput(seg, intensity)
 
     # -- persistence ---------------------------------------------------
 

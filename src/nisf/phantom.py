@@ -124,11 +124,6 @@ class PhantomSpec:
         labels[inside(self.lv_center, self.lv_endo_radii, s_endo)] = LV_POOL
         return labels
 
-    def clean_intensity_at(self, points_mm, t_norm: float) -> np.ndarray:
-        """Noise-free tissue intensity at arbitrary points."""
-        means = np.asarray(self.tissue_means, dtype=np.float64)
-        return means[self.label_at(points_mm, t_norm)]
-
 
 def _uniform(rng, lo, hi):
     return float(rng.uniform(lo, hi))

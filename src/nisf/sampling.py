@@ -9,15 +9,14 @@ physical (mm) distances so anisotropic spacing is honored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .inference import InferConfig, evaluate_points, full_observations, infer_latent
-from .metrics import DiceReport, ReconReport, dice_report, reconstruction_error
+from .inference import evaluate_points
 from .model import FieldModel
-from .volume import VolumeSample, degrade, linear_axis, normalize_index
+from .volume import VolumeSample, linear_axis, normalize_index
 
 ORTHO_TOL = 1e-9
 
@@ -246,69 +245,3 @@ def nearest_neighbor_resample(volume: VolumeSample, spec: "PlaneSpec | GridSpec"
         return intensity, labels, inside
     raise ContractError(f"unsupported spec type {type(spec).__name__}")
 
-
-# ---------------------------------------------------------------------------
-# held-out slice protocol
-
-
-@dataclass
-class HeldoutSliceReport:
-    slice_index: int
-    dice_model: DiceReport
-    dice_baseline: DiceReport
-    recon: ReconReport
-    trace: object
-    latent: np.ndarray
-
-
-def copy_nearest_slice_labels(volume: VolumeSample, slice_index: int) -> np.ndarray:
-    """Baseline: labels of the nearest observed z slice, copied in place.
-
-    Nearest by index distance among slices not equal to the held-out one;
-    ties toward the lower index.
-    """
-    gz = volume.shape[2]
-    candidates = [z for z in range(gz) if z != slice_index]
-    if not candidates:
-        raise ContractError("cannot copy-fill a volume with a single slice")
-    donor = min(candidates, key=lambda z: (abs(z - slice_index), z))
-    return volume.labels[:, :, donor, :]
-
-
-def predict_heldout_slice(model: FieldModel, volume: VolumeSample, slice_index: int,
-                          config: InferConfig) -> HeldoutSliceReport:
-    """Fit the latent without one z slice, then predict that slice.
-
-    Scores the prediction against ground truth on the held-out slice
-    only (all frames), next to the copy-nearest-slice baseline.
-    """
-    if not 0 <= slice_index < volume.shape[2]:
-        raise ContractError(f"slice index {slice_index} outside [0,{volume.shape[2]})")
-    reduced = degrade(volume, "drop_slices", slices=[slice_index])
-    coords, intensities = full_observations(reduced)
-    # by construction the held-out slice cannot appear in the observations
-    z_norm = normalize_index(slice_index, volume.shape[2])
-    if np.any(coords[:, 2] == z_norm):
-        raise ContractError("held-out slice leaked into the observation set")
-    h, trace = infer_latent(model, coords, intensities, config)
-
-    gx, gy, gz, gt = volume.shape
-    spec = GridSpec(counts=(gx, gy, 1, gt),
-                    ranges=((0.0, 1.0) if gx > 1 else (0.5, 0.5),
-                            (0.0, 1.0) if gy > 1 else (0.5, 0.5),
-                            (z_norm, z_norm),
-                            (0.0, 1.0) if gt > 1 else (0.5, 0.5)))
-    pred = sample_grid(model, h, spec)
-    true_labels = volume.labels[:, :, slice_index, :]
-    true_intensity = volume.intensity[:, :, slice_index, :]
-    pred_labels = pred.labels[:, :, 0, :]
-    pred_intensity = pred.intensity[:, :, 0, :]
-
-    baseline_labels = copy_nearest_slice_labels(volume, slice_index)
-    return HeldoutSliceReport(
-        slice_index=slice_index,
-        dice_model=dice_report(pred_labels, true_labels),
-        dice_baseline=dice_report(baseline_labels, true_labels),
-        recon=reconstruction_error(np.clip(pred_intensity, 0.0, 1.0), true_intensity),
-        trace=trace,
-        latent=h.values.copy())

@@ -144,15 +144,13 @@ class Batch:
     coords: np.ndarray       # [B,4] normalized
     intensities: np.ndarray  # [B,1] in [0,1]
     labels: np.ndarray       # [B] class ids
-    excluded: int            # unobserved voxels dropped from the frame
 
 
 def make_batch(volume: VolumeSample, t_index: int) -> Batch:
     """Full-volume batch for frame t: one row per observed voxel.
 
     Row order is deterministic raster (x-major C order). Voxels the
-    observation mask excludes are dropped; their count is reported so
-    sparse-data runs can account for coverage.
+    observation mask excludes are dropped.
     """
     gx, gy, gz, gt = volume.shape
     if not 0 <= t_index < gt:
@@ -164,15 +162,14 @@ def make_batch(volume: VolumeSample, t_index: int) -> Batch:
     coords = np.concatenate([spatial, np.full((spatial.shape[0], 1), t_val)], axis=1)
 
     keep = volume.observed()[:, :, :, t_index].reshape(-1)
-    excluded = int(np.count_nonzero(~keep))
-    if excluded:
+    if not keep.all():
         coords = coords[keep]
     if coords.shape[0] == 0:
         raise ContractError(f"frame {t_index} has no observed voxels")
     intensities = volume.intensity[:, :, :, t_index].reshape(-1, 1)[keep]
     labels = volume.labels[:, :, :, t_index].reshape(-1)[keep]
     return Batch(coords=coords, intensities=np.ascontiguousarray(intensities),
-                 labels=np.ascontiguousarray(labels), excluded=excluded)
+                 labels=np.ascontiguousarray(labels))
 
 
 @dataclass

@@ -122,15 +122,6 @@ class VolumeSample:
         span = np.array([(self.shape[a] - 1) * self.spacing[a] for a in range(3)])
         return norm_xyz * span
 
-    def mm_to_norm(self, points_mm: np.ndarray) -> np.ndarray:
-        """Physical mm to normalized coordinates (degenerate axes -> 0.5)."""
-        points_mm = np.asarray(points_mm, dtype=np.float64)
-        out = np.empty_like(points_mm)
-        for a in range(3):
-            span = (self.shape[a] - 1) * self.spacing[a]
-            out[..., a] = points_mm[..., a] / span if span > 0 else 0.5
-        return out
-
     def frame_time(self, t_index: int) -> float:
         """Normalized time of a frame index."""
         return normalize_index(t_index, self.num_frames)

@@ -2,15 +2,24 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from nisf.errors import ContractError
 from nisf.experiments import (DeskScaleConfig, DeskScaleRun, OverfitConfig,
-                              build_splits, cached_overfit, oblique_plane_spec)
+                              build_splits, cached_overfit, copy_nearest_slice_labels,
+                              curve_row, curve_summary, heldout_row, oblique_plane_spec)
+from nisf.inference import (InferConfig, analysis_points, evaluate_points,
+                            full_observations, infer_latent)
 from nisf.losses import LossWeights
-from nisf.model import ModelConfig
-from nisf.training import TrainConfig
+from nisf.metrics import dice_report
+from nisf.model import FieldModel, ModelConfig
+from nisf.phantom import generate_subject
+from nisf.sampling import GridSpec, sample_grid
+from nisf.training import TrainConfig, train_prior
+from nisf.volume import VolumeSample, degrade, normalize_index
 
 TINY = ModelConfig(num_res_layers=2, hidden_width=16, latent_dim=8)
 
@@ -25,7 +34,6 @@ MICRO = DeskScaleConfig(
 
 
 def test_config_hash_tracks_content():
-    from dataclasses import replace
     assert MICRO.content_hash() == MICRO.content_hash()
     assert len(MICRO.content_hash()) == 16
     assert replace(MICRO, infer_lr=2e-2).content_hash() != MICRO.content_hash()
@@ -64,12 +72,62 @@ def test_oblique_plane_geometry():
 
 
 def test_oblique_plane_needs_generator_geometry():
-    from nisf.errors import ContractError
-    from nisf.volume import VolumeSample
     bare = VolumeSample("b", np.zeros((4, 4, 2, 1)),
                         np.zeros((4, 4, 2, 1), dtype=np.uint8), (2.0, 2.0, 10.0))
     with pytest.raises(ContractError):
         oblique_plane_spec(bare, 30.0, (10.0, 10.0), (4, 4))
+
+
+# -- per-subject protocols -----------------------------------------------------
+
+
+def test_copy_nearest_slice_donor_selection():
+    _, vol = generate_subject(2, grid_shape=(4, 4, 6, 2))
+    # slice 2 held out: z=1 and z=3 tie at distance 1 -> lower wins
+    assert np.array_equal(copy_nearest_slice_labels(vol, 2), vol.labels[:, :, 1, :])
+    assert np.array_equal(copy_nearest_slice_labels(vol, 0), vol.labels[:, :, 1, :])
+    assert np.array_equal(copy_nearest_slice_labels(vol, 5), vol.labels[:, :, 4, :])
+    flat = VolumeSample("flat", np.zeros((4, 4, 1, 2)),
+                        np.zeros((4, 4, 1, 2), dtype=np.uint8), (2.0, 2.0, 10.0))
+    with pytest.raises(ContractError):
+        copy_nearest_slice_labels(flat, 0)
+
+
+def test_heldout_row_structure():
+    _, vol = generate_subject(13, grid_shape=(6, 6, 4, 2), spacing=(4.0, 4.0, 10.0))
+    model = FieldModel.init(TINY, seed=0)
+    row = heldout_row(model, vol, InferConfig(max_steps=5, lr_infer=1e-2, seed=3), 2)
+    assert row["id"] == vol.subject_id
+    # foreground classes only: lv_pool, lv_myocardium, rv_pool
+    assert len(row["model_per_class"]) == len(row["baseline_per_class"]) == 3
+    assert all(0.0 <= d <= 1.0 for d in row["model_per_class"])
+    assert all(0.0 <= d <= 1.0 for d in row["baseline_per_class"])
+    assert 0.0 <= row["recon_mae"] <= 1.0
+    with pytest.raises(ContractError):
+        heldout_row(model, vol, InferConfig(max_steps=1), 4)
+
+
+def test_curve_rows_produce_aligned_curves():
+    subjects = [generate_subject(seed, grid_shape=(6, 6, 3, 2), spacing=(4.0, 4.0, 10.0),
+                                 subject_id=f"t{seed}")[1] for seed in (30, 31)]
+    model = train_prior(subjects[:1], TrainConfig(model=TINY, epochs=15, lr_prior=1e-3,
+                                                  seed=2, log_every=0)).model
+    model.set_trainable(False)
+    fit = InferConfig(max_steps=20, record_cadence=10, lr_infer=1e-2, seed=5)
+    rows = [curve_row(model, subject, replace(fit, seed=fit.seed + 1000 * (i + 1)))
+            for i, subject in enumerate(subjects)]
+    summary = curve_summary(rows)
+    assert summary["steps"] == [0, 10, 20]
+    assert len(rows) == 2
+    assert len(summary["mean_dice"]) == 3
+    assert summary["selected_steps"] in summary["steps"]
+    expect = np.mean([rows[0]["dice_mean"], rows[1]["dice_mean"]], axis=0)
+    assert np.allclose(summary["mean_dice"], expect)
+    with pytest.raises(ContractError):
+        curve_summary([])
+
+
+# -- the cached pipeline -------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -119,11 +177,67 @@ def test_pipeline_reload_is_pure_cache(micro_run, monkeypatch):
     def boom(*a, **k):
         raise AssertionError("recomputed a cached stage")
 
-    monkeypatch.setattr(exp, "train_prior", boom)
-    monkeypatch.setattr(exp, "validate_prior", boom)
-    monkeypatch.setattr(exp, "infer_latent", boom)
+    # every fit and every decode of every stage goes through these names
+    for name in ("train_prior", "infer_latent", "evaluate_points", "sample_grid",
+                 "sample_plane"):
+        monkeypatch.setattr(exp, name, boom)
     again = DeskScaleRun(MICRO, cache_root=root).run_all()
     assert again == summary
+
+
+def test_stage_rows_equal_direct_fits(micro_run):
+    """Each stage row is its protocol run directly: subject i (from 0) of a
+    split is fitted with seed ``base + stride * (i + 1)``, where (base,
+    stride) is (infer_seed, 1000) for validation, (infer_seed, 777) for
+    test_eval and (infer_seed, 3331) for heldout."""
+    _, run, _ = micro_run
+    model = run.model()
+    splits = build_splits(MICRO)
+    val, test = splits["val"][0], splits["test"][0]
+    selected = run.selected_steps()
+
+    # validation: the full-budget curve with Dice on the analysis frames
+    coords, intensities = full_observations(val)
+    _, trace = infer_latent(model, coords, intensities,
+                            replace(MICRO.infer_config(), seed=MICRO.infer_seed + 1000),
+                            analysis=analysis_points(val))
+    validation = run.validation()
+    assert validation["steps"] == trace.steps
+    assert validation["per_subject"] == [trace.dice_mean]
+    assert validation["recon_per_subject"] == [trace.recon_loss]
+
+    # test_eval: decoded and scored on every voxel of every frame
+    cfg = replace(MICRO.infer_config(selected), seed=MICRO.infer_seed + 777)
+    coords, intensities = full_observations(test)
+    h, trace = infer_latent(model, coords, intensities, cfg)
+    eval_coords, eval_labels = analysis_points(test, frames=tuple(range(test.num_frames)))
+    labels, _, intensity = evaluate_points(model, h, eval_coords)
+    report = dice_report(labels, eval_labels)
+    truth = np.moveaxis(test.intensity, 3, 0).reshape(-1)  # frame-major raster order
+    assert run.test_eval()["subjects"] == [{
+        "id": test.subject_id, "dice_per_class": list(report.per_class),
+        "dice_mean": report.mean, "recon_mae": float(np.mean(np.abs(intensity - truth))),
+        "final_recon_bce": trace.recon_loss[-1], "seed": cfg.seed}]
+    assert np.array_equal(run.test_latents()[test.subject_id], h.values)
+
+    # heldout: fitted without the slice, which is then decoded on its own grid
+    k = MICRO.heldout_slice
+    cfg = replace(MICRO.infer_config(selected), seed=MICRO.infer_seed + 3331)
+    coords, intensities = full_observations(degrade(test, "drop_slices", slices=[k]))
+    h, _ = infer_latent(model, coords, intensities, cfg)
+    gx, gy, gz, gt = test.shape
+    z = normalize_index(k, gz)
+    pred = sample_grid(model, h, GridSpec(counts=(gx, gy, 1, gt),
+                                          ranges=((0.0, 1.0), (0.0, 1.0), (z, z), (0.0, 1.0))))
+    truth = test.labels[:, :, k, :]
+    model_report = dice_report(pred.labels[:, :, 0, :], truth)
+    copy_report = dice_report(test.labels[:, :, k - 1, :], truth)  # the only other slice
+    mae = float(np.mean(np.abs(np.clip(pred.intensity[:, :, 0, :], 0.0, 1.0)
+                               - test.intensity[:, :, k, :])))
+    assert run.heldout()["subjects"] == [{
+        "id": test.subject_id, "model_mean": model_report.mean,
+        "baseline_mean": copy_report.mean, "model_per_class": list(model_report.per_class),
+        "baseline_per_class": list(copy_report.per_class), "recon_mae": mae}]
 
 
 def test_test_latents_round_trip(micro_run):
@@ -179,8 +293,6 @@ def test_cached_overfit_recomputes_record_from_other_code(tmp_path, monkeypatch,
 
 
 def test_desk_prior_log_starts_fresh_unless_resuming(tmp_path):
-    from dataclasses import replace
-
     cfg = replace(MICRO, train=replace(MICRO.train, checkpoint_every=1))
     run = DeskScaleRun(cfg, cache_root=str(tmp_path))
     log_path = os.path.join(run.dir, "train_log.csv")

@@ -7,7 +7,7 @@ from nisf.errors import ContractError, NumericalError
 from nisf.inference import (InferConfig, InferenceTrace, analysis_points,
                             evaluate_points,
                             full_observations, infer_latent, sample_volume,
-                            select_early_stop_steps, validate_prior)
+                            select_early_stop_steps)
 from nisf.model import FieldModel, ModelConfig
 from nisf.phantom import generate_subject
 from nisf.training import TrainConfig, train_prior
@@ -278,7 +278,7 @@ def test_early_stop_contract_violations():
         select_early_stop_steps([a, b])
 
 
-# -- analysis points and validation ----------------------------------------------
+# -- analysis points ----------------------------------------------------------
 
 
 def test_analysis_points_defaults_to_two_frames():
@@ -301,17 +301,3 @@ def test_analysis_points_deduplicates_frames():
     coords, _ = analysis_points(vol, frames=(2, 0, 2))
     assert coords.shape[0] == 2 * 4 * 4 * 2
 
-
-def test_validate_prior_produces_aligned_curves():
-    subjects = [_subject(30), _subject(31)]
-    model = _trained_model(subjects[0], epochs=15)
-    cfg = InferConfig(max_steps=20, record_cadence=10, lr_infer=1e-2, seed=5)
-    result = validate_prior(model, subjects, cfg)
-    assert result.steps == [0, 10, 20]
-    assert len(result.traces) == 2
-    assert result.mean_dice.shape == (3,)
-    assert result.selected_steps in result.steps
-    expect = np.mean([result.traces[0].dice_mean, result.traces[1].dice_mean], axis=0)
-    assert np.allclose(result.mean_dice, expect)
-    with pytest.raises(ContractError):
-        validate_prior(model, [], cfg)

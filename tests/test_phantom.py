@@ -169,16 +169,6 @@ def test_intensity_and_labels_in_range():
     assert vol.labels.max() < len(CLASS_NAMES)
 
 
-def test_clean_intensity_at_maps_means_by_label():
-    points = np.array([
-        [30.0, 30.0, 20.0],  # pool
-        [30.0, 42.0, 20.0],  # wall
-        [0.0, 0.0, 0.0],     # background
-    ])
-    got = HAND_SPEC.clean_intensity_at(points, 0.0)
-    assert got.tolist() == [0.95, 0.10, 0.05]
-
-
 @pytest.mark.parametrize("field_name,bad", [
     ("wall_thickness", 0.0),
     ("contraction_amp", 1.0),

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from nisf.errors import ContractError, DimensionError
-from nisf.inference import InferConfig, evaluate_points
+from nisf.inference import evaluate_points
 from nisf.model import FieldModel, ModelConfig
 from nisf.phantom import generate_subject
-from nisf.sampling import (GridSpec, PlaneSpec, copy_nearest_slice_labels,
-                           nearest_frame, nearest_neighbor_resample, nn_lookup,
-                           predict_heldout_slice, sample_grid, sample_plane)
+from nisf.sampling import (GridSpec, PlaneSpec, nearest_frame, nearest_neighbor_resample,
+                           nn_lookup, sample_grid, sample_plane)
 from nisf.training import make_batch
 from nisf.volume import VolumeSample, normalize_index
 from oracles import brute_force_nn
@@ -247,32 +246,7 @@ def test_resample_rejects_unknown_spec():
         nearest_neighbor_resample(vol, object())
 
 
-# -- held-out slice protocol ---------------------------------------------------------
-
-
-def test_copy_nearest_slice_donor_selection():
-    _, vol = generate_subject(2, grid_shape=(4, 4, 6, 2))
-    # slice 2 held out: z=1 and z=3 tie at distance 1 -> lower wins
-    assert np.array_equal(copy_nearest_slice_labels(vol, 2), vol.labels[:, :, 1, :])
-    assert np.array_equal(copy_nearest_slice_labels(vol, 0), vol.labels[:, :, 1, :])
-    assert np.array_equal(copy_nearest_slice_labels(vol, 5), vol.labels[:, :, 4, :])
-    with pytest.raises(ContractError):
-        copy_nearest_slice_labels(_flat_volume(nz=1, nt=2), 0)
-
-
-def test_predict_heldout_slice_report_structure():
-    _, vol = generate_subject(13, grid_shape=(6, 6, 4, 2), spacing=(4.0, 4.0, 10.0))
-    model = _model()
-    report = predict_heldout_slice(model, vol, 2,
-                                   InferConfig(max_steps=5, lr_infer=1e-2, seed=3))
-    assert report.slice_index == 2
-    assert report.dice_model.classes == ("lv_pool", "lv_myocardium", "rv_pool")
-    assert all(0.0 <= d <= 1.0 for d in report.dice_model.per_class)
-    assert all(0.0 <= d <= 1.0 for d in report.dice_baseline.per_class)
-    assert 0.0 <= report.recon.mae <= 1.0
-    assert report.latent.shape == (TINY.latent_dim,)
-    with pytest.raises(ContractError):
-        predict_heldout_slice(model, vol, 4, InferConfig(max_steps=1))
+# -- held-out slice observations ----------------------------------------------------
 
 
 def test_heldout_observations_never_include_the_slice():

@@ -42,7 +42,6 @@ def test_make_batch_counts_and_bounds():
     assert batch.coords.shape == (32, 4)
     assert batch.intensities.shape == (32, 1)
     assert batch.labels.shape == (32,)
-    assert batch.excluded == 0
     assert batch.coords.min() >= 0.0 and batch.coords.max() <= 1.0
 
 
@@ -68,7 +67,6 @@ def test_make_batch_excludes_masked_voxels():
     masked = degrade(vol, "mask_region", box=((0, 1), (0, 2), (0, 2)))  # hides 4
     batch = make_batch(masked, 0)
     assert batch.coords.shape[0] == 36  # 0.9 * 40
-    assert batch.excluded == 4
     # the hidden voxels are exactly the ones missing from the batch
     assert not np.any((batch.coords[:, 0] == 0.0) & (batch.coords[:, 1] <= 0.35))
 
