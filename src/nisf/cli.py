@@ -273,7 +273,8 @@ def cmd_train_prior(args: argparse.Namespace) -> int:
 def cmd_infer(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from .inference import InferConfig, full_observations, infer_latent, sample_volume
+    from .inference import InferConfig, full_observations, infer_latent
+    from .sampling import sample_volume
     from .serial import write_blob
     from .training import load_checkpoint
     from .volume import load_volume, save_volume

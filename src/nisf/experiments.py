@@ -41,8 +41,8 @@ from .sampling import (GridSpec, PlaneSpec, nearest_neighbor_resample, sample_gr
                        sample_plane)
 from .serial import config_dict, config_hash, write_json_atomic
 from .training import (LATENT_PRIOR_SIGMA, TrainConfig, latest_checkpoint,
-                       load_checkpoint, make_batch, train_prior)
-from .volume import SPLITS, VolumeSample, degrade, normalize_index
+                       load_checkpoint, train_prior)
+from .volume import SPLITS, VolumeSample, degrade, make_batch, normalize_index
 
 DEFAULT_CACHE_ROOT = ".acceptance_cache"
 CACHE_KEY_CHARS = 16  # hex digits of a config hash in a cache directory name
@@ -161,16 +161,13 @@ def eval_row(model: FieldModel, subject: VolumeSample, cfg: InferConfig
     """
     coords, intensities = full_observations(subject)
     h, trace = infer_latent(model, coords, intensities, cfg)
-    unmasked = replace(subject, mask=None)  # ground truth exists even where unobserved
-    frames = [make_batch(unmasked, t) for t in range(subject.num_frames)]
-    pred_labels, _, pred_intensity = evaluate_points(
-        model, h, np.concatenate([b.coords for b in frames]))
-    report = dice_report(pred_labels, np.concatenate([b.labels for b in frames]))
-    truth = np.concatenate([b.intensities[:, 0] for b in frames])
+    voxels = make_batch(replace(subject, mask=None))  # ground truth exists where unobserved
+    pred_labels, _, pred_intensity = evaluate_points(model, h, voxels.coords)
+    report = dice_report(pred_labels, voxels.labels)
     return {"id": subject.subject_id,
             "dice_per_class": list(report.per_class),
             "dice_mean": report.mean,
-            "recon_mae": float(np.mean(np.abs(pred_intensity - truth))),
+            "recon_mae": float(np.mean(np.abs(pred_intensity - voxels.intensities[:, 0]))),
             "final_recon_bce": trace.recon_loss[-1],
             "seed": cfg.seed}, h.values.copy()
 
@@ -464,10 +461,8 @@ def run_overfit(cfg: OverfitConfig = OverfitConfig()) -> OverfitResult:
     """
     _, vol = generate_subject(cfg.subject_seed, grid_shape=cfg.grid_shape,
                               spacing=cfg.spacing, subject_id="overfit")
-    parts = [make_batch(vol, t) for t in range(vol.num_frames)]
-    coords = np.concatenate([b.coords for b in parts])
-    intensities = np.concatenate([b.intensities for b in parts])
-    labels = np.concatenate([b.labels for b in parts])
+    batch = make_batch(vol)
+    coords, intensities, labels = batch.coords, batch.intensities, batch.labels
 
     model = FieldModel.init(cfg.model, seed=cfg.seed)
     rng = np.random.default_rng(np.random.SeedSequence([0x0F17, cfg.seed]))

@@ -20,10 +20,10 @@ from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .errors import ContractError, NumericalError
 from .losses import LossWeights, bce, inference_loss
+from .metrics import dice
 from .model import FieldModel
 from .optim import Adam, select_trainables
-from .training import make_batch
-from .volume import VolumeSample
+from .volume import VolumeSample, make_batch
 
 INFER_INIT_SIGMA = 0.01  # h starts from N(0, 1e-4)
 
@@ -44,6 +44,7 @@ class InferConfig:
     points_per_step: int | None = None  # None = all observed points every step
 
     def __post_init__(self):
+        self.weights()  # rejects a negative lambda_h before any work starts
         if self.max_steps < 0:
             raise ContractError("max_steps must be >= 0")
         steps = self.steps_to_run
@@ -149,37 +150,8 @@ def evaluate_points(model: FieldModel, h, coords: np.ndarray, chunk: int | None 
 
 def full_observations(volume: VolumeSample) -> tuple[np.ndarray, np.ndarray]:
     """(coords [B,4], intensities [B,1]) over every observed voxel, all frames."""
-    coords, inten = [], []
-    for t in range(volume.num_frames):
-        frame_mask = volume.observed()[:, :, :, t]
-        if not frame_mask.any():
-            continue
-        batch = make_batch(volume, t)
-        coords.append(batch.coords)
-        inten.append(batch.intensities)
-    if not coords:
-        raise ContractError("volume has no observed voxels")
-    return np.concatenate(coords, axis=0), np.concatenate(inten, axis=0)
-
-
-def sample_volume(model: FieldModel, h, volume: VolumeSample) -> VolumeSample:
-    """Decode the fitted field on a volume's own voxel grid.
-
-    The result carries predicted labels and (clipped) intensities on the
-    same grid and spacing, with no mask and no generator geometry.
-    """
-    X, Y, Z, T = volume.shape
-    intensity = np.empty(volume.shape, dtype=np.float64)
-    labels = np.empty(volume.shape, dtype=np.uint8)
-    unmasked = replace(volume, mask=None)
-    for t in range(T):
-        batch = make_batch(unmasked, t)
-        lab, _, inten = evaluate_points(model, h, batch.coords)
-        intensity[:, :, :, t] = inten.reshape(X, Y, Z)
-        labels[:, :, :, t] = lab.reshape(X, Y, Z)
-    return VolumeSample(subject_id=volume.subject_id,
-                        intensity=np.clip(intensity, 0.0, 1.0), labels=labels,
-                        spacing=volume.spacing)
+    batch = make_batch(volume)
+    return batch.coords, batch.intensities
 
 
 def infer_latent(model: FieldModel, coords: np.ndarray, intensities: np.ndarray,
@@ -223,7 +195,6 @@ def infer_latent(model: FieldModel, coords: np.ndarray, intensities: np.ndarray,
             eval_coords, eval_labels = analysis
             pred, _, _ = evaluate_points(model, h, eval_coords)
             num_classes = model.config.num_classes
-            from .metrics import dice  # local import avoids a cycle at module load
             dice_vals = tuple(dice(pred, eval_labels, c) for c in range(1, num_classes))
         trace.append(step, recon, norm, dice_vals)
 
@@ -276,11 +247,6 @@ def analysis_points(volume: VolumeSample, frames: tuple[int, ...] | None = None
     """
     if frames is None:
         frames = (0, volume.num_frames // 2) if volume.num_frames > 1 else (0,)
-    unmasked = replace(volume, mask=None)  # ground truth exists even where unobserved
-    coords, labels = [], []
-    for t in sorted(set(frames)):
-        b = make_batch(unmasked, t)
-        coords.append(b.coords)
-        labels.append(volume.labels[:, :, :, t].reshape(-1))
-    return np.concatenate(coords, axis=0), np.concatenate(labels, axis=0)
-
+    # ground truth exists even where unobserved
+    batch = make_batch(replace(volume, mask=None), sorted(set(frames)))
+    return batch.coords, batch.labels

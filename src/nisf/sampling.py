@@ -85,6 +85,22 @@ def sample_grid(model: FieldModel, h, spec: GridSpec) -> GridSample:
                       out_of_range=oor)
 
 
+def sample_volume(model: FieldModel, h, volume: VolumeSample) -> VolumeSample:
+    """Decode the fitted field on a volume's own voxel grid.
+
+    The result carries predicted labels and (clipped) intensities on the
+    same grid and spacing, with no mask and no generator geometry. Frames
+    are decoded one at a time, as their own batches (see ``evaluate_points``).
+    """
+    frames = [sample_grid(model, h, GridSpec.matching_volume(volume, t))
+              for t in range(volume.num_frames)]
+    return VolumeSample(subject_id=volume.subject_id,
+                        intensity=np.clip(np.concatenate([g.intensity for g in frames], 3),
+                                          0.0, 1.0),
+                        labels=np.concatenate([g.labels for g in frames], 3),
+                        spacing=volume.spacing)
+
+
 @dataclass(frozen=True)
 class PlaneSpec:
     """An arbitrarily oriented image plane through the volume.

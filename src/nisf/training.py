@@ -27,7 +27,7 @@ from .losses import LossReport, LossWeights, train_loss
 from .model import FieldModel, ModelConfig
 from .optim import Adam
 from .serial import config_dict, config_hash, read_blob, write_blob, write_text_atomic
-from .volume import VolumeSample, normalize_index
+from .volume import VolumeSample, make_batch
 
 CKPT_MAGIC = "NISF-CKPT"
 CKPT_VERSION = 1
@@ -135,41 +135,6 @@ class LatentTable:
             self.adams[sid].load_state(int(arrays["adam_latent.t"][i]),
                                        {"h.m": arrays["adam_latent.m"][i],
                                         "h.v": arrays["adam_latent.v"][i]})
-
-
-@dataclass
-class Batch:
-    """All observed voxels of one subject's time frame, raster order."""
-
-    coords: np.ndarray       # [B,4] normalized
-    intensities: np.ndarray  # [B,1] in [0,1]
-    labels: np.ndarray       # [B] class ids
-
-
-def make_batch(volume: VolumeSample, t_index: int) -> Batch:
-    """Full-volume batch for frame t: one row per observed voxel.
-
-    Row order is deterministic raster (x-major C order). Voxels the
-    observation mask excludes are dropped.
-    """
-    gx, gy, gz, gt = volume.shape
-    if not 0 <= t_index < gt:
-        raise ContractError(f"frame index {t_index} outside [0,{gt})")
-    axes = [normalize_index(np.arange(n), n) for n in (gx, gy, gz)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    spatial = np.stack([g.reshape(-1) for g in grids], axis=1)  # [B,3]
-    t_val = normalize_index(t_index, gt)
-    coords = np.concatenate([spatial, np.full((spatial.shape[0], 1), t_val)], axis=1)
-
-    keep = volume.observed()[:, :, :, t_index].reshape(-1)
-    if not keep.all():
-        coords = coords[keep]
-    if coords.shape[0] == 0:
-        raise ContractError(f"frame {t_index} has no observed voxels")
-    intensities = volume.intensity[:, :, :, t_index].reshape(-1, 1)[keep]
-    labels = volume.labels[:, :, :, t_index].reshape(-1)[keep]
-    return Batch(coords=coords, intensities=np.ascontiguousarray(intensities),
-                 labels=np.ascontiguousarray(labels))
 
 
 @dataclass

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -125,6 +126,46 @@ class VolumeSample:
     def frame_time(self, t_index: int) -> float:
         """Normalized time of a frame index."""
         return normalize_index(t_index, self.num_frames)
+
+
+@dataclass
+class Batch:
+    """Observed voxels of a set of frames of one subject, one row each:
+    frame by frame in the order given, raster order within a frame."""
+
+    coords: np.ndarray       # [B,4] normalized
+    intensities: np.ndarray  # [B,1] in [0,1]
+    labels: np.ndarray       # [B] class ids
+
+
+def make_batch(volume: VolumeSample, frames: int | Sequence[int] | None = None) -> Batch:
+    """The coordinate rows of ``frames``: one frame index, a sequence of
+    them, or None for every frame.
+
+    Within a frame rows follow raster (x-major C) order. Voxels the
+    observation mask excludes are dropped, so a frame with none observed
+    adds no rows; it is an error only if no row is left.
+    """
+    gx, gy, gz, gt = volume.shape
+    frames = np.arange(gt) if frames is None else np.atleast_1d(frames)
+    if frames.size == 0:
+        raise ContractError("make_batch needs at least one frame")
+    # normalize_index rejects a frame index out of range before any indexing
+    t, x, y, z = np.meshgrid(normalize_index(frames, gt),
+                             *(normalize_index(np.arange(n), n) for n in (gx, gy, gz)),
+                             indexing="ij")
+    coords = np.stack([a.reshape(-1) for a in (x, y, z, t)], axis=1)
+
+    def rows(grid: np.ndarray) -> np.ndarray:  # [X,Y,Z,T] -> [B] in row order
+        return np.moveaxis(grid[:, :, :, frames], 3, 0).reshape(-1)
+
+    keep = rows(volume.observed())
+    if not keep.all():
+        coords = coords[keep]
+    if coords.shape[0] == 0:
+        raise ContractError(f"frames {frames.tolist()} have no observed voxels")
+    return Batch(coords=coords, intensities=rows(volume.intensity)[keep].reshape(-1, 1),
+                 labels=rows(volume.labels)[keep])
 
 
 # ---------------------------------------------------------------------------

@@ -382,6 +382,17 @@ def test_unknown_config_key_exits_1_naming_it(command, dataset, trained, tmp_pat
     assert not os.path.exists(out)
 
 
+def test_negative_lambda_h_exits_1_before_manifest(dataset, trained, tmp_path):
+    _, ckpt = trained
+    out = str(tmp_path / "neg")
+    res = run_cli("infer", "--checkpoint", ckpt,
+                  "--volume", os.path.join(dataset, "s0003.nvol"),
+                  "--out", out, "--lambda-h", "-1", "--quiet")
+    assert res.returncode == 1, res.stderr
+    assert "nonnegative" in res.stderr
+    assert not os.path.exists(os.path.join(out, "run_manifest.json"))
+
+
 def test_negative_checkpoint_cadence_exits_1(dataset, tmp_path):
     res = run_cli("train-prior", "--dataset", dataset, "--out", str(tmp_path / "neg"),
                   "--checkpoint-every", "-1", "--quiet")

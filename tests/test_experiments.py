@@ -185,12 +185,12 @@ def test_pipeline_reload_is_pure_cache(micro_run, monkeypatch):
     assert again == summary
 
 
-def test_stage_rows_equal_direct_fits(micro_run):
+def _assert_stage_rows_equal_direct_fits(run):
     """Each stage row is its protocol run directly: subject i (from 0) of a
     split is fitted with seed ``base + stride * (i + 1)``, where (base,
-    stride) is (infer_seed, 1000) for validation, (infer_seed, 777) for
-    test_eval and (infer_seed, 3331) for heldout."""
-    _, run, _ = micro_run
+    stride) is (infer_seed, 1000) for validation, (infer_seed + 5, 1000) for
+    longrun, (infer_seed, 777) for test_eval and (infer_seed, 3331) for
+    heldout."""
     model = run.model()
     splits = build_splits(MICRO)
     val, test = splits["val"][0], splits["test"][0]
@@ -205,6 +205,17 @@ def test_stage_rows_equal_direct_fits(micro_run):
     assert validation["steps"] == trace.steps
     assert validation["per_subject"] == [trace.dice_mean]
     assert validation["recon_per_subject"] == [trace.recon_loss]
+
+    # longrun: the same curve over four times the selected budget
+    budget = 4 * selected
+    _, trace = infer_latent(model, coords, intensities,
+                            replace(MICRO.infer_config(), max_steps=budget,
+                                    seed=MICRO.infer_seed + 5 + 1000),
+                            analysis=analysis_points(val))
+    longrun = run.longrun()
+    assert longrun["budget"] == budget
+    assert longrun["steps"] == trace.steps
+    assert longrun["mean_dice"] == trace.dice_mean
 
     # test_eval: decoded and scored on every voxel of every frame
     cfg = replace(MICRO.infer_config(selected), seed=MICRO.infer_seed + 777)
@@ -238,6 +249,24 @@ def test_stage_rows_equal_direct_fits(micro_run):
         "id": test.subject_id, "model_mean": model_report.mean,
         "baseline_mean": copy_report.mean, "model_per_class": list(model_report.per_class),
         "baseline_per_class": list(copy_report.per_class), "recon_mae": mae}]
+
+
+def test_stage_rows_equal_direct_fits(micro_run):
+    _, run, _ = micro_run
+    _assert_stage_rows_equal_direct_fits(run)
+
+
+def test_stage_rows_equal_direct_fits_after_a_real_fit(tmp_path, monkeypatch):
+    """MICRO's validation Dice is flat, so it selects 0 steps and test_eval and
+    heldout never fit; here the selection is forced to the second-to-last
+    grid step (2 of [0, 2, 4]), so every stage row comes from a real fit."""
+    import nisf.experiments as exp
+    monkeypatch.setattr(exp, "select_early_stop_steps", lambda traces: traces[0].steps[-2])
+    run = DeskScaleRun(MICRO, cache_root=str(tmp_path))
+    run.run_all()
+    assert run.selected_steps() == 2
+    assert run.longrun()["argmax_steps"] == 6  # second-to-last of [0, 2, 4, 6, 8]
+    _assert_stage_rows_equal_direct_fits(run)
 
 
 def test_test_latents_round_trip(micro_run):

@@ -6,10 +6,11 @@ import pytest
 from nisf.errors import ContractError, NumericalError
 from nisf.inference import (InferConfig, InferenceTrace, analysis_points,
                             evaluate_points,
-                            full_observations, infer_latent, sample_volume,
+                            full_observations, infer_latent,
                             select_early_stop_steps)
 from nisf.model import FieldModel, ModelConfig
 from nisf.phantom import generate_subject
+from nisf.sampling import sample_volume
 from nisf.training import TrainConfig, train_prior
 from nisf.volume import VolumeSample, degrade
 
@@ -51,6 +52,8 @@ def test_infer_config_contracts():
         InferConfig(record_cadence=0)
     with pytest.raises(ContractError):
         InferConfig(points_per_step=0)
+    with pytest.raises(ContractError, match="nonnegative"):
+        InferConfig(lambda_h=-1.0)
 
 
 def test_infer_weights_drop_training_terms():

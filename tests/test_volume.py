@@ -12,7 +12,7 @@ from nisf.phantom import generate_subject
 from nisf.serial import write_blob
 from nisf.volume import (CLASS_NAMES, NUM_CLASSES, VOLUME_MAGIC, VOLUME_VERSION,
                          VolumeSample, degrade, linear_axis, load_dataset_manifest,
-                         load_volume, manifest_subjects, normalize_index,
+                         load_volume, make_batch, manifest_subjects, normalize_index,
                          save_volume, write_dataset_manifest)
 
 
@@ -136,6 +136,50 @@ def test_frame_time_uses_normalized_rule():
     vol = _tiny_volume()
     assert vol.frame_time(0) == 0.0
     assert vol.frame_time(1) == 1.0
+
+
+# -- coordinate rows ----------------------------------------------------------
+
+
+def _four_frames(masked):
+    rng = np.random.default_rng(11)
+    shape = (4, 3, 2, 4)
+    mask = None
+    if masked:
+        mask = rng.random(shape) < 0.7
+        mask[..., 1] = False  # frame 1 has no observed voxel
+    return VolumeSample(subject_id="rows", intensity=rng.random(shape),
+                        labels=rng.integers(0, NUM_CLASSES, size=shape).astype(np.uint8),
+                        spacing=(2.0, 2.0, 10.0), mask=mask)
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+@pytest.mark.parametrize("frames", [(2, 0, 3), (3, 1, 2, 0), None])
+def test_make_batch_frame_set_concatenates_single_frames(masked, frames):
+    """Rows come frame by frame in the given order; a frame with no observed
+    voxel adds none."""
+    vol = _four_frames(masked)
+    batch = make_batch(vol, frames)
+    order = range(vol.num_frames) if frames is None else frames
+    parts = [make_batch(vol, t) for t in order if vol.observed()[..., t].any()]
+    assert np.array_equal(batch.coords, np.concatenate([b.coords for b in parts]))
+    assert np.array_equal(batch.intensities, np.concatenate([b.intensities for b in parts]))
+    assert np.array_equal(batch.labels, np.concatenate([b.labels for b in parts]))
+    assert batch.coords.shape[0] == sum(vol.observed()[..., t].sum() for t in order)
+    assert batch.intensities.shape == (batch.coords.shape[0], 1)
+
+
+def test_make_batch_frame_set_contract_violations():
+    vol = _four_frames(masked=True)
+    with pytest.raises(ContractError, match="no observed voxels"):
+        make_batch(vol, [1])
+    hidden = VolumeSample(vol.subject_id, vol.intensity, vol.labels, vol.spacing,
+                          mask=np.zeros(vol.shape, dtype=bool))
+    with pytest.raises(ContractError, match="no observed voxels"):
+        make_batch(hidden)
+    for frames in ([0, 4], [-1, 2], 4, []):
+        with pytest.raises(ContractError):
+            make_batch(vol, frames)
 
 
 # -- degradation --------------------------------------------------------------
