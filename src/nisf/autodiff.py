@@ -200,7 +200,7 @@ def _as_operands(a, b, op: str):
 # matrix products
 
 
-def _gemm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _gemm(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # Per-row results must be bit-identical across batch sizes. BLAS routes
     # m==1 through gemv-style kernels whose summation order differs from
     # gemm, so a single row is padded to two. OpenBLAS 0.3.31 runs products
@@ -209,11 +209,16 @@ def _gemm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # are invariant for N = 5-8, 13-64 and 128. The heads (N = 1 and the
     # default 4 classes) therefore take numpy's own einsum loop, which sums
     # every row in the same order; the trunk's N = 128 stays on BLAS.
+    # ``out`` receives the product in place, with the same bits.
     if y.shape[1] <= 4:
-        return np.einsum("bk,kn->bn", x, y)
+        return np.einsum("bk,kn->bn", x, y, out=out)
     if x.shape[0] < 2:
-        return np.ascontiguousarray((np.concatenate([x, x], axis=0) @ y)[:1])
-    return x @ y
+        pair = np.concatenate([x, x], axis=0) @ y
+        if out is None:
+            return np.ascontiguousarray(pair[:1])
+        out[...] = pair[:1]
+        return out
+    return np.matmul(x, y, out=out)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -276,30 +281,46 @@ def latent_linear(coords: Tensor, h: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def block_rows(width: int) -> int:
-    """Rows of a [rows, width] float64 array that fill ``L2_BLOCK_BYTES``."""
+    """Rows of a [rows, width] float64 array that fill ``L2_BLOCK_BYTES``.
+
+    This is the trunk's row tile and a frozen query's chunk (1024 rows at
+    width 128). ``block_rows(live * width)`` gives the rows at which
+    ``live`` such arrays fill it together (see ``_kernel_scratch``).
+    """
     return max(1, L2_BLOCK_BYTES // (8 * width))
 
 
 def gabor_trunk(x: Tensor, blocks: Sequence[tuple[Tensor, Tensor, Tensor, Tensor]],
                 omega0: float, s0: float) -> Tensor:
-    """The residual Gabor trunk as one tape entry.
+    """The residual Gabor trunk as one tape entry, run tile-major.
 
     Each ``(w1, b1, w2, b2)`` in ``blocks`` maps x to
-    x + gabor(x @ w1 + b1) @ w2 + b2, and the blocks run in order. Both
-    products go through ``_gemm``; the wavelet runs in place over the
-    pre-activation buffer in row blocks with block-sized scratch (see
-    ``_gabor_kernel``). Only the current activation stays alive between
-    blocks, and the finite check runs once, on the trunk output (a
-    non-finite value cannot vanish through the skip path).
+    x + gabor(x @ w1 + b1) @ w2 + b2, and the blocks run in order. The
+    batch runs in tiles of ``block_rows(width)`` rows, and each tile goes
+    through every block before the next starts, so its arrays stay in L2
+    instead of streaming from memory. Both products go through ``_gemm``
+    and the wavelet runs in place over the pre-activation (see
+    ``_gabor_kernel``). The finite check runs once, on the trunk output
+    (a non-finite value cannot vanish through the skip path).
 
     Backward keeps, per block, only what it reads: the derivative while a
     gradient flows into the block's input or its ``w1``/``b1`` needs one,
     the block input only if ``w1`` does, and the wavelet values only if
     ``w2`` does. A latent-only step therefore holds one array per block.
-    The backward is one reverse loop over the blocks, and every
-    elementwise step and every sum runs in the order of
+    These saved arrays span the whole batch and each tile writes its rows
+    into them in place; everything else is per-tile scratch.
+
+    The backward is one reverse loop over the blocks. Each block runs its
+    row-local chain (g @ w2.T, times the derivative, @ w1.T, plus g) tile
+    by tile, and its weight and bias gradients as sums over the whole
+    batch. Every elementwise step and every sum runs in the order of
     ``add(x, linear(gabor(linear(x, w1, b1)), w2, b2))`` chained over the
-    blocks, so values and gradients are bit-identical to that composition.
+    blocks, so values and gradients are bit-identical to that composition
+    wherever the products' rows do not depend on the batch (see
+    ``_gemm``). A batch of one tile multiplies by the transposed weight
+    views, as ``linear``'s rule does; a tiled batch multiplies by
+    contiguous copies, whose rows are the same at any tile size, while the
+    views' rows change in small ragged tiles (OpenBLAS 0.3.31, AVX-512).
     """
     if not blocks:
         raise ContractError("gabor_trunk needs at least one block")
@@ -314,27 +335,55 @@ def gabor_trunk(x: Tensor, blocks: Sequence[tuple[Tensor, Tensor, Tensor, Tensor
         if w1.shape[0] != n or b1.shape[0] != k or w2.shape != (k, n) or b2.shape[0] != n:
             raise DimensionError(f"gabor_trunk extents disagree: {x.shape}, {w1.shape}, "
                                  f"{b1.shape}, {w2.shape}, {b2.shape}")
+    batch, rows = x.shape[0], block_rows(n)
+    tiles = [slice(lo, lo + rows) for lo in range(0, batch, rows)]
+    tile_rows = min(rows, batch)
+    k_max = max(w1.shape[1] for w1, _, _, _ in blocks)
+    dtype = np.result_type(x.values, *(t.values for blk in blocks for t in blk))
     taped = _active_tape is not None
     flows = taped and x.requires_grad  # a gradient reaches the current block's input
     saved = []  # per block: (derivative, block input, wavelet values, flows into input)
-    cur = x.values
-    for w1, b1, w2, b2 in blocks:
+    for i, (w1, b1, w2, b2) in enumerate(blocks):
         need_w1, need_w2 = taped and w1.requires_grad, taped and w2.requires_grad
         need_gp = flows or need_w1 or (taped and b1.requires_grad)
-        pre = _gemm(cur, w1.values)
-        pre += b1.values  # _gemm's result is a fresh array
-        deriv = np.empty_like(pre) if need_gp else None
-        _gabor_kernel(pre, omega0, s0, deriv)
-        vals = _gemm(pre, w2.values)
-        vals += b2.values
-        vals += cur
-        saved.append((deriv, cur if need_w1 else None, pre if need_w2 else None, flows))
+        k = w1.shape[1]
+        x_in = (x.values if i == 0 else np.empty((batch, n), dtype)) if need_w1 else None
+        saved.append((np.empty((batch, k), dtype) if need_gp else None, x_in,
+                      np.empty((batch, k), dtype) if need_w2 else None, flows))
         flows = need_gp or need_w2 or (taped and b2.requires_grad)
-        cur = vals
-        del pre, deriv, vals  # the next block's arrays replace these, not join them
+    # Block i writes its output where block i+1 reads its input: into the
+    # saved input when backward needs one, else alternately into ``out`` and
+    # ``scratch``, so that the last block lands in ``out`` and no block
+    # overwrites its own input. Untouched scratch costs no memory.
+    out = np.empty((batch, n), dtype)
+    scratch = np.empty((tile_rows, n), dtype)
+    pre_scratch = np.empty(tile_rows * k_max, dtype)
+    kernel_scratch = {d: _kernel_scratch(tile_rows, k_max, d, dtype)
+                      for d in {deriv is not None for deriv, _, _, _ in saved}}
+    last = len(blocks) - 1
+    dests = [saved[i + 1][1] if i < last and saved[i + 1][1] is not None
+             else (out if (last - i) % 2 == 0 else scratch) for i in range(len(blocks))]
+    for s in tiles:
+        cur = x.values[s]
+        m = cur.shape[0]
+        for (w1, b1, w2, b2), (deriv, _, psi, _), dest in zip(blocks, saved, dests):
+            k = w1.shape[1]
+            pre = _gemm(cur, w1.values, out=pre_scratch[:m * k].reshape(m, k)
+                        if psi is None else psi[s])
+            pre += b1.values
+            _gabor_kernel(pre, omega0, s0, None if deriv is None else deriv[s],
+                          kernel_scratch[deriv is not None])
+            vals = _gemm(pre, w2.values, out=scratch[:m] if dest is scratch else dest[s])
+            vals += b2.values
+            vals += cur
+            cur = vals
 
     def rule(g: np.ndarray) -> None:
-        # g is this rule's own array (see Tape.backward); each step drops it.
+        # g is this rule's own array (see Tape.backward): each block turns it
+        # into its input's gradient in place, tile by tile.
+        tiled = len(tiles) > 1
+        gp_scratch = np.empty(tile_rows * k_max, dtype)
+        gx_scratch = np.empty((tile_rows, n), dtype)
         for (w1, b1, w2, b2), (deriv, x_in, psi, flows_in) in zip(reversed(blocks),
                                                                   reversed(saved)):
             if psi is not None:
@@ -343,21 +392,31 @@ def gabor_trunk(x: Tensor, blocks: Sequence[tuple[Tensor, Tensor, Tensor, Tensor
                 _accumulate(b2, g.sum(axis=0), owned=True)
             if deriv is None:
                 return
-            gp = g @ w2.values.T
-            gp *= deriv
+            k = w1.shape[1]
+            if tiled:
+                w2_t, w1_t = np.ascontiguousarray(w2.values.T), np.ascontiguousarray(w1.values.T)
+                product = _gemm
+            else:
+                w2_t, w1_t, product = w2.values.T, w1.values.T, np.matmul
+            gp = np.empty((batch, k), dtype) if x_in is not None or b1.requires_grad else None
+            for s in tiles:
+                g_tile = g[s]
+                m = g_tile.shape[0]
+                gp_tile = product(g_tile, w2_t, out=gp_scratch[:m * k].reshape(m, k)
+                                  if gp is None else gp[s])
+                gp_tile *= deriv[s]
+                if flows_in:
+                    g_tile += product(gp_tile, w1_t, out=gx_scratch[:m])
             if x_in is not None:
                 _accumulate(w1, x_in.T @ gp, owned=True)
             if b1.requires_grad:
                 _accumulate(b1, gp.sum(axis=0), owned=True)
+            gp = gp_tile = None  # the next block's gp replaces this one, not joins it
             if not flows_in:
                 return
-            gx = gp @ w1.values.T
-            del gp
-            gx += g
-            g = gx
         _accumulate(x, g, owned=True)
 
-    return _make_output(cur, "gabor_trunk", (x, *(t for blk in blocks for t in blk)), rule)
+    return _make_output(out, "gabor_trunk", (x, *(t for blk in blocks for t in blk)), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +499,22 @@ def log(x: Tensor) -> Tensor:
     return _make_output(vals, "log", (x,), rule)
 
 
-def _gabor_kernel(v: np.ndarray, omega0: float, s0: float, deriv: np.ndarray | None) -> None:
+def _kernel_scratch(rows: int, width: int, with_deriv: bool, dtype) -> np.ndarray:
+    """``_gabor_kernel``'s scratch for arrays of up to [rows, width].
+
+    The kernel works in row blocks of this scratch's rows. They are sized
+    from the buffers the kernel keeps live, the block of ``v``, the
+    scratch and, with a derivative, the block of ``deriv`` (two buffers
+    without a derivative, five with), so that all of them fit
+    ``L2_BLOCK_BYTES`` together: 512 and 204 rows at width 128.
+    """
+    live = 5 if with_deriv else 2
+    block = max(1, min(block_rows(live * width), rows))
+    return np.empty((3 if with_deriv else 1, block, width), dtype)
+
+
+def _gabor_kernel(v: np.ndarray, omega0: float, s0: float, deriv: np.ndarray | None,
+                  scratch: np.ndarray) -> None:
     """Overwrite the [rows, width] array ``v`` with cos(omega0*v) * exp(-(s0*v)^2).
 
     Computed from a single transcendental besides the envelope's exp:
@@ -455,15 +529,14 @@ def _gabor_kernel(v: np.ndarray, omega0: float, s0: float, deriv: np.ndarray | N
     finite and both forms stay accurate to a few ulp.
 
     With ``deriv`` given, the derivative is written into it as well. The
-    work runs ``block_rows(width)`` rows at a time in ``out=`` buffers of
-    that size (three with ``deriv``, one without), so it stays in L2.
+    work runs in row blocks, in ``out=`` buffers taken from ``scratch``
+    (see ``_kernel_scratch``), which a caller allocates once for many
+    calls.
     """
-    rows = block_rows(v.shape[1])
-    scratch = np.empty((1 if deriv is None else 3, min(rows, v.shape[0]), v.shape[1]),
-                       dtype=v.dtype)
+    rows = scratch.shape[1]
     for lo in range(0, v.shape[0], rows):
         x = v[lo:lo + rows]
-        buf = scratch[:, :x.shape[0]]
+        buf = scratch[:, :x.shape[0], :x.shape[1]]
         t = np.multiply(x, 0.5 * omega0, out=buf[0])
         np.tan(t, out=t)
         if deriv is None:
@@ -508,7 +581,8 @@ def gabor(x: Tensor, omega0: float, s0: float) -> Tensor:
     # 0-d input stays an array rather than a numpy scalar.
     vals = x.values.copy()
     deriv = np.empty_like(vals) if taped else None
-    _gabor_kernel(vals.reshape(-1, 1), omega0, s0, None if deriv is None else deriv.reshape(-1, 1))
+    _gabor_kernel(vals.reshape(-1, 1), omega0, s0, None if deriv is None else deriv.reshape(-1, 1),
+                  _kernel_scratch(vals.size, 1, taped, vals.dtype))
     if not taped:
         return _make_output(vals, "gabor", (x,), None)
 

@@ -44,14 +44,14 @@ class InferConfig:
     points_per_step: int | None = None  # None = all observed points every step
 
     def __post_init__(self):
-        self.weights()  # rejects a negative lambda_h before any work starts
+        self.weights()  # rejects a negative or non-finite lambda_h before any work starts
         if self.max_steps < 0:
             raise ContractError("max_steps must be >= 0")
         steps = self.steps_to_run
         if not 0 <= steps <= self.max_steps:
             raise ContractError(f"selected_steps {steps} outside [0, {self.max_steps}]")
-        if self.lr_infer <= 0:
-            raise ContractError("lr_infer must be positive")
+        if not (np.isfinite(self.lr_infer) and self.lr_infer > 0):
+            raise ContractError("lr_infer must be finite and positive")
         if self.record_cadence < 1:
             raise ContractError("record_cadence must be >= 1")
         if self.points_per_step is not None and self.points_per_step < 1:
@@ -127,11 +127,13 @@ def evaluate_points(model: FieldModel, h, coords: np.ndarray, chunk: int | None 
 
     By default a chunk holds ``autodiff.block_rows(hidden_width)`` rows,
     so that one float64 activation fills ``autodiff.L2_BLOCK_BYTES``
-    (1 MiB: 1024 rows at width 128). Each trunk op then reads and writes
-    arrays that fit a core's L2 cache instead of streaming them from
-    memory. On a 2-vCPU AVX-512 Xeon with 2 MiB of L2 per core
-    65,536 points ran at 43-49k points/s in 1024-row chunks against
-    30-32k in 16384-row chunks; chunks of 256-2048 rows ran alike.
+    (1 MiB: 1024 rows at width 128). That is one trunk tile, so the trunk
+    runs each chunk as it comes, and the input layer and heads, which are
+    not tiled, also read and write arrays that fit a core's L2 cache
+    instead of streaming them from memory. On a 2-vCPU AVX-512 Xeon with
+    2 MiB of L2 per core 65,536 points ran at 43-49k points/s in 1024-row
+    chunks against 30-32k in 16384-row chunks, with a trunk that was not
+    yet tiled; chunks of 256-2048 rows ran alike.
     """
     if chunk is None:
         chunk = ad.block_rows(model.config.hidden_width)
@@ -207,8 +209,7 @@ def infer_latent(model: FieldModel, coords: np.ndarray, intensities: np.ndarray,
         else:
             step_coords, step_targets = coords, intensities
         with Tape() as tape:
-            _, intensity = model.forward(step_coords, h)
-            terms = inference_loss(intensity, step_targets, h, weights)
+            terms = inference_loss(model.intensity(step_coords, h), step_targets, h, weights)
             tape.backward(terms.total)
         adam.step()
         adam.reset_grads()

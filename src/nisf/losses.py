@@ -35,8 +35,10 @@ class LossWeights:
     lambda_h: float = 1e-4
 
     def __post_init__(self):
-        if self.alpha < 0 or self.lambda_theta_phi < 0 or self.lambda_h < 0:
-            raise ContractError("loss weights must be nonnegative")
+        # written so that NaN fails: every comparison with NaN is False
+        if not all(np.isfinite(w) and w >= 0
+                   for w in (self.alpha, self.lambda_theta_phi, self.lambda_h)):
+            raise ContractError("loss weights must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -204,5 +206,4 @@ def infer_loss(model, h: Tensor, coords, intensity_targets,
     trainable = [n for n in model.param_names() if model.params[n].requires_grad]
     if trainable:
         raise ContractError(f"infer_loss requires a frozen model; trainable: {trainable}")
-    _, intensity = model.forward(coords, h)
-    return inference_loss(intensity, intensity_targets, h, weights)
+    return inference_loss(model.intensity(coords, h), intensity_targets, h, weights)

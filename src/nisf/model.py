@@ -51,8 +51,8 @@ class ModelConfig:
             raise ContractError("num_res_layers must be >= 1")
         if self.hidden_width < 1:
             raise ContractError("hidden_width must be >= 1")
-        if self.gabor_omega0 <= 0 or self.gabor_s0 <= 0:
-            raise ContractError("wavelet frequency and spread must be positive")
+        if not all(np.isfinite(v) and v > 0 for v in (self.gabor_omega0, self.gabor_s0)):
+            raise ContractError("wavelet frequency and spread must be finite and positive")
 
     def to_dict(self) -> dict:
         return config_dict(self)
@@ -87,6 +87,8 @@ class FieldModel:
     and each head's layer and activation. The trunk entry keeps
     only what its backward reads, so a latent-only step holds one
     [B, hidden_width] array per residual block (its wavelet derivative).
+    ``intensity`` runs the same trunk under the intensity head alone, for
+    objectives that never read the segmentation head.
     """
 
     def __init__(self, config: ModelConfig, params: dict[str, Tensor]):
@@ -185,6 +187,18 @@ class FieldModel:
         conditions every row. Coordinates are expected in [0,1]^N; rows
         outside are evaluated anyway (extrapolation).
         """
+        p = self.params
+        x = self._trunk(coords, latent)
+        seg = ad.softmax(ad.linear(x, p["w_seg"], p["b_seg"]))
+        return FieldOutput(seg, self._intensity_head(x))
+
+    def intensity(self, coords, latent) -> Tensor:
+        """The intensity head alone, [B, 1]: ``forward(...).intensity``
+        with the same bits, value and gradients, without the segmentation
+        head's work."""
+        return self._intensity_head(self._trunk(coords, latent))
+
+    def _trunk(self, coords, latent) -> Tensor:
         cfg, p = self.config, self.params
         c = coords if isinstance(coords, Tensor) else Tensor(coords)
         h = latent if isinstance(latent, Tensor) else Tensor(latent)
@@ -195,10 +209,10 @@ class FieldModel:
         x = ad.latent_linear(c, h, p["w_in"], p["b_in"])
         blocks = [tuple(p[f"res{i}_{n}"] for n in ("w1", "b1", "w2", "b2"))
                   for i in range(cfg.num_res_layers)]
-        x = ad.gabor_trunk(x, blocks, cfg.gabor_omega0, cfg.gabor_s0)
-        seg = ad.softmax(ad.linear(x, p["w_seg"], p["b_seg"]))
-        intensity = ad.sigmoid(ad.linear(x, p["w_int"], p["b_int"]))
-        return FieldOutput(seg, intensity)
+        return ad.gabor_trunk(x, blocks, cfg.gabor_omega0, cfg.gabor_s0)
+
+    def _intensity_head(self, x: Tensor) -> Tensor:
+        return ad.sigmoid(ad.linear(x, self.params["w_int"], self.params["b_int"]))
 
     # -- persistence ---------------------------------------------------
 

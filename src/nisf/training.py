@@ -54,8 +54,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ContractError("epochs must be >= 1")
-        if self.lr_prior <= 0:
-            raise ContractError("lr_prior must be positive")
+        if not (np.isfinite(self.lr_prior) and self.lr_prior > 0):
+            raise ContractError("lr_prior must be finite and positive")
         for name in ("checkpoint_every", "log_every"):
             if getattr(self, name) < 0:
                 raise ContractError(f"{name} must be >= 0 (0 turns it off)")

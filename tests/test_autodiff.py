@@ -146,6 +146,24 @@ def test_gemm_single_column_rows_are_batch_invariant():
     assert np.array_equal(ad.linear(ad.Tensor(x[8:9]), w, b).values, full[8:9])
 
 
+def test_contiguous_transposed_products_are_batch_invariant():
+    # The tiled trunk backward multiplies by contiguous copies of w.T. Their
+    # rows are the same at every batch size, ragged tiles included, and equal
+    # the transposed view's product over the whole batch; the view's own rows
+    # change in small batches (OpenBLAS 0.3.31: below ten rows at width 128).
+    rng = np.random.default_rng(11)
+    g = rng.normal(size=(8195, 128))
+    w = rng.normal(scale=0.1, size=(128, 128))
+    w_t = np.ascontiguousarray(w.T)
+    full = ad._gemm(g, w_t)
+    assert np.array_equal(full, g @ w.T)
+    for rows in (1, 1023, 1024, 1025, 8195):
+        assert np.array_equal(ad._gemm(g[:rows], w_t), full[:rows]), rows
+        assert np.array_equal(ad._gemm(g[-rows:], w_t), full[-rows:]), rows
+    tiles = [ad._gemm(g[lo:lo + 1024], w_t) for lo in range(0, 8195, 1024)]
+    assert np.array_equal(np.concatenate(tiles), full)
+
+
 def test_gabor_matches_composed_definition():
     rng = np.random.default_rng(5)
     x = rng.normal(scale=0.2, size=(10, 3))
@@ -207,9 +225,15 @@ def test_latent_linear_matches_concat_formulation():
         ad.latent_linear(ad.Tensor(coords), ad.Tensor(h[:7]), ad.Tensor(w), ad.Tensor(b))
 
 
+# the trunk runs in tiles of block_rows(24) rows: two full ones and a ragged
+# one of 3 rows, whose backward products take BLAS's small-matrix path
+MULTI_TILE_ROWS = 2 * ad.block_rows(24) + 3
+
+
 def _trunk_arrays(rows, num_blocks, rng):
     # x [rows, 24] -> pre [rows, 128] -> out [rows, 24] per block: at width
-    # 128 a row block is 1024 rows, so 2500 rows end in a ragged block of 452
+    # 128 a wavelet row block is 204 rows with a derivative and 512 without,
+    # so 2500 rows end in a ragged block either way
     n, k = 24, 128
     arrays = [rng.normal(size=(rows, n))]
     for _ in range(num_blocks):
@@ -276,14 +300,14 @@ def _check_rejects_nan(arrays):
     arrays[0][3, 2] = 0.0
 
 
-@pytest.mark.parametrize("rows", [1, 53, 2500])
+@pytest.mark.parametrize("rows", [1, 53, 2500, MULTI_TILE_ROWS])
 @pytest.mark.parametrize("trainable", ["all", "x", "w2", "none"])
 def test_gabor_block_matches_composed_ops(rows, trainable):
     # a single residual block: the trunk op with one block
     _check_matches_composed(rows, trainable, 1)
 
 
-@pytest.mark.parametrize("rows", [1, 53, 2500])
+@pytest.mark.parametrize("rows", [1, 53, 2500, MULTI_TILE_ROWS])
 @pytest.mark.parametrize("trainable", ["all", "x", "w2", "none"])
 def test_gabor_trunk_matches_composed_ops(rows, trainable):
     for num_blocks in (3, 8):

@@ -382,15 +382,22 @@ def test_unknown_config_key_exits_1_naming_it(command, dataset, trained, tmp_pat
     assert not os.path.exists(out)
 
 
-def test_negative_lambda_h_exits_1_before_manifest(dataset, trained, tmp_path):
-    _, ckpt = trained
-    out = str(tmp_path / "neg")
+def _infer_rejects_lambda_h(dataset, ckpt, out, value):
     res = run_cli("infer", "--checkpoint", ckpt,
                   "--volume", os.path.join(dataset, "s0003.nvol"),
-                  "--out", out, "--lambda-h", "-1", "--quiet")
+                  "--out", out, "--lambda-h", value, "--quiet")
     assert res.returncode == 1, res.stderr
     assert "nonnegative" in res.stderr
     assert not os.path.exists(os.path.join(out, "run_manifest.json"))
+
+
+def test_negative_lambda_h_exits_1_before_manifest(dataset, trained, tmp_path):
+    _infer_rejects_lambda_h(dataset, trained[1], str(tmp_path / "neg"), "-1")
+
+
+def test_nan_lambda_h_exits_1_before_manifest(dataset, trained, tmp_path):
+    # float("nan") parses, and NaN passes every comparison-based range check
+    _infer_rejects_lambda_h(dataset, trained[1], str(tmp_path / "nan"), "nan")
 
 
 def test_negative_checkpoint_cadence_exits_1(dataset, tmp_path):

@@ -54,6 +54,11 @@ def test_infer_config_contracts():
         InferConfig(points_per_step=0)
     with pytest.raises(ContractError, match="nonnegative"):
         InferConfig(lambda_h=-1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ContractError, match="lr_infer"):
+            InferConfig(lr_infer=bad)
+        with pytest.raises(ContractError, match="finite"):
+            InferConfig(lambda_h=bad)
 
 
 def test_infer_weights_drop_training_terms():

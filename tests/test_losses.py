@@ -196,6 +196,10 @@ def test_loss_weights_validation():
         LossWeights(alpha=-1.0)
     with pytest.raises(ContractError):
         LossWeights(lambda_h=-1e-9)
+    for field in ("alpha", "lambda_theta_phi", "lambda_h"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ContractError, match="finite"):
+                LossWeights(**{field: bad})
 
 
 def test_report_csv_row_round_trips_float_repr():

@@ -102,6 +102,9 @@ def test_train_config_validation():
         _cfg(epochs=0)
     with pytest.raises(ContractError):
         _cfg(lr_prior=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ContractError, match="lr_prior"):
+            _cfg(lr_prior=bad)
 
 
 @pytest.mark.parametrize("field", ["checkpoint_every", "log_every"])
