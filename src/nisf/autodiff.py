@@ -5,23 +5,29 @@ Design notes:
 * numpy arrays are the storage; the tape and all backward rules are
   implemented here. New tensors are float64 (finite differences are
   unreliable in float32); a float32 array passed in is kept as is.
-* The op set is what the model and the losses run: layers ``linear``,
-  ``latent_linear`` and ``gabor_trunk``; elementwise ``add``, ``sub``,
-  ``mul``, ``div``, ``sigmoid``, ``log``, ``gabor`` and ``softmax``;
-  reductions ``reduce_sum``, ``reduce_mean`` and ``sum_squares``.
-  ``gabor`` is the composed reference that ``gabor_trunk`` is tested
-  against.
+* The op set is what the model and the losses run: layers ``linear``
+  and ``gabor_trunk``; elementwise ``add``, ``sub``, ``mul``, ``div``,
+  ``sigmoid``, ``log`` and ``softmax``; reductions ``reduce_sum``,
+  ``reduce_mean`` and ``sum_squares``. ``latent_linear`` and ``gabor``
+  are the composed references that ``gabor_trunk`` is tested against.
 * Broadcasting is deliberately restricted to scalar-with-tensor and
   equal-shape operands so every backward rule stays auditable. The only
   row-broadcasts are fused into layers: ``linear`` adds a row-vector
-  bias, ``latent_linear`` conditions every row of a coordinate batch
-  on one shared latent vector without ever tiling it, and ``gabor_trunk``
-  computes every residual block x + gabor(x @ w1 + b1) @ w2 + b2 of the
-  trunk as one entry that keeps only the arrays its backward reads.
-  ``sum_squares`` records a whole L2 prior over a list of tensors as one
-  entry.
-* ``Tape.backward`` detaches each entry's output gradient before calling
-  its rule, so the rule owns the only reference and may drop it early.
+  bias, and ``gabor_trunk`` conditions every row of a coordinate batch
+  on one shared latent vector without ever tiling it (the input layer,
+  ``latent_linear``), then computes every residual block
+  x + gabor(x @ w1 + b1) @ w2 + b2 of the trunk, all as one entry that
+  keeps only the arrays its backward reads. ``sum_squares`` records a
+  whole L2 prior over a list of tensors as one entry.
+* The tape holds, per entry, a gradient slot for the op's output and
+  the op's rule; no entry holds an output ``Tensor``. A rule holds its
+  inputs' slots and only the arrays it reads (``linear`` keeps x's
+  values only if w needs a gradient), so an intermediate's values are
+  freed as soon as its caller drops it and no rule reads them. Leaves
+  are their own slots and end a backward with their ``.grad``;
+  intermediates keep ``.grad is None``.
+* ``Tape.backward`` detaches each slot's gradient before calling its
+  rule, so the rule owns the only reference and may drop it early.
 * Every operation validates that its output is finite; a NaN/Inf raises
   ``NumericalError`` instead of propagating silently.
 * Gradient tracking happens only while a ``Tape`` is active. Evaluating
@@ -53,7 +59,7 @@ def active_tape() -> "Tape | None":
 class Tensor:
     """A dense n-dimensional real array with optional gradient tracking."""
 
-    __slots__ = ("values", "grad", "requires_grad", "name")
+    __slots__ = ("values", "grad", "requires_grad", "name", "_slot")
 
     def __init__(self, values, requires_grad: bool = False, name: str | None = None):
         arr = np.asarray(values)
@@ -63,6 +69,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self.name = name
+        self._slot: _Slot | None = None  # set on a taped op output (see _make_output)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -93,19 +100,35 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
 
 
+class _Slot:
+    """Where a taped op output's gradient gathers during a backward walk.
+
+    The tape and the rules of the ops that read the output hold this, not
+    the output ``Tensor``, so the output's values are freed as soon as
+    its caller drops it and no rule keeps them for its own backward.
+    """
+
+    __slots__ = ("grad", "dtype")
+
+    def __init__(self, dtype: np.dtype):
+        self.grad: np.ndarray | None = None
+        self.dtype = dtype
+
+
 class Tape:
     """Ordered record of executed operations with their backward rules.
 
     Entries are appended in execution order, so inputs of any op were
     recorded before the op itself; ``backward`` walks the record in
-    reverse. Repeated ``backward`` calls accumulate into leaf gradients
-    (clear with ``Tensor.reset_grad``). A tape is confined to one logical
+    reverse. Each entry is the output's gradient slot and its rule.
+    Repeated ``backward`` calls accumulate into leaf gradients (clear
+    with ``Tensor.reset_grad``). A tape is confined to one logical
     training context; it is not safe to share a recording tape between
     threads.
     """
 
     def __init__(self):
-        self._entries: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
+        self._entries: list[tuple[_Slot, Callable[[np.ndarray], None]]] = []
         self._prev: Tape | None = None
 
     def __len__(self) -> int:
@@ -123,7 +146,7 @@ class Tape:
         self._prev = None
 
     def record(self, output: Tensor, backward: Callable[[np.ndarray], None]) -> None:
-        self._entries.append((output, backward))
+        self._entries.append((output._slot, backward))
 
     def backward(self, loss: Tensor) -> None:
         """Populate gradients of every requires_grad leaf reachable from ``loss``."""
@@ -131,21 +154,18 @@ class Tape:
             raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
         if not self._entries:
             raise ContractError("backward on an empty tape")
-        # Intermediate grads are per-walk scratch; leaves accumulate across walks.
-        for out, _ in self._entries:
-            out.grad = None
-        loss.grad = np.ones_like(loss.values)
-        for out, rule in reversed(self._entries):
-            if out.grad is not None:
-                rule(_take_grad(out))
-
-
-def _take_grad(t: Tensor) -> np.ndarray:
-    # Complete once the walk reaches t (its consumers were recorded later,
-    # hence walked). Passed straight into the rule, it is the rule's only
-    # reference, so ``gabor_trunk`` frees it when it moves on to a block's input.
-    g, t.grad = t.grad, None
-    return g
+        # Slot grads are per-walk scratch; leaves accumulate across walks.
+        for slot, _ in self._entries:
+            slot.grad = None
+        (loss if loss._slot is None else loss._slot).grad = np.ones_like(loss.values)
+        for slot, rule in reversed(self._entries):
+            if slot.grad is not None:
+                # Complete once the walk reaches the slot (its readers were
+                # recorded later, hence walked). Passed straight into the
+                # rule, it is the rule's only reference, so the rule may
+                # rewrite it in place, as ``gabor_trunk`` does, or drop it.
+                g, slot.grad = slot.grad, None
+                rule(g)
 
 
 # ---------------------------------------------------------------------------
@@ -157,27 +177,44 @@ def _check_finite(vals: np.ndarray, op: str) -> None:
         raise NumericalError(f"op '{op}' produced non-finite values")
 
 
-def _make_output(vals: np.ndarray, op: str, inputs: Sequence[Tensor],
+def _grad_slot(t: "Tensor | None") -> "Tensor | _Slot | None":
+    """Where a rule adds ``t``'s gradient, or None if it needs none.
+
+    Only while a tape records: a leaf is its own slot, and an op output
+    has the slot its op recorded.
+    """
+    if t is None or _active_tape is None or not t.requires_grad:
+        return None
+    return t if t._slot is None else t._slot
+
+
+def _make_output(vals: np.ndarray, op: str, slots: Sequence["Tensor | _Slot | None"],
                  backward: Callable[[np.ndarray], None] | None) -> Tensor:
+    """Wrap ``vals``; record ``backward`` if any input has a gradient slot.
+
+    ``slots`` are the inputs' ``_grad_slot``s. A rule holds only these
+    slots and the arrays it reads, never an input or output ``Tensor``.
+    """
     _check_finite(vals, op)
-    needs = _active_tape is not None and any(t.requires_grad for t in inputs)
-    out = Tensor(vals, requires_grad=needs)
-    if needs:
+    out = Tensor(vals)
+    if any(s is not None for s in slots):
+        out.requires_grad = True
+        out._slot = _Slot(out.dtype)
         _active_tape.record(out, backward)
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
-    """Add ``g`` into ``t.grad``.
+def _accumulate(t: "Tensor | _Slot", g: np.ndarray, owned: bool = False) -> None:
+    """Add ``g`` into the gradient slot ``t`` (a leaf ``Tensor`` or a ``_Slot``).
 
     ``owned`` marks an array the rule has just allocated and shares with
     nothing else; a first gradient then takes it over instead of copying.
     """
     if t.grad is None:
-        if owned and g.dtype == t.values.dtype:
+        if owned and g.dtype == t.dtype:
             t.grad = g
         else:
-            t.grad = np.array(g, dtype=t.values.dtype, copy=True)
+            t.grad = np.array(g, dtype=t.dtype, copy=True)
     else:
         t.grad += g
 
@@ -221,6 +258,15 @@ def _gemm(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.nda
     return np.matmul(x, y, out=out)
 
 
+def _input_grad(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # g @ w.T through a contiguous copy of the transpose. With OpenBLAS 0.3.31
+    # (AVX-512) the rows of a product with the transposed view depend on the
+    # batch size in small batches: below 10 rows at [B,128]@[128,128], at
+    # one row at [B,4]@[4,128] and [B,16]@[16,16]. Through ``_gemm``, the
+    # copy's rows at these shapes and at [B,128]@[128,4] do not.
+    return _gemm(g, np.ascontiguousarray(w.T))
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Fused x @ w + b with a row-vector bias: one tape entry per layer."""
     if x.ndim != 2 or w.ndim != 2 or b.ndim != 1:
@@ -230,16 +276,59 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"linear extents disagree: {x.shape}, {w.shape}, {b.shape}")
     vals = _gemm(x.values, w.values)
     vals += b.values  # _gemm's result is a fresh array
+    sx, sw, sb = _grad_slot(x), _grad_slot(w), _grad_slot(b)
+    wv = w.values if sx is not None else None  # x's gradient reads w, w's reads x
+    xv = x.values if sw is not None else None
 
     def rule(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accumulate(x, g @ w.values.T, owned=True)
-        if w.requires_grad:
-            _accumulate(w, x.values.T @ g, owned=True)
-        if b.requires_grad:
-            _accumulate(b, g.sum(axis=0), owned=True)
+        if sx is not None:
+            _accumulate(sx, _input_grad(g, wv), owned=True)
+        if sw is not None:
+            _accumulate(sw, xv.T @ g, owned=True)
+        if sb is not None:
+            _accumulate(sb, g.sum(axis=0), owned=True)
 
-    return _make_output(vals, "linear", (x, w, b), rule)
+    return _make_output(vals, "linear", (sx, sw, sb), rule)
+
+
+def _check_latent_linear(coords: Tensor, h: Tensor, w: Tensor, b: Tensor, op: str) -> int:
+    """Validate ``latent_linear``'s operands; return the coordinate count k."""
+    if coords.ndim != 2 or h.ndim != 1 or w.ndim != 2 or b.ndim != 1:
+        raise DimensionError(f"{op} needs [B,k], [d], [k+d,n], [n], got "
+                             f"{coords.shape}, {h.shape}, {w.shape}, {b.shape}")
+    k = coords.shape[1]
+    if w.shape[0] != k + h.shape[0] or w.shape[1] != b.shape[0]:
+        raise DimensionError(f"{op} extents disagree: {coords.shape}, "
+                             f"{h.shape}, {w.shape}, {b.shape}")
+    return k
+
+
+def _latent_linear_rule(coords: Tensor, h: Tensor, w: Tensor, b: Tensor):
+    """(rule, slots): ``latent_linear``'s backward, which ``gabor_trunk`` ends with.
+
+    The rule sums the output gradient over rows once; ``h`` and ``b`` read
+    their gradients off that sum, ``w`` gets [coords.T @ g ; outer(h, sum)]
+    and ``coords`` gets g @ w_c.T. It keeps ``w`` only for the coordinate
+    or latent gradient, and ``coords`` and ``h`` only for ``w``'s.
+    """
+    k = coords.shape[1]
+    sc, sh, sw, sb = (_grad_slot(t) for t in (coords, h, w, b))
+    wv = w.values if sc is not None or sh is not None else None
+    cv, hv = (coords.values, h.values) if sw is not None else (None, None)
+    summed = sh is not None or sw is not None or sb is not None
+
+    def rule(g: np.ndarray) -> None:
+        g_sum = g.sum(axis=0) if summed else None
+        if sc is not None:
+            _accumulate(sc, _input_grad(g, wv[:k]), owned=True)
+        if sh is not None:
+            _accumulate(sh, wv[k:] @ g_sum, owned=True)
+        if sw is not None:
+            _accumulate(sw, np.concatenate([cv.T @ g, np.outer(hv, g_sum)]), owned=True)
+        if sb is not None:
+            _accumulate(sb, g_sum, owned=True)  # last reader of g_sum
+
+    return rule, (sc, sh, sw, sb)
 
 
 def latent_linear(coords: Tensor, h: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -251,33 +340,14 @@ def latent_linear(coords: Tensor, h: Tensor, w: Tensor, b: Tensor) -> Tensor:
     by ``np.einsum`` (numpy's own loop, not BLAS), which accumulates each
     element's k products in order: each output row is a fixed sequence
     over its own coordinates, bit-identical at any batch size or
-    composition. Backward sums the output gradient over rows once; ``h``
-    and ``b`` read their gradients off that sum, and ``w`` gets
-    [coords.T @ g ; outer(h, sum)].
+    composition. ``gabor_trunk`` runs this layer inside its tiles; this op
+    is the composed reference it is tested against.
     """
-    if coords.ndim != 2 or h.ndim != 1 or w.ndim != 2 or b.ndim != 1:
-        raise DimensionError(f"latent_linear needs [B,k], [d], [k+d,n], [n], got "
-                             f"{coords.shape}, {h.shape}, {w.shape}, {b.shape}")
-    k = coords.shape[1]
-    if w.shape[0] != k + h.shape[0] or w.shape[1] != b.shape[0]:
-        raise DimensionError(f"latent_linear extents disagree: {coords.shape}, "
-                             f"{h.shape}, {w.shape}, {b.shape}")
-    cv, hv, w_c, w_h = coords.values, h.values, w.values[:k], w.values[k:]
-    vals = np.einsum("bk,kn->bn", cv, w_c)
-    vals += hv @ w_h + b.values
-
-    def rule(g: np.ndarray) -> None:
-        g_sum = g.sum(axis=0)
-        if coords.requires_grad:
-            _accumulate(coords, g @ w_c.T, owned=True)
-        if h.requires_grad:
-            _accumulate(h, w_h @ g_sum, owned=True)
-        if w.requires_grad:
-            _accumulate(w, np.concatenate([cv.T @ g, np.outer(hv, g_sum)]), owned=True)
-        if b.requires_grad:
-            _accumulate(b, g_sum, owned=True)  # last reader of g_sum
-
-    return _make_output(vals, "latent_linear", (coords, h, w, b), rule)
+    k = _check_latent_linear(coords, h, w, b, "latent_linear")
+    vals = np.einsum("bk,kn->bn", coords.values, w.values[:k])
+    vals += h.values @ w.values[k:] + b.values
+    rule, slots = _latent_linear_rule(coords, h, w, b)
+    return _make_output(vals, "latent_linear", slots, rule)
 
 
 def block_rows(width: int) -> int:
@@ -290,83 +360,99 @@ def block_rows(width: int) -> int:
     return max(1, L2_BLOCK_BYTES // (8 * width))
 
 
-def gabor_trunk(x: Tensor, blocks: Sequence[tuple[Tensor, Tensor, Tensor, Tensor]],
+def gabor_trunk(coords: Tensor, h: Tensor, w_in: Tensor, b_in: Tensor,
+                blocks: Sequence[tuple[Tensor, Tensor, Tensor, Tensor]],
                 omega0: float, s0: float) -> Tensor:
-    """The residual Gabor trunk as one tape entry, run tile-major.
+    """The input layer and the residual Gabor trunk as one tape entry, run tile-major.
 
-    Each ``(w1, b1, w2, b2)`` in ``blocks`` maps x to
+    The input layer is ``latent_linear(coords, h, w_in, b_in)``. Each
+    ``(w1, b1, w2, b2)`` in ``blocks`` then maps x to
     x + gabor(x @ w1 + b1) @ w2 + b2, and the blocks run in order. The
     batch runs in tiles of ``block_rows(width)`` rows, and each tile goes
-    through every block before the next starts, so its arrays stay in L2
-    instead of streaming from memory. Both products go through ``_gemm``
-    and the wavelet runs in place over the pre-activation (see
-    ``_gabor_kernel``). The finite check runs once, on the trunk output
-    (a non-finite value cannot vanish through the skip path).
+    through the input layer and every block before the next starts, so
+    its arrays stay in L2 instead of streaming from memory. A tile's
+    input rows are its coordinate einsum plus the latent row
+    h @ w_h + b_in, computed once per call. Both block products go
+    through ``_gemm`` and the wavelet runs in place over the
+    pre-activation (see ``_gabor_kernel``). The finite check runs once, on
+    the trunk output (a non-finite value cannot vanish through the skip
+    path).
 
     Backward keeps, per block, only what it reads: the derivative while a
     gradient flows into the block's input or its ``w1``/``b1`` needs one,
     the block input only if ``w1`` does, and the wavelet values only if
-    ``w2`` does. A latent-only step therefore holds one array per block.
-    These saved arrays span the whole batch and each tile writes its rows
-    into them in place; everything else is per-tile scratch.
+    ``w2`` does. A latent-only step therefore holds one array per block
+    and no other batch-sized array; the input layer's rows span the whole
+    batch only when block 0's ``w1`` needs them, as in training. These
+    saved arrays span the whole batch and each tile writes its rows into
+    them in place; everything else is per-tile scratch.
 
     The backward is one reverse loop over the blocks. Each block runs its
     row-local chain (g @ w2.T, times the derivative, @ w1.T, plus g) tile
-    by tile, and its weight and bias gradients as sums over the whole
-    batch. Every elementwise step and every sum runs in the order of
+    by tile, multiplying by contiguous copies of the transposed weights
+    (see ``_input_grad``), and its weight and bias gradients as sums over
+    the whole batch. It ends with ``latent_linear``'s rule on the input
+    layer's full-batch gradient. Every elementwise step and every sum runs
+    in the order of ``latent_linear`` followed by
     ``add(x, linear(gabor(linear(x, w1, b1)), w2, b2))`` chained over the
     blocks, so values and gradients are bit-identical to that composition
     wherever the products' rows do not depend on the batch (see
-    ``_gemm``). A batch of one tile multiplies by the transposed weight
-    views, as ``linear``'s rule does; a tiled batch multiplies by
-    contiguous copies, whose rows are the same at any tile size, while the
-    views' rows change in small ragged tiles (OpenBLAS 0.3.31, AVX-512).
+    ``_gemm``).
     """
+    k_in = _check_latent_linear(coords, h, w_in, b_in, "gabor_trunk")
     if not blocks:
         raise ContractError("gabor_trunk needs at least one block")
-    if x.ndim != 2:
-        raise DimensionError(f"gabor_trunk needs a [B,n] input, got {x.shape}")
-    n = x.shape[1]
+    n = w_in.shape[1]
     for w1, b1, w2, b2 in blocks:
         if w1.ndim != 2 or b1.ndim != 1 or w2.ndim != 2 or b2.ndim != 1:
             raise DimensionError(f"gabor_trunk blocks need [n,k], [k], [k,n], [n], got "
                                  f"{w1.shape}, {b1.shape}, {w2.shape}, {b2.shape}")
         k = w1.shape[1]
         if w1.shape[0] != n or b1.shape[0] != k or w2.shape != (k, n) or b2.shape[0] != n:
-            raise DimensionError(f"gabor_trunk extents disagree: {x.shape}, {w1.shape}, "
+            raise DimensionError(f"gabor_trunk extents disagree: {w_in.shape}, {w1.shape}, "
                                  f"{b1.shape}, {w2.shape}, {b2.shape}")
-    batch, rows = x.shape[0], block_rows(n)
+    batch, rows = coords.shape[0], block_rows(n)
     tiles = [slice(lo, lo + rows) for lo in range(0, batch, rows)]
     tile_rows = min(rows, batch)
     k_max = max(w1.shape[1] for w1, _, _, _ in blocks)
-    dtype = np.result_type(x.values, *(t.values for blk in blocks for t in blk))
-    taped = _active_tape is not None
-    flows = taped and x.requires_grad  # a gradient reaches the current block's input
-    saved = []  # per block: (derivative, block input, wavelet values, flows into input)
-    for i, (w1, b1, w2, b2) in enumerate(blocks):
-        need_w1, need_w2 = taped and w1.requires_grad, taped and w2.requires_grad
-        need_gp = flows or need_w1 or (taped and b1.requires_grad)
+    dtype = np.result_type(coords.values, h.values, w_in.values, b_in.values,
+                           *(t.values for blk in blocks for t in blk))
+    input_rule, input_slots = _latent_linear_rule(coords, h, w_in, b_in)
+    flows = any(s is not None for s in input_slots)  # a gradient reaches the block's input
+    # per block: (w1, w2, their and the biases' slots, derivative, block input,
+    # wavelet values, flows into input)
+    saved = []
+    for w1, b1, w2, b2 in blocks:
+        sw1, sb1, sw2, sb2 = slots = tuple(_grad_slot(t) for t in (w1, b1, w2, b2))
+        need_gp = flows or sw1 is not None or sb1 is not None
         k = w1.shape[1]
-        x_in = (x.values if i == 0 else np.empty((batch, n), dtype)) if need_w1 else None
-        saved.append((np.empty((batch, k), dtype) if need_gp else None, x_in,
-                      np.empty((batch, k), dtype) if need_w2 else None, flows))
-        flows = need_gp or need_w2 or (taped and b2.requires_grad)
-    # Block i writes its output where block i+1 reads its input: into the
-    # saved input when backward needs one, else alternately into ``out`` and
-    # ``scratch``, so that the last block lands in ``out`` and no block
+        saved.append((w1.values, w2.values, slots,
+                      np.empty((batch, k), dtype) if need_gp else None,
+                      np.empty((batch, n), dtype) if sw1 is not None else None,
+                      np.empty((batch, k), dtype) if sw2 is not None else None, flows))
+        flows = need_gp or sw2 is not None or sb2 is not None
+    # Layer j (the input layer is j = 0, block i is j = i + 1) writes its
+    # output where layer j+1 reads its input: into the saved block input
+    # when backward needs one, else alternately into ``out`` and
+    # ``scratch``, so that the last block lands in ``out`` and no layer
     # overwrites its own input. Untouched scratch costs no memory.
     out = np.empty((batch, n), dtype)
     scratch = np.empty((tile_rows, n), dtype)
     pre_scratch = np.empty(tile_rows * k_max, dtype)
     kernel_scratch = {d: _kernel_scratch(tile_rows, k_max, d, dtype)
-                      for d in {deriv is not None for deriv, _, _, _ in saved}}
-    last = len(blocks) - 1
-    dests = [saved[i + 1][1] if i < last and saved[i + 1][1] is not None
-             else (out if (last - i) % 2 == 0 else scratch) for i in range(len(blocks))]
+                      for d in {sv[3] is not None for sv in saved}}
+    layers = len(blocks) + 1
+    dests = [saved[j][4] if j < len(blocks) and saved[j][4] is not None
+             else (out if (layers - 1 - j) % 2 == 0 else scratch) for j in range(layers)]
+    w_c = w_in.values[:k_in]
+    latent_row = h.values @ w_in.values[k_in:] + b_in.values
     for s in tiles:
-        cur = x.values[s]
-        m = cur.shape[0]
-        for (w1, b1, w2, b2), (deriv, _, psi, _), dest in zip(blocks, saved, dests):
+        c_tile = coords.values[s]
+        m = c_tile.shape[0]
+        cur = np.einsum("bk,kn->bn", c_tile, w_c,
+                        out=scratch[:m] if dests[0] is scratch else dests[0][s])
+        cur += latent_row
+        for (w1, b1, w2, b2), (_, _, _, deriv, _, psi, _), dest in zip(blocks, saved, dests[1:]):
             k = w1.shape[1]
             pre = _gemm(cur, w1.values, out=pre_scratch[:m * k].reshape(m, k)
                         if psi is None else psi[s])
@@ -381,42 +467,38 @@ def gabor_trunk(x: Tensor, blocks: Sequence[tuple[Tensor, Tensor, Tensor, Tensor
     def rule(g: np.ndarray) -> None:
         # g is this rule's own array (see Tape.backward): each block turns it
         # into its input's gradient in place, tile by tile.
-        tiled = len(tiles) > 1
         gp_scratch = np.empty(tile_rows * k_max, dtype)
         gx_scratch = np.empty((tile_rows, n), dtype)
-        for (w1, b1, w2, b2), (deriv, x_in, psi, flows_in) in zip(reversed(blocks),
-                                                                  reversed(saved)):
+        for w1v, w2v, (sw1, sb1, sw2, sb2), deriv, x_in, psi, flows_in in reversed(saved):
             if psi is not None:
-                _accumulate(w2, psi.T @ g, owned=True)
-            if b2.requires_grad:
-                _accumulate(b2, g.sum(axis=0), owned=True)
+                _accumulate(sw2, psi.T @ g, owned=True)
+            if sb2 is not None:
+                _accumulate(sb2, g.sum(axis=0), owned=True)
             if deriv is None:
                 return
-            k = w1.shape[1]
-            if tiled:
-                w2_t, w1_t = np.ascontiguousarray(w2.values.T), np.ascontiguousarray(w1.values.T)
-                product = _gemm
-            else:
-                w2_t, w1_t, product = w2.values.T, w1.values.T, np.matmul
-            gp = np.empty((batch, k), dtype) if x_in is not None or b1.requires_grad else None
+            k = w1v.shape[1]
+            w2_t = np.ascontiguousarray(w2v.T)
+            w1_t = np.ascontiguousarray(w1v.T) if flows_in else None
+            gp = np.empty((batch, k), dtype) if x_in is not None or sb1 is not None else None
             for s in tiles:
                 g_tile = g[s]
                 m = g_tile.shape[0]
-                gp_tile = product(g_tile, w2_t, out=gp_scratch[:m * k].reshape(m, k)
-                                  if gp is None else gp[s])
+                gp_tile = _gemm(g_tile, w2_t, out=gp_scratch[:m * k].reshape(m, k)
+                                if gp is None else gp[s])
                 gp_tile *= deriv[s]
                 if flows_in:
-                    g_tile += product(gp_tile, w1_t, out=gx_scratch[:m])
+                    g_tile += _gemm(gp_tile, w1_t, out=gx_scratch[:m])
             if x_in is not None:
-                _accumulate(w1, x_in.T @ gp, owned=True)
-            if b1.requires_grad:
-                _accumulate(b1, gp.sum(axis=0), owned=True)
+                _accumulate(sw1, x_in.T @ gp, owned=True)
+            if sb1 is not None:
+                _accumulate(sb1, gp.sum(axis=0), owned=True)
             gp = gp_tile = None  # the next block's gp replaces this one, not joins it
             if not flows_in:
                 return
-        _accumulate(x, g, owned=True)
+        input_rule(g)
 
-    return _make_output(out, "gabor_trunk", (x, *(t for blk in blocks for t in blk)), rule)
+    return _make_output(out, "gabor_trunk", (*input_slots, *(t for sv in saved for t in sv[2])),
+                        rule)
 
 
 # ---------------------------------------------------------------------------
@@ -426,77 +508,85 @@ def gabor_trunk(x: Tensor, blocks: Sequence[tuple[Tensor, Tensor, Tensor, Tensor
 def add(a, b) -> Tensor:
     ta, tb, va, vb = _as_operands(a, b, "add")
     vals = va + vb
+    sa, sb = _grad_slot(ta), _grad_slot(tb)
 
     def rule(g: np.ndarray) -> None:
-        if ta is not None and ta.requires_grad:
-            _accumulate(ta, g)
-        if tb is not None and tb.requires_grad:
-            _accumulate(tb, g)
+        if sa is not None:
+            _accumulate(sa, g)
+        if sb is not None:
+            _accumulate(sb, g)
 
-    return _make_output(vals, "add", [t for t in (ta, tb) if t is not None], rule)
+    return _make_output(vals, "add", (sa, sb), rule)
 
 
 def sub(a, b) -> Tensor:
     ta, tb, va, vb = _as_operands(a, b, "sub")
     vals = va - vb
+    sa, sb = _grad_slot(ta), _grad_slot(tb)
 
     def rule(g: np.ndarray) -> None:
-        if ta is not None and ta.requires_grad:
-            _accumulate(ta, g)
-        if tb is not None and tb.requires_grad:
-            _accumulate(tb, -g)
+        if sa is not None:
+            _accumulate(sa, g)
+        if sb is not None:
+            _accumulate(sb, -g)
 
-    return _make_output(vals, "sub", [t for t in (ta, tb) if t is not None], rule)
+    return _make_output(vals, "sub", (sa, sb), rule)
 
 
 def mul(a, b) -> Tensor:
     ta, tb, va, vb = _as_operands(a, b, "mul")
     vals = va * vb
+    sa, sb = _grad_slot(ta), _grad_slot(tb)
+    a_read = va if sb is not None else None  # b's gradient reads a, a's reads b
+    b_read = vb if sa is not None else None
 
     def rule(g: np.ndarray) -> None:
-        if ta is not None and ta.requires_grad:
-            _accumulate(ta, g * vb)
-        if tb is not None and tb.requires_grad:
-            _accumulate(tb, g * va)
+        if sa is not None:
+            _accumulate(sa, g * b_read)
+        if sb is not None:
+            _accumulate(sb, g * a_read)
 
-    return _make_output(vals, "mul", [t for t in (ta, tb) if t is not None], rule)
+    return _make_output(vals, "mul", (sa, sb), rule)
 
 
 def div(a, b) -> Tensor:
     ta, tb, va, vb = _as_operands(a, b, "div")
     vals = va / vb
+    sa, sb = _grad_slot(ta), _grad_slot(tb)
+    a_read = va if sb is not None else None
 
     def rule(g: np.ndarray) -> None:
-        if ta is not None and ta.requires_grad:
-            _accumulate(ta, g / vb)
-        if tb is not None and tb.requires_grad:
-            _accumulate(tb, -g * va / (vb * vb))
+        if sa is not None:
+            _accumulate(sa, g / vb)
+        if sb is not None:
+            _accumulate(sb, -g * a_read / (vb * vb))
 
-    return _make_output(vals, "div", [t for t in (ta, tb) if t is not None], rule)
+    return _make_output(vals, "div", (sa, sb), rule)
 
 
 def sigmoid(x: Tensor) -> Tensor:
     # exp(-|x|) never overflows; both branches share it.
     z = np.exp(-np.abs(x.values))
     vals = np.where(x.values >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    sx = _grad_slot(x)
 
     def rule(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accumulate(x, g * vals * (1.0 - vals))
+        _accumulate(sx, g * vals * (1.0 - vals))
 
-    return _make_output(vals, "sigmoid", (x,), rule)
+    return _make_output(vals, "sigmoid", (sx,), rule)
 
 
 def log(x: Tensor) -> Tensor:
     """Natural log of max(x, LOG_EPS); gradient is zero on the clamped region."""
     clamped = np.maximum(x.values, LOG_EPS)
     vals = np.log(clamped)
+    sx = _grad_slot(x)
+    live = x.values >= LOG_EPS if sx is not None else None
 
     def rule(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accumulate(x, np.where(x.values >= LOG_EPS, g / clamped, 0.0))
+        _accumulate(sx, np.where(live, g / clamped, 0.0))
 
-    return _make_output(vals, "log", (x,), rule)
+    return _make_output(vals, "log", (sx,), rule)
 
 
 def _kernel_scratch(rows: int, width: int, with_deriv: bool, dtype) -> np.ndarray:
@@ -576,7 +666,8 @@ def gabor(x: Tensor, omega0: float, s0: float) -> Tensor:
     The derivative factor is computed, and kept for backward, only while
     a tape records ``x``, so frozen forwards hold none.
     """
-    taped = _active_tape is not None and x.requires_grad
+    sx = _grad_slot(x)
+    taped = sx is not None
     # A C-ordered copy, so the kernel can work on a [size, 1] view of it; a
     # 0-d input stays an array rather than a numpy scalar.
     vals = x.values.copy()
@@ -584,12 +675,12 @@ def gabor(x: Tensor, omega0: float, s0: float) -> Tensor:
     _gabor_kernel(vals.reshape(-1, 1), omega0, s0, None if deriv is None else deriv.reshape(-1, 1),
                   _kernel_scratch(vals.size, 1, taped, vals.dtype))
     if not taped:
-        return _make_output(vals, "gabor", (x,), None)
+        return _make_output(vals, "gabor", (), None)
 
     def rule(g: np.ndarray) -> None:
-        _accumulate(x, g * deriv, owned=True)
+        _accumulate(sx, g * deriv, owned=True)
 
-    return _make_output(vals, "gabor", (x,), rule)
+    return _make_output(vals, "gabor", (sx,), rule)
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -599,13 +690,13 @@ def softmax(x: Tensor) -> Tensor:
     shifted = x.values - x.values.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     vals = e / e.sum(axis=-1, keepdims=True)
+    sx = _grad_slot(x)
 
     def rule(g: np.ndarray) -> None:
-        if x.requires_grad:
-            inner = (g * vals).sum(axis=-1, keepdims=True)
-            _accumulate(x, vals * (g - inner))
+        inner = (g * vals).sum(axis=-1, keepdims=True)
+        _accumulate(sx, vals * (g - inner))
 
-    return _make_output(vals, "softmax", (x,), rule)
+    return _make_output(vals, "softmax", (sx,), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -614,16 +705,15 @@ def softmax(x: Tensor) -> Tensor:
 
 def reduce_sum(x: Tensor, axis: int | None = None) -> Tensor:
     vals = np.asarray(x.values.sum(axis=axis))
+    sx, shape = _grad_slot(x), x.shape
 
     def rule(g: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
         if axis is None:
-            _accumulate(x, np.broadcast_to(g, x.shape))
+            _accumulate(sx, np.broadcast_to(g, shape))
         else:
-            _accumulate(x, np.broadcast_to(np.expand_dims(g, axis), x.shape))
+            _accumulate(sx, np.broadcast_to(np.expand_dims(g, axis), shape))
 
-    return _make_output(vals, "sum", (x,), rule)
+    return _make_output(vals, "sum", (sx,), rule)
 
 
 def reduce_mean(x: Tensor, axis: int | None = None) -> Tensor:
@@ -631,17 +721,16 @@ def reduce_mean(x: Tensor, axis: int | None = None) -> Tensor:
     if n == 0:
         raise DimensionError("mean over an empty axis")
     vals = np.asarray(x.values.mean(axis=axis))
+    sx, shape = _grad_slot(x), x.shape
 
     def rule(g: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
         scaled = g / n
         if axis is None:
-            _accumulate(x, np.broadcast_to(scaled, x.shape))
+            _accumulate(sx, np.broadcast_to(scaled, shape))
         else:
-            _accumulate(x, np.broadcast_to(np.expand_dims(scaled, axis), x.shape))
+            _accumulate(sx, np.broadcast_to(np.expand_dims(scaled, axis), shape))
 
-    return _make_output(vals, "mean", (x,), rule)
+    return _make_output(vals, "mean", (sx,), rule)
 
 
 def sum_squares(tensors: Sequence[Tensor]) -> Tensor:
@@ -653,11 +742,11 @@ def sum_squares(tensors: Sequence[Tensor]) -> Tensor:
     if not tensors:
         raise ContractError("sum_squares needs at least one tensor")
     vals = np.asarray(sum(np.square(t.values).sum() for t in tensors))
+    kept = [(slot, t.values) for t in tensors if (slot := _grad_slot(t)) is not None]
 
     def rule(g: np.ndarray) -> None:
         g2 = 2.0 * g
-        for t in tensors:
-            if t.requires_grad:
-                _accumulate(t, g2 * t.values, owned=True)
+        for slot, v in kept:
+            _accumulate(slot, g2 * v, owned=True)
 
-    return _make_output(vals, "sum_squares", tensors, rule)
+    return _make_output(vals, "sum_squares", [slot for slot, _ in kept], rule)

@@ -112,9 +112,28 @@ class InferenceTrace:
         return rows
 
 
-def evaluate_points(model: FieldModel, h, coords: np.ndarray, chunk: int | None = None
+def _in_chunks(head, model: FieldModel, h, coords: np.ndarray) -> list:
+    """``head(chunk, h)`` of a frozen ``h`` over consecutive chunks of ``coords``.
+
+    A chunk holds ``autodiff.block_rows(hidden_width)`` rows, so that one
+    float64 activation fills ``autodiff.L2_BLOCK_BYTES`` (1 MiB: 1024 rows
+    at width 128). That is one trunk tile, so the trunk runs each chunk as
+    it comes, and the heads, which are not tiled, also read and write
+    arrays that fit a core's L2 cache instead of streaming them from
+    memory. On a 2-vCPU AVX-512 Xeon with 2 MiB of L2 per core 65,536
+    points ran at 43-49k points/s in 1024-row chunks against 30-32k in
+    16384-row chunks, with a trunk that was not yet tiled; chunks of
+    256-2048 rows ran alike.
+    """
+    chunk = ad.block_rows(model.config.hidden_width)
+    coords = np.asarray(coords, dtype=np.float64)
+    h_t = Tensor(h.values if isinstance(h, Tensor) else np.asarray(h))
+    return [head(coords[lo:lo + chunk], h_t) for lo in range(0, coords.shape[0], chunk)]
+
+
+def evaluate_points(model: FieldModel, h, coords: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Frozen forward over arbitrarily many points.
+    """Frozen forward over arbitrarily many points, in chunks (see ``_in_chunks``).
 
     Returns (labels [B], seg_probs [B,M], intensity [B]). The forward
     pass is point-wise independent, so chunking changes no value wherever
@@ -124,29 +143,10 @@ def evaluate_points(model: FieldModel, h, coords: np.ndarray, chunk: int | None 
     (the default is 128) and at widths up to 12, but not at widths 20,
     36, 50 or 100: there the trunk's [B, w] @ [w, w] rows depend on the
     batch size.
-
-    By default a chunk holds ``autodiff.block_rows(hidden_width)`` rows,
-    so that one float64 activation fills ``autodiff.L2_BLOCK_BYTES``
-    (1 MiB: 1024 rows at width 128). That is one trunk tile, so the trunk
-    runs each chunk as it comes, and the input layer and heads, which are
-    not tiled, also read and write arrays that fit a core's L2 cache
-    instead of streaming them from memory. On a 2-vCPU AVX-512 Xeon with
-    2 MiB of L2 per core 65,536 points ran at 43-49k points/s in 1024-row
-    chunks against 30-32k in 16384-row chunks, with a trunk that was not
-    yet tiled; chunks of 256-2048 rows ran alike.
     """
-    if chunk is None:
-        chunk = ad.block_rows(model.config.hidden_width)
-    coords = np.asarray(coords, dtype=np.float64)
-    h_arr = h.values if isinstance(h, Tensor) else np.asarray(h)
-    h_t = Tensor(h_arr)
-    probs_parts, int_parts = [], []
-    for lo in range(0, coords.shape[0], chunk):
-        probs, intensity = model.forward(coords[lo:lo + chunk], h_t)
-        probs_parts.append(probs.values)
-        int_parts.append(intensity.values[:, 0])
-    probs = np.concatenate(probs_parts, axis=0)
-    intensity = np.concatenate(int_parts, axis=0)
+    outs = _in_chunks(model.forward, model, h, coords)
+    probs = np.concatenate([out.seg_probs.values for out in outs], axis=0)
+    intensity = np.concatenate([out.intensity.values[:, 0] for out in outs], axis=0)
     return np.argmax(probs, axis=1).astype(np.uint8), probs, intensity
 
 
@@ -189,7 +189,9 @@ def infer_latent(model: FieldModel, coords: np.ndarray, intensities: np.ndarray,
     trace = InferenceTrace()
 
     def record(step: int) -> None:
-        _, probs, inten = evaluate_points(model, h, coords)
+        # the reconstruction reads the intensity head alone, in evaluate_points' chunks
+        chunks = _in_chunks(model.intensity, model, h, coords)
+        inten = np.concatenate([t.values[:, 0] for t in chunks])
         recon = bce(Tensor(inten), intensities[:, 0]).item()
         norm = float(np.sqrt(np.sum(h.values * h.values)))
         dice_vals = None

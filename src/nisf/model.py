@@ -82,13 +82,14 @@ class FieldModel:
     """Parameter container + forward pass. Parameters live in a dict keyed
     by canonical names; ``param_names`` fixes the serialization order.
 
-    A taped forward records six entries: the input layer
-    (``latent_linear``), the whole residual trunk (``ad.gabor_trunk``),
-    and each head's layer and activation. The trunk entry keeps
-    only what its backward reads, so a latent-only step holds one
-    [B, hidden_width] array per residual block (its wavelet derivative).
-    ``intensity`` runs the same trunk under the intensity head alone, for
-    objectives that never read the segmentation head.
+    A taped forward records five entries: the input layer and the whole
+    residual trunk as one (``ad.gabor_trunk``), and each head's layer and
+    activation. The trunk entry keeps only what its backward reads, and
+    the tape keeps no layer's output, so a latent-only step holds one
+    [B, hidden_width] array per residual block (its wavelet derivative)
+    and no other batch-sized array. ``intensity`` runs the same trunk
+    under the intensity head alone, for objectives that never read the
+    segmentation head.
     """
 
     def __init__(self, config: ModelConfig, params: dict[str, Tensor]):
@@ -206,10 +207,10 @@ class FieldModel:
             raise DimensionError(f"coords must be [B,{cfg.coord_dim}], got {c.shape}")
         if h.shape != (cfg.latent_dim,):
             raise DimensionError(f"latent must be [{cfg.latent_dim}], got {h.shape}")
-        x = ad.latent_linear(c, h, p["w_in"], p["b_in"])
         blocks = [tuple(p[f"res{i}_{n}"] for n in ("w1", "b1", "w2", "b2"))
                   for i in range(cfg.num_res_layers)]
-        return ad.gabor_trunk(x, blocks, cfg.gabor_omega0, cfg.gabor_s0)
+        return ad.gabor_trunk(c, h, p["w_in"], p["b_in"], blocks, cfg.gabor_omega0,
+                              cfg.gabor_s0)
 
     def _intensity_head(self, x: Tensor) -> Tensor:
         return ad.sigmoid(ad.linear(x, self.params["w_int"], self.params["b_int"]))

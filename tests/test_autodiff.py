@@ -146,10 +146,14 @@ def test_gemm_single_column_rows_are_batch_invariant():
     assert np.array_equal(ad.linear(ad.Tensor(x[8:9]), w, b).values, full[8:9])
 
 
+# input-gradient rows are compared at these batch sizes against a larger batch
+SMALL_AND_TILE_EDGE_ROWS = [*range(1, 130), 1023, 1024, 1025]
+
+
 def test_contiguous_transposed_products_are_batch_invariant():
-    # The tiled trunk backward multiplies by contiguous copies of w.T. Their
-    # rows are the same at every batch size, ragged tiles included, and equal
-    # the transposed view's product over the whole batch; the view's own rows
+    # Input gradients multiply by contiguous copies of w.T. Their rows are the
+    # same at every batch size, ragged tiles included, and equal the
+    # transposed view's product over the whole batch; the view's own rows
     # change in small batches (OpenBLAS 0.3.31: below ten rows at width 128).
     rng = np.random.default_rng(11)
     g = rng.normal(size=(8195, 128))
@@ -162,6 +166,58 @@ def test_contiguous_transposed_products_are_batch_invariant():
         assert np.array_equal(ad._gemm(g[-rows:], w_t), full[-rows:]), rows
     tiles = [ad._gemm(g[lo:lo + 1024], w_t) for lo in range(0, 8195, 1024)]
     assert np.array_equal(np.concatenate(tiles), full)
+    # so the input gradients of linear and of the trunk, which multiply by
+    # such copies, have the same rows at every batch size
+    for n in (128, 4, 1):
+        _check_linear_input_gradient_rows(n)
+    _check_trunk_input_gradient_rows()
+
+
+def _input_grad_rows(op, arrays, coef, rows):
+    # the gradient of sum(op(...) * coef) with respect to arrays[0], whose
+    # first ``rows`` rows are the batch; the others are shared by every row
+    x = ad.Tensor(arrays[0][:rows], requires_grad=True)
+    with ad.Tape() as tape:
+        out = op(x, *(ad.Tensor(v) for v in arrays[1:]))
+        tape.backward(ad.reduce_sum(ad.mul(out, ad.Tensor(coef[:rows]))))
+    return x.grad
+
+
+def _check_linear_input_gradient_rows(n):
+    # [B,n] @ [n,128]: a layer of the trunk's width and the two heads. With
+    # the transposed view, rows of batches below 10 (n = 128) or of one row
+    # (n = 4) differ from the same rows in a large batch.
+    rng = np.random.default_rng(13)
+    arrays = [rng.normal(size=(2100, 128)), rng.normal(scale=0.1, size=(128, n)),
+              rng.normal(size=n)]
+    coef = rng.normal(size=(2100, n))
+    full = _input_grad_rows(ad.linear, arrays, coef, 2100)
+    for rows in SMALL_AND_TILE_EDGE_ROWS:
+        assert np.array_equal(_input_grad_rows(ad.linear, arrays, coef, rows),
+                              full[:rows]), (n, rows)
+
+
+def _check_trunk_input_gradient_rows():
+    # the coordinate gradient through two blocks of width 128 and the input
+    # layer; the full batch runs in three tiles, the last one ragged
+    rng = np.random.default_rng(14)
+    width = 128
+    arrays = [rng.uniform(size=(2100, 4)), rng.normal(scale=0.1, size=width),
+              rng.normal(scale=0.3 / np.sqrt(width), size=(4 + width, width)),
+              rng.normal(scale=0.1, size=width)]
+    for _ in range(2):
+        arrays += [rng.normal(scale=0.3 / np.sqrt(width), size=(width, width)),
+                   rng.normal(scale=0.1, size=width),
+                   rng.normal(scale=0.3 / np.sqrt(width), size=(width, width)),
+                   rng.normal(scale=0.1, size=width)]
+    coef = rng.normal(size=(2100, width))
+
+    def trunk(*tensors):
+        return _trunk(ad.gabor_trunk, tensors)
+
+    full = _input_grad_rows(trunk, arrays, coef, 2100)
+    for rows in SMALL_AND_TILE_EDGE_ROWS:
+        assert np.array_equal(_input_grad_rows(trunk, arrays, coef, rows), full[:rows]), rows
 
 
 def test_gabor_matches_composed_definition():
@@ -231,11 +287,12 @@ MULTI_TILE_ROWS = 2 * ad.block_rows(24) + 3
 
 
 def _trunk_arrays(rows, num_blocks, rng):
-    # x [rows, 24] -> pre [rows, 128] -> out [rows, 24] per block: at width
-    # 128 a wavelet row block is 204 rows with a derivative and 512 without,
-    # so 2500 rows end in a ragged block either way
-    n, k = 24, 128
-    arrays = [rng.normal(size=(rows, n))]
+    # coords [rows, 4] and h [8] -> x [rows, 24] -> pre [rows, 128] -> out
+    # [rows, 24] per block: at width 128 a wavelet row block is 204 rows with
+    # a derivative and 512 without, so 2500 rows end in a ragged block either way
+    c, d, n, k = 4, 8, 24, 128
+    arrays = [rng.uniform(size=(rows, c)), rng.normal(size=d),
+              rng.normal(scale=0.3, size=(c + d, n)), rng.normal(scale=0.1, size=n)]
     for _ in range(num_blocks):
         arrays += [rng.normal(scale=0.3 / np.sqrt(n), size=(n, k)), rng.normal(scale=0.1, size=k),
                    rng.normal(scale=0.3 / np.sqrt(k), size=(k, n)), rng.normal(scale=0.1, size=n)]
@@ -243,24 +300,26 @@ def _trunk_arrays(rows, num_blocks, rng):
 
 
 def _trunk(fn, tensors):
-    blocks = [tuple(tensors[i:i + 4]) for i in range(1, len(tensors), 4)]
-    return fn(tensors[0], blocks, 10.0, 5.0)
+    blocks = [tuple(tensors[i:i + 4]) for i in range(4, len(tensors), 4)]
+    return fn(*tensors[:4], blocks, 10.0, 5.0)
 
 
-def _composed_trunk(x, blocks, omega0, s0):
+def _composed_trunk(coords, h, w_in, b_in, blocks, omega0, s0):
+    x = ad.latent_linear(coords, h, w_in, b_in)
     for w1, b1, w2, b2 in blocks:
         x = ad.add(x, ad.linear(ad.gabor(ad.linear(x, w1, b1), omega0, s0), w2, b2))
     return x
 
 
 def _check_matches_composed(rows, trainable, num_blocks):
-    # the one-entry trunk keeps the bits of the chained five-op blocks:
-    # value and every gradient
+    # the one-entry trunk keeps the bits of latent_linear followed by the
+    # chained five-op blocks: value and every gradient
     rng = np.random.default_rng(7)
     arrays = _trunk_arrays(rows, num_blocks, rng)
     coef = ad.Tensor(rng.normal(size=(rows, 24)))
-    grads = {"all": range(len(arrays)), "x": [0], "none": [],
-             "w2": range(3, len(arrays), 4)}[trainable]
+    # "x" is the coordinates alone, "h" the latent alone (a latent-only step)
+    grads = {"all": range(len(arrays)), "x": [0], "h": [1], "none": [],
+             "w2": range(6, len(arrays), 4)}[trainable]
 
     def run(fn):
         tensors = [ad.Tensor(v.copy(), requires_grad=i in grads) for i, v in enumerate(arrays)]
@@ -301,14 +360,14 @@ def _check_rejects_nan(arrays):
 
 
 @pytest.mark.parametrize("rows", [1, 53, 2500, MULTI_TILE_ROWS])
-@pytest.mark.parametrize("trainable", ["all", "x", "w2", "none"])
+@pytest.mark.parametrize("trainable", ["all", "x", "h", "w2", "none"])
 def test_gabor_block_matches_composed_ops(rows, trainable):
     # a single residual block: the trunk op with one block
     _check_matches_composed(rows, trainable, 1)
 
 
 @pytest.mark.parametrize("rows", [1, 53, 2500, MULTI_TILE_ROWS])
-@pytest.mark.parametrize("trainable", ["all", "x", "w2", "none"])
+@pytest.mark.parametrize("trainable", ["all", "x", "h", "w2", "none"])
 def test_gabor_trunk_matches_composed_ops(rows, trainable):
     for num_blocks in (3, 8):
         _check_matches_composed(rows, trainable, num_blocks)
@@ -325,10 +384,10 @@ def test_gabor_trunk_second_backward_doubles_gradients():
 def test_gabor_block_rejects_non_finite_and_bad_shapes():
     arrays = _trunk_arrays(5, 1, np.random.default_rng(9))
     _check_rejects_nan(arrays)
-    narrow_x = [arrays[0][:, :5]] + arrays[1:]
-    bad_w1 = [arrays[0], arrays[1][:5]] + arrays[2:]
-    flat_x = [arrays[0].reshape(-1)] + arrays[1:]
-    for bad in (narrow_x, bad_w1, flat_x):
+    narrow_coords = [arrays[0][:, :3]] + arrays[1:]
+    bad_w1 = arrays[:4] + [arrays[4][:5]] + arrays[5:]
+    flat_coords = [arrays[0].reshape(-1)] + arrays[1:]
+    for bad in (narrow_coords, bad_w1, flat_coords):
         with pytest.raises(DimensionError):
             _trunk(ad.gabor_trunk, [ad.Tensor(v) for v in bad])
 
@@ -336,13 +395,13 @@ def test_gabor_block_rejects_non_finite_and_bad_shapes():
 def test_gabor_trunk_rejects_non_finite_and_bad_shapes():
     arrays = _trunk_arrays(5, 2, np.random.default_rng(9))
     _check_rejects_nan(arrays)
-    narrow_x = [arrays[0][:, :5]] + arrays[1:]
-    bad_w2 = arrays[:7] + [arrays[7][:, :5]] + arrays[8:]
-    for bad in (narrow_x, bad_w2):
+    narrow_coords = [arrays[0][:, :3]] + arrays[1:]
+    bad_w2 = arrays[:10] + [arrays[10][:, :5]] + arrays[11:]
+    for bad in (narrow_coords, bad_w2):
         with pytest.raises(DimensionError):
             _trunk(ad.gabor_trunk, [ad.Tensor(v) for v in bad])
     with pytest.raises(ContractError, match="at least one block"):
-        ad.gabor_trunk(ad.Tensor(arrays[0]), [], 10.0, 5.0)
+        ad.gabor_trunk(*[ad.Tensor(v) for v in arrays[:4]], [], 10.0, 5.0)
 
 
 def _sum_squares_chain(tensors):

@@ -104,32 +104,47 @@ def test_trace_rejects_non_monotonic_and_non_finite():
 # -- frozen evaluation -----------------------------------------------------------
 
 
+def _in_slices(model, h, coords, rows):
+    # evaluate_points over consecutive slices of ``rows`` rows, joined
+    parts = [evaluate_points(model, h, coords[lo:lo + rows])
+             for lo in range(0, coords.shape[0], rows)]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def _forward_all_rows(model, h, coords):
+    seg, intensity = model.forward(coords, h)
+    return np.argmax(seg.values, axis=1).astype(np.uint8), seg.values, intensity.values[:, 0]
+
+
 def test_evaluate_points_chunking_is_invisible():
     model = FieldModel.init(TINY, seed=0)
     rng = np.random.default_rng(3)
     coords = rng.uniform(size=(53, 4))
     h = rng.normal(scale=0.1, size=TINY.latent_dim)
-    lab_a, probs_a, int_a = evaluate_points(model, h, coords, chunk=7)
-    lab_b, probs_b, int_b = evaluate_points(model, h, coords, chunk=10 ** 6)
-    assert np.array_equal(lab_a, lab_b)
-    assert np.array_equal(probs_a, probs_b)
-    assert np.array_equal(int_a, int_b)
+    lab_a, probs_a, int_a = evaluate_points(model, h, coords)
+    for lab_b, probs_b, int_b in (_in_slices(model, h, coords, 7),
+                                  _forward_all_rows(model, h, coords)):
+        assert np.array_equal(lab_a, lab_b)
+        assert np.array_equal(probs_a, probs_b)
+        assert np.array_equal(int_a, int_b)
     assert probs_a.shape == (53, TINY.num_classes)
     np.testing.assert_allclose(probs_a.sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_default_model_points_are_chunk_invariant():
-    # at the default width every chunk size, including the default, gives the same bits
+    # at the default width one call (in its default chunks), calls on slices
+    # of any size and one forward over all rows give the same bits
     model = FieldModel.init(ModelConfig(), seed=0)
     rng = np.random.default_rng(8)
     coords = rng.uniform(size=(3456, 4))
     h = rng.normal(scale=0.1, size=model.config.latent_dim)
-    lab, probs, inten = evaluate_points(model, h, coords, chunk=10 ** 6)
-    for chunk in (1, 7, 1000, 1024, 2048, None):
-        lab_c, probs_c, inten_c = evaluate_points(model, h, coords, chunk=chunk)
-        assert np.array_equal(lab_c, lab), chunk
-        assert np.array_equal(probs_c, probs), chunk
-        assert np.array_equal(inten_c, inten), chunk
+    lab, probs, inten = evaluate_points(model, h, coords)
+    for rows in (1, 7, 1000, 1024, 2048, None):
+        lab_c, probs_c, inten_c = (_forward_all_rows(model, h, coords) if rows is None
+                                   else _in_slices(model, h, coords, rows))
+        assert np.array_equal(lab_c, lab), rows
+        assert np.array_equal(probs_c, probs), rows
+        assert np.array_equal(inten_c, inten), rows
 
 
 def test_decode_segmentation_is_argmax_of_probs():

@@ -187,7 +187,7 @@ def test_one_training_step_updates_only_the_sampled_row():
 
 
 def test_default_training_step_tape_entries():
-    # input layer + one gabor_trunk + 2 heads + losses
+    # one gabor_trunk (the input layer inside) + 2 heads + losses
     model = FieldModel.init(ModelConfig(), seed=0)
     rng = np.random.default_rng(2)
     h = ad.Tensor(rng.normal(scale=0.01, size=model.config.latent_dim), requires_grad=True)
@@ -196,7 +196,7 @@ def test_default_training_step_tape_entries():
     labels = rng.integers(0, model.config.num_classes, size=4096)
     with Tape() as tape:
         terms = train_loss(model, h, coords, intensities, labels, LossWeights())
-        assert len(tape) == 44
+        assert len(tape) == 43
         tape.backward(terms.total)
 
 
