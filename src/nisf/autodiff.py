@@ -114,6 +114,15 @@ class _Slot:
         self.grad: np.ndarray | None = None
         self.dtype = dtype
 
+    def take(self) -> np.ndarray:
+        """The gathered gradient, leaving the slot empty.
+
+        Returned rather than bound to a caller's local, so the rule it is
+        passed to holds the only reference.
+        """
+        g, self.grad = self.grad, None
+        return g
+
 
 class Tape:
     """Ordered record of executed operations with their backward rules.
@@ -164,8 +173,7 @@ class Tape:
                 # recorded later, hence walked). Passed straight into the
                 # rule, it is the rule's only reference, so the rule may
                 # rewrite it in place, as ``gabor_trunk`` does, or drop it.
-                g, slot.grad = slot.grad, None
-                rule(g)
+                rule(slot.take())
 
 
 # ---------------------------------------------------------------------------
@@ -378,16 +386,16 @@ def gabor_trunk(coords: Tensor, h: Tensor, w_in: Tensor, b_in: Tensor,
     the trunk output (a non-finite value cannot vanish through the skip
     path).
 
-    Backward keeps, per block, only what it reads: the derivative while a
-    gradient flows into the block's input or its ``w1``/``b1`` needs one,
-    the block input only if ``w1`` does, and the wavelet values only if
-    ``w2`` does. A latent-only step therefore holds one array per block
-    and no other batch-sized array; the input layer's rows span the whole
-    batch only when block 0's ``w1`` needs them, as in training. These
-    saved arrays span the whole batch and each tile writes its rows into
-    them in place; everything else is per-tile scratch.
+    Backward keeps, per block, only what it reads: the derivative whenever
+    the op records, the block input only if ``w1`` needs a gradient, and
+    the wavelet values only if ``w2`` does. A latent-only step therefore
+    holds one array per block and no other batch-sized array; the input
+    layer's rows span the whole batch only when block 0's ``w1`` needs
+    them, as in training. These saved arrays span the whole batch and each
+    tile writes its rows into them in place; everything else is per-tile
+    scratch.
 
-    The backward is one reverse loop over the blocks. Each block runs its
+    The backward is one reverse loop over the blocks. Every block runs its
     row-local chain (g @ w2.T, times the derivative, @ w1.T, plus g) tile
     by tile, multiplying by contiguous copies of the transposed weights
     (see ``_input_grad``), and its weight and bias gradients as sums over
@@ -418,19 +426,16 @@ def gabor_trunk(coords: Tensor, h: Tensor, w_in: Tensor, b_in: Tensor,
     dtype = np.result_type(coords.values, h.values, w_in.values, b_in.values,
                            *(t.values for blk in blocks for t in blk))
     input_rule, input_slots = _latent_linear_rule(coords, h, w_in, b_in)
-    flows = any(s is not None for s in input_slots)  # a gradient reaches the block's input
+    block_slots = [tuple(_grad_slot(t) for t in blk) for blk in blocks]
+    slots = (*input_slots, *(s for bs in block_slots for s in bs))
+    taped = any(s is not None for s in slots)  # the op records (see _make_output)
     # per block: (w1, w2, their and the biases' slots, derivative, block input,
-    # wavelet values, flows into input)
-    saved = []
-    for w1, b1, w2, b2 in blocks:
-        sw1, sb1, sw2, sb2 = slots = tuple(_grad_slot(t) for t in (w1, b1, w2, b2))
-        need_gp = flows or sw1 is not None or sb1 is not None
-        k = w1.shape[1]
-        saved.append((w1.values, w2.values, slots,
-                      np.empty((batch, k), dtype) if need_gp else None,
-                      np.empty((batch, n), dtype) if sw1 is not None else None,
-                      np.empty((batch, k), dtype) if sw2 is not None else None, flows))
-        flows = need_gp or sw2 is not None or sb2 is not None
+    # wavelet values)
+    saved = [(w1.values, w2.values, (sw1, sb1, sw2, sb2),
+              np.empty((batch, w1.shape[1]), dtype) if taped else None,
+              np.empty((batch, n), dtype) if sw1 is not None else None,
+              np.empty((batch, w1.shape[1]), dtype) if sw2 is not None else None)
+             for (w1, _, w2, _), (sw1, sb1, sw2, sb2) in zip(blocks, block_slots)]
     # Layer j (the input layer is j = 0, block i is j = i + 1) writes its
     # output where layer j+1 reads its input: into the saved block input
     # when backward needs one, else alternately into ``out`` and
@@ -439,8 +444,7 @@ def gabor_trunk(coords: Tensor, h: Tensor, w_in: Tensor, b_in: Tensor,
     out = np.empty((batch, n), dtype)
     scratch = np.empty((tile_rows, n), dtype)
     pre_scratch = np.empty(tile_rows * k_max, dtype)
-    kernel_scratch = {d: _kernel_scratch(tile_rows, k_max, d, dtype)
-                      for d in {sv[3] is not None for sv in saved}}
+    kernel_scratch = _kernel_scratch(tile_rows, k_max, taped, dtype)
     layers = len(blocks) + 1
     dests = [saved[j][4] if j < len(blocks) and saved[j][4] is not None
              else (out if (layers - 1 - j) % 2 == 0 else scratch) for j in range(layers)]
@@ -452,13 +456,12 @@ def gabor_trunk(coords: Tensor, h: Tensor, w_in: Tensor, b_in: Tensor,
         cur = np.einsum("bk,kn->bn", c_tile, w_c,
                         out=scratch[:m] if dests[0] is scratch else dests[0][s])
         cur += latent_row
-        for (w1, b1, w2, b2), (_, _, _, deriv, _, psi, _), dest in zip(blocks, saved, dests[1:]):
+        for (w1, b1, w2, b2), (_, _, _, deriv, _, psi), dest in zip(blocks, saved, dests[1:]):
             k = w1.shape[1]
             pre = _gemm(cur, w1.values, out=pre_scratch[:m * k].reshape(m, k)
                         if psi is None else psi[s])
             pre += b1.values
-            _gabor_kernel(pre, omega0, s0, None if deriv is None else deriv[s],
-                          kernel_scratch[deriv is not None])
+            _gabor_kernel(pre, omega0, s0, None if deriv is None else deriv[s], kernel_scratch)
             vals = _gemm(pre, w2.values, out=scratch[:m] if dest is scratch else dest[s])
             vals += b2.values
             vals += cur
@@ -469,16 +472,14 @@ def gabor_trunk(coords: Tensor, h: Tensor, w_in: Tensor, b_in: Tensor,
         # into its input's gradient in place, tile by tile.
         gp_scratch = np.empty(tile_rows * k_max, dtype)
         gx_scratch = np.empty((tile_rows, n), dtype)
-        for w1v, w2v, (sw1, sb1, sw2, sb2), deriv, x_in, psi, flows_in in reversed(saved):
+        for w1v, w2v, (sw1, sb1, sw2, sb2), deriv, x_in, psi in reversed(saved):
             if psi is not None:
                 _accumulate(sw2, psi.T @ g, owned=True)
             if sb2 is not None:
                 _accumulate(sb2, g.sum(axis=0), owned=True)
-            if deriv is None:
-                return
             k = w1v.shape[1]
             w2_t = np.ascontiguousarray(w2v.T)
-            w1_t = np.ascontiguousarray(w1v.T) if flows_in else None
+            w1_t = np.ascontiguousarray(w1v.T)
             gp = np.empty((batch, k), dtype) if x_in is not None or sb1 is not None else None
             for s in tiles:
                 g_tile = g[s]
@@ -486,19 +487,15 @@ def gabor_trunk(coords: Tensor, h: Tensor, w_in: Tensor, b_in: Tensor,
                 gp_tile = _gemm(g_tile, w2_t, out=gp_scratch[:m * k].reshape(m, k)
                                 if gp is None else gp[s])
                 gp_tile *= deriv[s]
-                if flows_in:
-                    g_tile += _gemm(gp_tile, w1_t, out=gx_scratch[:m])
+                g_tile += _gemm(gp_tile, w1_t, out=gx_scratch[:m])
             if x_in is not None:
                 _accumulate(sw1, x_in.T @ gp, owned=True)
             if sb1 is not None:
                 _accumulate(sb1, gp.sum(axis=0), owned=True)
             gp = gp_tile = None  # the next block's gp replaces this one, not joins it
-            if not flows_in:
-                return
         input_rule(g)
 
-    return _make_output(out, "gabor_trunk", (*input_slots, *(t for sv in saved for t in sv[2])),
-                        rule)
+    return _make_output(out, "gabor_trunk", slots, rule)
 
 
 # ---------------------------------------------------------------------------

@@ -356,9 +356,8 @@ def cmd_sample_plane(args: argparse.Namespace) -> int:
     import numpy as np
 
     from .autodiff import Tensor
+    from .experiments import plane_dice
     from .images import write_label_pgm, write_pgm8, write_pgm16, write_raw_f64
-    from .metrics import dice_report
-    from .phantom import PhantomSpec
     from .sampling import PlaneSpec, nearest_neighbor_resample, sample_plane
     from .serial import read_blob, write_json_atomic
     from .training import load_checkpoint
@@ -399,14 +398,8 @@ def cmd_sample_plane(args: argparse.Namespace) -> int:
         write_pgm8(os.path.join(args.out, "baseline_intensity8.pgm"), nn_int)
         write_label_pgm(os.path.join(args.out, "baseline_labels.pgm"), nn_labels,
                         model.config.num_classes)
-        keep = inside.reshape(-1)
-        if volume.phantom is not None and keep.any():
-            oracle = PhantomSpec.from_dict(volume.phantom).label_at(
-                spec.pixel_mm(), spec.t)
-            model_rep = dice_report(sampled.labels.reshape(-1)[keep],
-                                    oracle.reshape(-1)[keep])
-            nn_rep = dice_report(nn_labels.reshape(-1)[keep],
-                                 oracle.reshape(-1)[keep])
+        if volume.phantom is not None and inside.any():
+            model_rep, nn_rep = plane_dice(volume, spec, sampled.labels, nn_labels, inside)
             lines.append(f"dice vs analytic truth: model {model_rep.mean:.4f}, "
                          f"nearest-neighbor {nn_rep.mean:.4f}")
             write_json_atomic(os.path.join(args.out, "baseline_report.json"),
@@ -503,10 +496,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _apply_thread_limit(args.threads)
-    from .errors import ContractError, NumericalError, VolumeIOError
+    from .errors import ContractError, NumericalError
     try:
         return args.func(args)
-    except (ContractError, VolumeIOError, FileNotFoundError) as exc:
+    except (ContractError, FileNotFoundError) as exc:
         return _fail(str(exc), 1)
     except NumericalError as exc:
         return _fail(str(exc), 2)

@@ -215,20 +215,30 @@ def heldout_row(model: FieldModel, subject: VolumeSample, cfg: InferConfig,
             "recon_mae": recon.mae}
 
 
+def plane_dice(volume: VolumeSample, spec: PlaneSpec, model_labels: np.ndarray,
+               nn_labels: np.ndarray, inside: np.ndarray) -> tuple[DiceReport, DiceReport]:
+    """Dice of a decoded plane and of its nearest-neighbor resampling.
+
+    Both label images are scored against the analytic labels of
+    ``volume``'s phantom at ``spec``'s pixels, on the pixels ``inside`` the
+    voxel hull only. Returns (model report, baseline report).
+    """
+    oracle = PhantomSpec.from_dict(volume.phantom).label_at(spec.pixel_mm(), spec.t)
+    keep = inside.reshape(-1)
+    truth = oracle.reshape(-1)[keep]
+    return (dice_report(model_labels.reshape(-1)[keep], truth),
+            dice_report(nn_labels.reshape(-1)[keep], truth))
+
+
 def oblique_row(model: FieldModel, subject: VolumeSample, latents: dict[str, np.ndarray],
                 cfg: DeskScaleConfig) -> dict:
     """The oblique plane decoded from the subject's fitted latent, next to
-    nearest-neighbor resampling, both scored against the analytic labels
-    inside the voxel hull."""
+    nearest-neighbor resampling, both scored by ``plane_dice``."""
     spec = oblique_plane_spec(subject, cfg.plane_tilt_deg, cfg.plane_extent_mm,
                               cfg.plane_counts)
-    oracle = PhantomSpec.from_dict(subject.phantom).label_at(spec.pixel_mm(), spec.t)
     pred = sample_plane(model, latents[subject.subject_id], spec)
     _, nn_labels, inside = nearest_neighbor_resample(subject, spec)
-    keep = inside.reshape(-1)
-    truth = oracle.reshape(-1)[keep]
-    return _versus(subject, dice_report(pred.labels.reshape(-1)[keep], truth),
-                   dice_report(nn_labels.reshape(-1)[keep], truth))
+    return _versus(subject, *plane_dice(subject, spec, pred.labels, nn_labels, inside))
 
 
 def _versus(subject: VolumeSample, model_report: DiceReport,
@@ -349,8 +359,8 @@ class DeskScaleRun:
             selected = self.selected_steps()
             fits = self._rows("test", eval_row, self.cfg.infer_config(selected), 777)
             rows = [row for row, _ in fits]
-            _save_latents(os.path.join(self.dir, "test_latents.npz"),
-                          {row["id"]: latent for row, latent in fits})
+            np.savez(os.path.join(self.dir, "test_latents.npz"),
+                     **{row["id"]: latent for row, latent in fits})
             mean_report = aggregate([DiceReport(classes=("lv_pool", "lv_myocardium",
                                                          "rv_pool"),
                                                 per_class=tuple(r["dice_per_class"]),
@@ -396,10 +406,6 @@ class DeskScaleRun:
 def _ckpt_epochs(path: str) -> int:
     name = os.path.basename(path)
     return int(name[len("ckpt_epoch"):-len(".nckpt")])
-
-
-def _save_latents(path: str, latents: dict[str, np.ndarray]) -> None:
-    np.savez(path, **latents)
 
 
 def code_fingerprint() -> str:

@@ -223,7 +223,7 @@ def run_model_check(seed: int = 0) -> GradCheckReport:
     Gradients with respect to every network weight, bias, and the latent
     vector are verified in one composed pass through the joint loss.
     """
-    from .losses import LossWeights, training_loss
+    from .losses import LossWeights, train_loss
     from .model import FieldModel, ModelConfig
 
     cfg = ModelConfig(num_res_layers=2, hidden_width=8, latent_dim=4,
@@ -241,12 +241,8 @@ def run_model_check(seed: int = 0) -> GradCheckReport:
     weights = LossWeights()
 
     def build(tensors):
-        params = dict(zip(names[:-1], tensors[:-1]))
-        latent = tensors[-1]
-        trial = model.with_params(params)
-        seg, recon = trial.forward(ad.Tensor(coords), latent)
-        return training_loss(seg, recon, labels, intensities,
-                             list(params.values()), latent, weights).total
+        trial = FieldModel(cfg, dict(zip(names[:-1], tensors[:-1])))
+        return train_loss(trial, tensors[-1], coords, intensities, labels, weights).total
 
     report = GradCheckReport()
     report.results.append(

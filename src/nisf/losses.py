@@ -160,11 +160,10 @@ def training_loss(seg_probs: Tensor, intensity: Tensor, labels, intensity_target
                   weights: LossWeights) -> LossTerms:
     """Joint objective from precomputed forward outputs.
 
-    ``labels``: integer class ids [B] or one-hot rows [B,M];
+    ``labels``: integer class ids [B];
     ``intensity_targets``: values in [0,1], shape [B] or [B,1].
     """
-    labels = np.asarray(labels)
-    onehot = one_hot(labels, seg_probs.shape[1]) if labels.ndim == 1 else labels
+    onehot = one_hot(labels, seg_probs.shape[1])
     targets = np.asarray(intensity_targets, dtype=intensity.dtype).reshape(intensity.shape)
 
     bce_seg = ad.mul(bce(seg_probs, onehot), float(seg_probs.shape[1]))

@@ -150,10 +150,6 @@ class FieldModel:
         params["b_int"] = zeros(1)
         return cls(cfg, params)
 
-    def with_params(self, params: dict[str, Tensor]) -> "FieldModel":
-        """Same architecture with a replacement parameter dict."""
-        return FieldModel(self.config, params)
-
     # -- parameter access ---------------------------------------------
 
     def param_names(self) -> list[str]:
@@ -225,11 +221,12 @@ class FieldModel:
             write_blob(f, MODEL_MAGIC, MODEL_VERSION, header, arrays)
 
     @classmethod
-    def load(cls, path, trainable: bool = False) -> "FieldModel":
+    def load(cls, path) -> "FieldModel":
+        """The saved model, its weights frozen."""
         with open(path, "rb") as f:
             _, header, arrays = read_blob(f, MODEL_MAGIC, MODEL_VERSION)
         cfg = ModelConfig.from_dict(header["config"])
-        params = {name: Tensor(arr, requires_grad=trainable) for name, arr in arrays.items()}
+        params = {name: Tensor(arr) for name, arr in arrays.items()}
         model = cls(cfg, params)
         if model.num_params != header.get("param_count"):
             raise ContractError("checkpoint param_count disagrees with payload")

@@ -28,18 +28,11 @@ class Adam:
     mix with subject k's.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float = ADAM_LR,
-                 beta1: float = ADAM_BETA1, beta2: float = ADAM_BETA2,
-                 eps: float = ADAM_EPS):
+    def __init__(self, params: dict[str, Tensor], lr: float = ADAM_LR):
         if not params:
             raise ContractError("Adam needs at least one parameter")
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ContractError("Adam betas must lie in [0,1)")
         self.params = dict(params)
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.t = 0
         self.m = {n: np.zeros(p.shape, dtype=np.float64) for n, p in self.params.items()}
         self.v = {n: np.zeros(p.shape, dtype=np.float64) for n, p in self.params.items()}
@@ -57,17 +50,17 @@ class Adam:
                 raise NumericalError(f"parameter {name!r} has non-finite gradient")
             grads[name] = p.grad
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - ADAM_BETA1 ** self.t
+        c2 = 1.0 - ADAM_BETA2 ** self.t
         for name, p in self.params.items():
             g = grads[name].astype(np.float64, copy=False)
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            update = (self.lr / c1) * m / (np.sqrt(v / c2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * np.square(g)
+            update = (self.lr / c1) * m / (np.sqrt(v / c2) + ADAM_EPS)
             p.values -= update.astype(p.values.dtype, copy=False)
 
     def reset_grads(self) -> None:

@@ -16,11 +16,12 @@ background.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ContractError
+from .serial import config_dict
 from .volume import CLASS_NAMES, NUM_CLASSES, SPLITS, VolumeSample, normalize_index
 
 GENERATOR_VERSION = 1
@@ -59,6 +60,9 @@ class PhantomSpec:
     spacing: tuple[float, float, float]
 
     def __post_init__(self):
+        for f in fields(self):  # a JSON description (``to_dict``) holds lists
+            if isinstance(getattr(self, f.name), list):
+                object.__setattr__(self, f.name, tuple(getattr(self, f.name)))
         if self.wall_thickness <= 0:
             raise ContractError("wall_thickness must be positive")
         if not 0.0 <= self.contraction_amp < 1.0:
@@ -73,14 +77,10 @@ class PhantomSpec:
             raise ContractError("radii must be positive")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return config_dict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PhantomSpec":
-        d = dict(d)
-        for key in ("lv_center", "lv_endo_radii", "rv_center", "rv_radii",
-                    "tissue_means", "grid_shape", "spacing"):
-            d[key] = tuple(d[key])
         return cls(**d)
 
     @property

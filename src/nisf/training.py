@@ -90,7 +90,7 @@ class LatentTable:
     """Trainable per-subject latent rows plus their optimizer states."""
 
     def __init__(self, subject_ids: list[str], latent_dim: int, seed: int,
-                 lr: float, sigma: float = LATENT_PRIOR_SIGMA):
+                 lr: float):
         if len(set(subject_ids)) != len(subject_ids):
             raise ContractError("duplicate subject ids in latent table")
         if not subject_ids:
@@ -98,7 +98,7 @@ class LatentTable:
         self.subject_ids = list(subject_ids)
         self.latent_dim = latent_dim
         rng = np.random.default_rng(np.random.SeedSequence([_STREAM_TABLE, seed]))
-        rows = rng.normal(0.0, sigma, size=(len(subject_ids), latent_dim))
+        rows = rng.normal(0.0, LATENT_PRIOR_SIGMA, size=(len(subject_ids), latent_dim))
         self.rows = {sid: Tensor(rows[i].copy(), requires_grad=True, name=f"h[{sid}]")
                      for i, sid in enumerate(subject_ids)}
         self.adams = {sid: Adam({"h": self.rows[sid]}, lr=lr) for sid in subject_ids}
@@ -110,9 +110,6 @@ class LatentTable:
         if subject_id not in self.rows:
             raise ContractError(f"unknown subject {subject_id!r}")
         return self.rows[subject_id]
-
-    def adam(self, subject_id: str) -> Adam:
-        return self.adams[subject_id]
 
     def matrix(self) -> np.ndarray:
         return np.stack([self.rows[sid].values for sid in self.subject_ids])
@@ -251,9 +248,9 @@ def train_prior(subjects: list[VolumeSample], config: TrainConfig,
                     f"non-finite loss at step {global_step} (epoch {epoch}, "
                     f"subject {sid}, frame {t_index}): {exc}") from exc
             adam_model.step()
-            table.adam(sid).step()
+            table.adams[sid].step()
             adam_model.reset_grads()
-            table.adam(sid).reset_grads()
+            table.adams[sid].reset_grads()
             global_step += 1
             if config.log_every and global_step % config.log_every == 0:
                 row = LogRow(step=global_step, epoch=epoch, subject_id=sid,

@@ -1,5 +1,7 @@
 """Tape autodiff: gradient correctness, determinism, and edge behavior."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,6 +56,27 @@ def test_intermediate_gradients_are_freed():
     assert mid.grad is None  # only leaves keep gradients after backward
     assert out.grad is None
     np.testing.assert_allclose(x.grad, 6.0 * np.ones((5, 3)))
+
+
+def test_rule_holds_the_only_reference_to_its_gradient():
+    # Tape.backward hands each rule its gradient without keeping a reference
+    # of its own, so a rule that drops the array frees it (gabor_trunk's
+    # rule rewrites it in place and hands it on instead of copying).
+    x = ad.Tensor(np.ones(3), requires_grad=True)
+    freed = []
+    with ad.Tape() as tape:
+        sx = ad._grad_slot(x)
+
+        def rule(g):
+            ref = weakref.ref(g)
+            del g
+            freed.append(ref() is None)
+            ad._accumulate(sx, np.full(3, 2.0))
+
+        probe = ad._make_output(2.0 * x.values, "probe", (sx,), rule)
+        tape.backward(ad.reduce_sum(probe))
+    assert freed == [True]
+    np.testing.assert_array_equal(x.grad, np.full(3, 2.0))
 
 
 def test_log_clamps_and_zeroes_gradient_below_eps():

@@ -165,7 +165,24 @@ def test_sample_plane_writes_images(inferred, dataset, trained, tmp_path):
     assert header["kind"] == "plane_probs"
     assert arrays["probs"].shape == (8, 8, 4)
     baseline = json.load(open(os.path.join(out, "baseline_report.json")))
-    assert {"model", "baseline"} <= set(baseline)
+    # the report is experiments.plane_dice's scoring of the same plane
+    from nisf.autodiff import Tensor
+    from nisf.experiments import plane_dice
+    from nisf.sampling import PlaneSpec, nearest_neighbor_resample, sample_plane
+    volume = load_volume(os.path.join(dataset, "s0003.nvol"))
+    model = load_checkpoint(ckpt)[0]
+    model.set_trainable(False)
+    with open(os.path.join(inferred, "latent.nlat"), "rb") as f:
+        h = Tensor(read_blob(f, "NISF-LATENT", 1)[2]["h"])
+    span = tuple((volume.shape[a] - 1) * volume.spacing[a] for a in range(3))
+    spec = PlaneSpec(origin_norm=(0.5, 0.5, 0.5), dir1_mm=(1.0, 0.0, 0.0),
+                     dir2_mm=(0.0, 1.0, 0.0), extent_mm=(14.0, 14.0), counts=(8, 8),
+                     t=0.0, span_mm=span)
+    _, nn_labels, inside = nearest_neighbor_resample(volume, spec)
+    model_rep, nn_rep = plane_dice(volume, spec, sample_plane(model, h, spec).labels,
+                                   nn_labels, inside)
+    assert baseline == {"model": json.loads(json.dumps(model_rep.to_dict())),
+                        "baseline": json.loads(json.dumps(nn_rep.to_dict()))}
 
 
 def test_sample_plane_rejects_bad_direction(inferred, dataset, trained, tmp_path):

@@ -274,8 +274,10 @@ def test_save_load_round_trip_all_fields(tmp_path):
     assert np.array_equal(back.labels, masked.labels)
     assert np.array_equal(back.mask, masked.mask)
     assert back.spacing == masked.spacing
-    # the generator description survives the JSON header round trip
+    # the generator description survives the JSON header round trip: it is
+    # plain JSON types, so it compares equal to what the header gives back
     from nisf.phantom import PhantomSpec
+    assert back.phantom == masked.phantom
     assert PhantomSpec.from_dict(back.phantom) == spec
 
 
