@@ -30,13 +30,17 @@ Design notes:
   rule, so the rule owns the only reference and may drop it early.
 * Every operation validates that its output is finite; a NaN/Inf raises
   ``NumericalError`` instead of propagating silently.
-* Gradient tracking happens only while a ``Tape`` is active. Evaluating
-  a frozen model outside a tape records nothing and is safe to run from
-  many threads (pure reads).
+* Gradient tracking happens only while a ``Tape`` is active. A frozen
+  ``gabor_trunk`` (one that records nothing) runs its tiles on worker
+  threads (see ``_on_workers``); the caller sees one call that returns
+  when every tile is done. Every other op, and every recording tape,
+  runs on the calling thread.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,12 +48,31 @@ import numpy as np
 from .errors import ContractError, DimensionError, NumericalError
 
 LOG_EPS = 1e-12  # single numerical guard: log(x) reads max(x, LOG_EPS)
-# Row blocks and frozen query chunks are sized so that one [rows, width]
-# float64 array fills this many bytes and fits a core's L2 cache (2 MiB on
-# a Xeon with AVX-512) instead of streaming from memory.
+# Trunk tiles and wavelet row blocks are sized so that one [rows, width]
+# float64 array, or the kernel's live buffers together, fill this many
+# bytes and fit a core's L2 cache (2 MiB on a Xeon with AVX-512) instead of
+# streaming from memory.
 L2_BLOCK_BYTES = 1 << 20
+# OpenBLAS 0.3.31 runs a product with M*N*K at or below this through its
+# small-matrix kernels, on the calling thread: its own thread pool stays
+# asleep, however many threads it was given.
+SMALL_GEMM_MNK = 10**6
 
 _active_tape: "Tape | None" = None
+
+
+def _blas_threads() -> int:
+    """The BLAS thread count: ``OPENBLAS_NUM_THREADS``, which ``--threads``,
+    ``NISF_THREADS`` and perfbench set before numpy loads, else the CPUs
+    this process may use."""
+    env = os.environ.get("OPENBLAS_NUM_THREADS", "").strip()
+    return max(1, int(env)) if env.isdigit() else len(os.sched_getaffinity(0))
+
+
+# A frozen trunk's worker count W: the calling thread and a pool of W - 1
+# threads, started on first use (none at W = 1; see ``gabor_trunk``).
+TRUNK_WORKERS = _blas_threads()
+_pool: ThreadPoolExecutor | None = None
 
 
 def active_tape() -> "Tape | None":
@@ -249,9 +272,9 @@ def _gemm(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.nda
     # Per-row results must be bit-identical across batch sizes. BLAS routes
     # m==1 through gemv-style kernels whose summation order differs from
     # gemm, so a single row is padded to two. OpenBLAS 0.3.31 runs products
-    # with M*N*K <= 1e6 through small-matrix kernels; at K=128 and M >= 2
-    # their rows depend on the batch size for N = 1-4, 9-12 and 100, and
-    # are invariant for N = 5-8, 13-64 and 128. The heads (N = 1 and the
+    # with M*N*K <= SMALL_GEMM_MNK through small-matrix kernels; at K=128
+    # and M >= 2 their rows depend on the batch size for N = 1-4, 9-12 and
+    # 100, and are invariant for N = 5-8, 13-64 and 128. The heads (N = 1 and the
     # default 4 classes) therefore take numpy's own einsum loop, which sums
     # every row in the same order; the trunk's N = 128 stays on BLAS.
     # ``out`` receives the product in place, with the same bits.
@@ -264,6 +287,38 @@ def _gemm(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.nda
         out[...] = pair[:1]
         return out
     return np.matmul(x, y, out=out)
+
+
+def _gemm_small(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``_gemm(x, y, out=out)`` in row blocks that keep M*N*K within
+    ``SMALL_GEMM_MNK`` (61 rows at [B,128] @ [128,128]), so that OpenBLAS
+    runs each on its small-matrix kernel on the calling thread. Where the
+    products' rows do not depend on the batch, the bits are ``_gemm``'s."""
+    rows = max(2, SMALL_GEMM_MNK // (x.shape[1] * y.shape[1]))
+    for lo in range(0, x.shape[0], rows):
+        _gemm(x[lo:lo + rows], y, out=out[lo:lo + rows])
+    return out
+
+
+def _on_workers(run: Callable[[int], None], workers: int) -> None:
+    """Call ``run(w)`` for every w below ``workers``, w = 0 on this thread
+    and the others on the pool; return once every call has.
+
+    Waiting for every call before raising keeps a failed call's buffers
+    alive while the other workers still write into them. An error raised
+    in a call reaches the caller with its type (the first by w if several
+    fail).
+    """
+    global _pool
+    if workers > 1 and _pool is None:
+        _pool = ThreadPoolExecutor(TRUNK_WORKERS - 1, thread_name_prefix="nisf-trunk")
+    futures = [_pool.submit(run, w) for w in range(1, workers)]
+    try:
+        run(0)
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
 
 
 def _input_grad(g: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -361,9 +416,10 @@ def latent_linear(coords: Tensor, h: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def block_rows(width: int) -> int:
     """Rows of a [rows, width] float64 array that fill ``L2_BLOCK_BYTES``.
 
-    This is the trunk's row tile and a frozen query's chunk (1024 rows at
-    width 128). ``block_rows(live * width)`` gives the rows at which
-    ``live`` such arrays fill it together (see ``_kernel_scratch``).
+    This is the trunk's row tile (1024 rows at width 128); a frozen query
+    hands the trunk two tiles per worker per call (see
+    ``inference._in_chunks``). ``block_rows(live * width)`` gives the rows
+    at which ``live`` such arrays fill it together (see ``_kernel_scratch``).
     """
     return max(1, L2_BLOCK_BYTES // (8 * width))
 
@@ -385,6 +441,19 @@ def gabor_trunk(coords: Tensor, h: Tensor, w_in: Tensor, b_in: Tensor,
     pre-activation (see ``_gabor_kernel``). The finite check runs once, on
     the trunk output (a non-finite value cannot vanish through the skip
     path).
+
+    When the op does not record, W workers run the tiles: this thread and
+    W - 1 pool threads, started on the first such call. W is the BLAS
+    thread count (``OPENBLAS_NUM_THREADS``, which ``--threads`` and
+    ``NISF_THREADS`` set, else the CPUs this process may use), and at
+    W = 1 no thread starts. Each block product then runs in row blocks of
+    at most ``SMALL_GEMM_MNK // (k * n)`` rows (``_gemm_small``), so
+    OpenBLAS runs every one on the worker's thread and its own pool never
+    competes with the workers. The bits depend on the tiles and row
+    blocks, never on W or on which worker ran a tile; at widths where the
+    products' rows do not depend on the batch they are the recording
+    trunk's. A recording trunk runs on this thread alone, with whole-tile
+    products.
 
     Backward keeps, per block, only what it reads: the derivative whenever
     the op records, the block input only if ``w1`` needs a gradient, and
@@ -438,34 +507,46 @@ def gabor_trunk(coords: Tensor, h: Tensor, w_in: Tensor, b_in: Tensor,
              for (w1, _, w2, _), (sw1, sb1, sw2, sb2) in zip(blocks, block_slots)]
     # Layer j (the input layer is j = 0, block i is j = i + 1) writes its
     # output where layer j+1 reads its input: into the saved block input
-    # when backward needs one, else alternately into ``out`` and
-    # ``scratch``, so that the last block lands in ``out`` and no layer
-    # overwrites its own input. Untouched scratch costs no memory.
+    # when backward needs one, else alternately into ``out`` and the tile
+    # scratch (None here), so that the last block lands in ``out`` and no
+    # layer overwrites its own input. Untouched scratch costs no memory.
     out = np.empty((batch, n), dtype)
-    scratch = np.empty((tile_rows, n), dtype)
-    pre_scratch = np.empty(tile_rows * k_max, dtype)
-    kernel_scratch = _kernel_scratch(tile_rows, k_max, taped, dtype)
     layers = len(blocks) + 1
     dests = [saved[j][4] if j < len(blocks) and saved[j][4] is not None
-             else (out if (layers - 1 - j) % 2 == 0 else scratch) for j in range(layers)]
+             else (out if (layers - 1 - j) % 2 == 0 else None) for j in range(layers)]
     w_c = w_in.values[:k_in]
     latent_row = h.values @ w_in.values[k_in:] + b_in.values
-    for s in tiles:
-        c_tile = coords.values[s]
-        m = c_tile.shape[0]
-        cur = np.einsum("bk,kn->bn", c_tile, w_c,
-                        out=scratch[:m] if dests[0] is scratch else dests[0][s])
-        cur += latent_row
-        for (w1, b1, w2, b2), (_, _, _, deriv, _, psi), dest in zip(blocks, saved, dests[1:]):
-            k = w1.shape[1]
-            pre = _gemm(cur, w1.values, out=pre_scratch[:m * k].reshape(m, k)
-                        if psi is None else psi[s])
-            pre += b1.values
-            _gabor_kernel(pre, omega0, s0, None if deriv is None else deriv[s], kernel_scratch)
-            vals = _gemm(pre, w2.values, out=scratch[:m] if dest is scratch else dest[s])
-            vals += b2.values
-            vals += cur
-            cur = vals
+    # Frozen, worker w runs tiles w, w + W, ... in its own scratch set. This
+    # thread allocates every set, so no worker allocates a large array.
+    # Workers call ``_gemm``, ``_gabor_kernel`` and numpy only, never a
+    # public op, so whatever wraps a public op runs on this thread alone
+    # (perfbench's tracer keeps a span stack that is not thread-safe).
+    workers = 1 if taped else max(1, min(TRUNK_WORKERS, len(tiles)))
+    product = _gemm if taped else _gemm_small
+    scratch_sets = [(np.empty((tile_rows, n), dtype), np.empty(tile_rows * k_max, dtype),
+                     _kernel_scratch(tile_rows, k_max, taped, dtype)) for _ in range(workers)]
+
+    def run(w: int) -> None:
+        scratch, pre_scratch, kernel_scratch = scratch_sets[w]
+        for s in tiles[w::workers]:
+            c_tile = coords.values[s]
+            m = c_tile.shape[0]
+            cur = np.einsum("bk,kn->bn", c_tile, w_c,
+                            out=scratch[:m] if dests[0] is None else dests[0][s])
+            cur += latent_row
+            for (w1, b1, w2, b2), (_, _, _, deriv, _, psi), dest in zip(blocks, saved, dests[1:]):
+                k = w1.shape[1]
+                pre = product(cur, w1.values, out=pre_scratch[:m * k].reshape(m, k)
+                              if psi is None else psi[s])
+                pre += b1.values
+                _gabor_kernel(pre, omega0, s0, None if deriv is None else deriv[s],
+                              kernel_scratch)
+                vals = product(pre, w2.values, out=scratch[:m] if dest is None else dest[s])
+                vals += b2.values
+                vals += cur
+                cur = vals
+
+    _on_workers(run, workers)
 
     def rule(g: np.ndarray) -> None:
         # g is this rule's own array (see Tape.backward): each block turns it

@@ -437,7 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="nisf",
                      description="Coordinate-field segmentation engine.")
     parser.add_argument("--threads", type=int, default=None,
-                        help="BLAS thread cap (default: NISF_THREADS env var)")
+                        help="BLAS thread cap, which also caps the frozen trunk's "
+                             "worker threads (default: NISF_THREADS env var)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a synthetic heart dataset")

@@ -115,17 +115,14 @@ class InferenceTrace:
 def _in_chunks(head, model: FieldModel, h, coords: np.ndarray) -> list:
     """``head(chunk, h)`` of a frozen ``h`` over consecutive chunks of ``coords``.
 
-    A chunk holds ``autodiff.block_rows(hidden_width)`` rows, so that one
-    float64 activation fills ``autodiff.L2_BLOCK_BYTES`` (1 MiB: 1024 rows
-    at width 128). That is one trunk tile, so the trunk runs each chunk as
-    it comes, and the heads, which are not tiled, also read and write
-    arrays that fit a core's L2 cache instead of streaming them from
-    memory. On a 2-vCPU AVX-512 Xeon with 2 MiB of L2 per core 65,536
-    points ran at 43-49k points/s in 1024-row chunks against 30-32k in
-    16384-row chunks, with a trunk that was not yet tiled; chunks of
-    256-2048 rows ran alike.
+    A chunk holds two trunk tiles per trunk worker, 2·W·``block_rows``
+    rows (4096 rows at width 128 and W = 2; see ``autodiff.gabor_trunk``);
+    the heads run on the calling thread. On a 2-vCPU AVX-512 Xeon
+    (OpenBLAS 0.3.31 on 2 threads, W = 2), ``evaluate_points`` over 32,768
+    points took 582-589 ms with one tile per worker per call, 516-538 ms
+    with two and 504-537 ms with four (medians of 7).
     """
-    chunk = ad.block_rows(model.config.hidden_width)
+    chunk = 2 * ad.TRUNK_WORKERS * ad.block_rows(model.config.hidden_width)
     coords = np.asarray(coords, dtype=np.float64)
     h_t = Tensor(h.values if isinstance(h, Tensor) else np.asarray(h))
     return [head(coords[lo:lo + chunk], h_t) for lo in range(0, coords.shape[0], chunk)]

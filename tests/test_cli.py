@@ -197,6 +197,29 @@ def test_sample_plane_rejects_bad_direction(inferred, dataset, trained, tmp_path
     assert "unit" in res.stderr
 
 
+# runs the command line in this process, then prints its exit code and the
+# count of live Python threads
+_COUNT_THREADS = ("import sys, threading\n"
+                  "from nisf.cli import main\n"
+                  "code = main(sys.argv[1:])\n"
+                  "print(code, threading.active_count())\n")
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_threads_caps_the_trunk_workers(threads, inferred, dataset, trained, tmp_path):
+    # a 128x128 plane is two trunk tiles at width 16: two workers (this
+    # thread and one pool thread) at --threads 2, and no thread started at 1
+    _, ckpt = trained
+    res = subprocess.run(
+        [sys.executable, "-c", _COUNT_THREADS, "--threads", str(threads), "sample-plane",
+         "--checkpoint", ckpt, "--volume", os.path.join(dataset, "s0003.nvol"),
+         "--latent", os.path.join(inferred, "latent.nlat"), "--out", str(tmp_path / "plane"),
+         "--origin", "0.5,0.5,0.5", "--dir1", "1,0,0", "--dir2", "0,1,0",
+         "--extent", "14,14", "--counts", "128,128", "--quiet"],
+        capture_output=True, text=True)
+    assert res.stdout.split() == ["0", str(threads)], res.stderr
+
+
 def test_gradcheck_command_passes():
     res = run_cli("gradcheck", "--seed", "1")
     assert res.returncode == 0, res.stderr
