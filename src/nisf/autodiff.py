@@ -30,7 +30,9 @@ Design notes:
   rule, so the rule owns the only reference and may drop it early.
 * Every operation validates that its output is finite; a NaN/Inf raises
   ``NumericalError`` instead of propagating silently.
-* Gradient tracking happens only while a ``Tape`` is active. A frozen
+* An op records only while a ``Tape`` is active, and only if one of its
+  inputs is a leaf that tape names (``Tape(wrt=...)``) or an output it
+  recorded; a tensor carries no gradient flag of its own. A frozen
   ``gabor_trunk`` (one that records nothing) runs its tiles on worker
   threads (see ``_on_workers``); the caller sees one call that returns
   when every tile is done. Every other op, and every recording tape,
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -80,17 +82,16 @@ def active_tape() -> "Tape | None":
 
 
 class Tensor:
-    """A dense n-dimensional real array with optional gradient tracking."""
+    """A dense n-dimensional real array; a tape that names it gives it a ``.grad``."""
 
-    __slots__ = ("values", "grad", "requires_grad", "name", "_slot")
+    __slots__ = ("values", "grad", "name", "_slot")
 
-    def __init__(self, values, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, values, name: str | None = None):
         arr = np.asarray(values)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         self.values = arr
         self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad)
         self.name = name
         self._slot: _Slot | None = None  # set on a taped op output (see _make_output)
 
@@ -120,7 +121,7 @@ class Tensor:
 
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
+        return f"Tensor(shape={self.shape}{tag})"
 
 
 class _Slot:
@@ -150,17 +151,22 @@ class _Slot:
 class Tape:
     """Ordered record of executed operations with their backward rules.
 
-    Entries are appended in execution order, so inputs of any op were
-    recorded before the op itself; ``backward`` walks the record in
-    reverse. Each entry is the output's gradient slot and its rule.
-    Repeated ``backward`` calls accumulate into leaf gradients (clear
-    with ``Tensor.reset_grad``). A tape is confined to one logical
-    training context; it is not safe to share a recording tape between
-    threads.
+    ``wrt`` are the leaf tensors this tape differentiates: while it is
+    active, an op records only if one of its inputs is one of them or an
+    output this tape recorded. Entries are appended in execution order,
+    so inputs of any op were recorded before the op itself; ``backward``
+    walks the record in reverse. Each entry is the output's gradient slot
+    and its rule. Repeated ``backward`` calls accumulate into the ``wrt``
+    leaves' gradients (clear with ``Tensor.reset_grad``). A tape is
+    confined to one logical training context; it is not safe to share a
+    recording tape between threads.
     """
 
-    def __init__(self):
+    def __init__(self, wrt: Iterable[Tensor] = ()):
         self._entries: list[tuple[_Slot, Callable[[np.ndarray], None]]] = []
+        # This tape's gradient slots by id: its ``wrt`` leaves and its entries'
+        # slots. Held here, so no other object takes one of their ids.
+        self._slots: dict[int, Tensor | _Slot] = {id(t): t for t in wrt}
         self._prev: Tape | None = None
 
     def __len__(self) -> int:
@@ -179,9 +185,10 @@ class Tape:
 
     def record(self, output: Tensor, backward: Callable[[np.ndarray], None]) -> None:
         self._entries.append((output._slot, backward))
+        self._slots[id(output._slot)] = output._slot
 
     def backward(self, loss: Tensor) -> None:
-        """Populate gradients of every requires_grad leaf reachable from ``loss``."""
+        """Populate the gradients of the ``wrt`` leaves that ``loss`` reaches."""
         if loss.values.size != 1:
             raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
         if not self._entries:
@@ -211,12 +218,13 @@ def _check_finite(vals: np.ndarray, op: str) -> None:
 def _grad_slot(t: "Tensor | None") -> "Tensor | _Slot | None":
     """Where a rule adds ``t``'s gradient, or None if it needs none.
 
-    Only while a tape records: a leaf is its own slot, and an op output
-    has the slot its op recorded.
+    Only for the active tape: a leaf in its ``wrt`` is its own slot, and
+    an output it recorded has the slot its op recorded.
     """
-    if t is None or _active_tape is None or not t.requires_grad:
+    if t is None or _active_tape is None:
         return None
-    return t if t._slot is None else t._slot
+    slot = t if t._slot is None else t._slot
+    return slot if id(slot) in _active_tape._slots else None
 
 
 def _make_output(vals: np.ndarray, op: str, slots: Sequence["Tensor | _Slot | None"],
@@ -229,7 +237,6 @@ def _make_output(vals: np.ndarray, op: str, slots: Sequence["Tensor | _Slot | No
     _check_finite(vals, op)
     out = Tensor(vals)
     if any(s is not None for s in slots):
-        out.requires_grad = True
         out._slot = _Slot(out.dtype)
         _active_tape.record(out, backward)
     return out

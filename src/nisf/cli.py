@@ -282,7 +282,6 @@ def cmd_infer(args: argparse.Namespace) -> int:
     config = _load_config_file(args.config, _INFER)
     icfg = InferConfig(**_options(args, config, _INFER))
     model, _, _, _, _ = load_checkpoint(args.checkpoint)
-    model.set_trainable(False)
     volume = load_volume(args.volume)
     resolved = {"checkpoint": os.path.abspath(args.checkpoint),
                 "volume": os.path.abspath(args.volume),
@@ -359,18 +358,18 @@ def cmd_sample_plane(args: argparse.Namespace) -> int:
     from .experiments import plane_dice
     from .images import write_label_pgm, write_pgm8, write_pgm16, write_raw_f64
     from .sampling import PlaneSpec, nearest_neighbor_resample, sample_plane
-    from .serial import read_blob, write_json_atomic
+    from .serial import read_blob, require, write_json_atomic
     from .training import load_checkpoint
     from .volume import load_volume
 
     volume = load_volume(args.volume)
     model, _, _, _, _ = load_checkpoint(args.checkpoint)
-    model.set_trainable(False)
     with open(args.latent, "rb") as f:
         _, header, arrays = read_blob(f, "NISF-LATENT", 1)
+    require(arrays, ("h",), "latent payload")
     if header.get("model_checksum") not in (None, model.checksum()):
         return _fail("latent was fitted against a different model checkpoint")
-    h = Tensor(arrays["h"].reshape(-1), requires_grad=False, name="h")
+    h = Tensor(arrays["h"].reshape(-1), name="h")
 
     span = tuple((volume.shape[a] - 1) * volume.spacing[a] for a in range(3))
     spec = PlaneSpec(**_options(args, {}, _SAMPLE_PLANE), t=args.t, span_mm=span)

@@ -34,7 +34,7 @@ from .inference import (InferConfig, InferenceTrace, analysis_points, evaluate_p
 from .losses import LossWeights, train_loss
 from .metrics import DiceReport, aggregate, dice_report, reconstruction_error
 from .model import FieldModel, ModelConfig
-from .optim import Adam, select_trainables
+from .optim import Adam
 from .phantom import (DEFAULT_GRID_SHAPE, DEFAULT_SPACING, PhantomSpec, generate_dataset,
                       generate_subject)
 from .sampling import (GridSpec, PlaneSpec, nearest_neighbor_resample, sample_grid,
@@ -309,16 +309,13 @@ class DeskScaleRun:
     # -- the prior ------------------------------------------------------
 
     def model(self) -> FieldModel:
-        """The frozen prior, trained (or resumed) first if needed."""
+        """The prior, trained (or resumed) first if needed."""
         ckpt = latest_checkpoint(self.dir)
         if ckpt is None or _ckpt_epochs(ckpt) < self.cfg.train.epochs:
             self._log("training prior" + (" (resuming)" if ckpt else ""))
-            model = train_prior(self.splits()["train"], self.cfg.train,
-                                out_dir=self.dir, resume_from=ckpt).model
-        else:
-            model = load_checkpoint(ckpt)[0]
-        model.set_trainable(False)
-        return model
+            return train_prior(self.splits()["train"], self.cfg.train,
+                               out_dir=self.dir, resume_from=ckpt).model
+        return load_checkpoint(ckpt)[0]
 
     # -- validation curve + early stop ----------------------------------
 
@@ -472,21 +469,20 @@ def run_overfit(cfg: OverfitConfig = OverfitConfig()) -> OverfitResult:
 
     model = FieldModel.init(cfg.model, seed=cfg.seed)
     rng = np.random.default_rng(np.random.SeedSequence([0x0F17, cfg.seed]))
-    h = ad.Tensor(rng.normal(0.0, LATENT_PRIOR_SIGMA, size=cfg.model.latent_dim),
-                  requires_grad=True, name="h")
-    opt = Adam(select_trainables("prior_training", model, h), lr=cfg.lr)
+    h = ad.Tensor(rng.normal(0.0, LATENT_PRIOR_SIGMA, size=cfg.model.latent_dim), name="h")
+    opt = Adam({**{name: model.params[name] for name in model.param_names()}, "latent": h},
+               lr=cfg.lr)
     weights = LossWeights()
 
     losses = []
     for _ in range(cfg.steps):
-        with ad.Tape() as tape:
+        with ad.Tape(wrt=opt.params.values()) as tape:
             terms = train_loss(model, h, coords, intensities, labels, weights)
             tape.backward(terms.total)
         opt.step()
         opt.reset_grads()
         losses.append(terms.report().total)
 
-    model.set_trainable(False)
     spec = GridSpec.matching_volume(vol, t_index=0)
     sampled = sample_grid(model, h, spec)
     mae = float(np.mean(np.abs(sampled.intensity[:, :, :, 0] - vol.intensity[:, :, :, 0])))

@@ -117,8 +117,8 @@ def check_scalar_fn(name: str, build, params: list[np.ndarray],
     ``build`` receives the list of parameter Tensors and must return a
     scalar Tensor computed from them (recorded on the active tape).
     """
-    tensors = [ad.Tensor(np.array(p, dtype=np.float64), requires_grad=True) for p in params]
-    with ad.Tape() as tape:
+    tensors = [ad.Tensor(np.array(p, dtype=np.float64)) for p in params]
+    with ad.Tape(wrt=tensors) as tape:
         loss = build(tensors)
         if loss.values.size != 1:
             raise ContractError(f"gradcheck '{name}': build must return a scalar")

@@ -1,7 +1,8 @@
 """Latent-only inference on unseen subjects.
 
-The model is frozen; a fresh latent drawn from N(0, 1e-4) is optimized
-against the intensity reconstruction objective alone. Segmentations are
+Each step's tape differentiates only a fresh latent, drawn from
+N(0, 1e-4) and optimized against the intensity reconstruction objective
+alone; the model's weights are read, never moved. Segmentations are
 then decoded from the fitted latent: the bet is that a latent explaining
 the image also lands where the segmentation head is accurate.
 
@@ -22,7 +23,7 @@ from .errors import ContractError, NumericalError
 from .losses import LossWeights, bce, inference_loss
 from .metrics import dice
 from .model import FieldModel
-from .optim import Adam, select_trainables
+from .optim import Adam
 from .volume import VolumeSample, make_batch
 
 INFER_INIT_SIGMA = 0.01  # h starts from N(0, 1e-4)
@@ -175,10 +176,8 @@ def infer_latent(model: FieldModel, coords: np.ndarray, intensities: np.ndarray,
 
     checksum_before = model.checksum()
     rng = np.random.default_rng(np.random.SeedSequence([_STREAM_INIT, config.seed]))
-    h = Tensor(rng.normal(0.0, INFER_INIT_SIGMA, size=model.config.latent_dim),
-               requires_grad=True, name="h")
-    trainables = select_trainables("inference", model, h)
-    adam = Adam(trainables, lr=config.lr_infer)
+    h = Tensor(rng.normal(0.0, INFER_INIT_SIGMA, size=model.config.latent_dim), name="h")
+    adam = Adam({"latent": h}, lr=config.lr_infer)
     weights = config.weights()
     sample_rng = np.random.default_rng(np.random.SeedSequence([_STREAM_SAMPLE, config.seed]))
     num_points = coords.shape[0]
@@ -207,7 +206,7 @@ def infer_latent(model: FieldModel, coords: np.ndarray, intensities: np.ndarray,
             step_coords, step_targets = coords[idx], intensities[idx]
         else:
             step_coords, step_targets = coords, intensities
-        with Tape() as tape:
+        with Tape(wrt=[h]) as tape:
             terms = inference_loss(model.intensity(step_coords, h), step_targets, h, weights)
             tape.backward(terms.total)
         adam.step()

@@ -105,8 +105,8 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 def _as_target(t, like: Tensor) -> Tensor:
     tt = t if isinstance(t, Tensor) else Tensor(np.asarray(t, dtype=like.dtype))
-    if tt.requires_grad:
-        raise ContractError("targets must not require gradients")
+    if ad._grad_slot(tt) is not None:
+        raise ContractError("targets must not be differentiated by the active tape")
     return tt
 
 
@@ -193,16 +193,3 @@ def train_loss(model, h: Tensor, coords, intensity_targets, seg_labels,
     seg, intensity = model.forward(coords, h)
     return training_loss(seg, intensity, seg_labels, intensity_targets,
                          model.parameters(), h, weights)
-
-
-def infer_loss(model, h: Tensor, coords, intensity_targets,
-               weights: LossWeights) -> LossTerms:
-    """Reconstruction-only objective through a frozen model.
-
-    The model must be non-trainable: only the latent may receive
-    gradients from this loss.
-    """
-    trainable = [n for n in model.param_names() if model.params[n].requires_grad]
-    if trainable:
-        raise ContractError(f"infer_loss requires a frozen model; trainable: {trainable}")
-    return inference_loss(model.intensity(coords, h), intensity_targets, h, weights)

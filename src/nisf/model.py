@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractError, DimensionError
-from .serial import config_dict, read_blob, write_blob
+from .serial import config_dict, read_blob, require, write_blob
 
 MODEL_MAGIC = "NISF-MODEL"
 MODEL_VERSION = 1
@@ -127,10 +127,10 @@ class FieldModel:
         w = cfg.hidden_width
 
         def normal(scale, *shape):
-            return Tensor(rng.normal(0.0, scale, size=shape), requires_grad=True)
+            return Tensor(rng.normal(0.0, scale, size=shape))
 
         def zeros(*shape):
-            return Tensor(np.zeros(shape), requires_grad=True)
+            return Tensor(np.zeros(shape))
 
         params: dict[str, Tensor] = {}
         fan_in = cfg.coord_dim + cfg.latent_dim
@@ -161,10 +161,6 @@ class FieldModel:
     @property
     def num_params(self) -> int:
         return sum(p.size for p in self.parameters())
-
-    def set_trainable(self, flag: bool) -> None:
-        for p in self.parameters():
-            p.requires_grad = flag
 
     def checksum(self) -> str:
         """SHA-256 over canonical little-endian parameter bytes."""
@@ -222,9 +218,10 @@ class FieldModel:
 
     @classmethod
     def load(cls, path) -> "FieldModel":
-        """The saved model, its weights frozen."""
+        """The saved model."""
         with open(path, "rb") as f:
             _, header, arrays = read_blob(f, MODEL_MAGIC, MODEL_VERSION)
+        require(header, ("config",), "model header")
         cfg = ModelConfig.from_dict(header["config"])
         params = {name: Tensor(arr) for name, arr in arrays.items()}
         model = cls(cfg, params)

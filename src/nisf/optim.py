@@ -1,7 +1,8 @@
-"""Adam optimizer and trainable-set selection.
+"""Adam optimizer.
 
 The same optimizer drives prior training (model parameters plus the
-sampled subject's latent row) and inference (one fresh latent only).
+sampled subject's latent row) and inference (one fresh latent only); the
+tensors it is built over are the ones the step's ``Tape(wrt=...)`` names.
 Bias-corrected update, in-place on parameter values; gradient arrays are
 read but never modified (the caller resets them between steps).
 """
@@ -90,26 +91,3 @@ class Adam:
                                         f"!= parameter shape {p.shape}")
                 dest[name] = arr.copy()
         self.t = int(t)
-
-
-def select_trainables(mode: str, model, latent: Tensor) -> dict[str, Tensor]:
-    """Choose which tensors the optimizer may update, and mark them.
-
-    ``prior_training``: model parameters and the latent, all trainable.
-    ``inference``: the latent exactly; model parameters are frozen
-    (requires_grad cleared) so the tape cannot even record gradients
-    for them.
-    """
-    if mode not in ("prior_training", "inference"):
-        raise ContractError(f"unknown trainable mode {mode!r}")
-    if latent.ndim != 1 or latent.shape[0] != model.config.latent_dim:
-        raise ContractError(f"latent shape {latent.shape} does not match model "
-                            f"latent_dim {model.config.latent_dim}")
-    latent.requires_grad = True
-    if mode == "prior_training":
-        model.set_trainable(True)
-        out = {name: model.params[name] for name in model.param_names()}
-        out["latent"] = latent
-        return out
-    model.set_trainable(False)
-    return {"latent": latent}

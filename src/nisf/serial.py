@@ -9,8 +9,10 @@ checkpoints, fitted latents, volume payloads) uses the same envelope:
 
 The header carries an ``arrays`` list of [name, shape, dtype] entries in
 payload order, so readers can validate byte counts before touching the
-payload. Round-trips are bit-exact: arrays are written as little-endian
-raw bytes and read back with the recorded dtype and shape.
+payload. A malformed entry, or a header key or array a reader needs and
+does not find (see ``require``), is a ``PayloadError``. Round-trips are
+bit-exact: arrays are written as little-endian raw bytes and read back
+with the recorded dtype and shape.
 
 JSON artifacts share two helpers as well: configs serialise and hash
 through ``config_dict``/``config_hash``, and records are written through
@@ -73,10 +75,15 @@ def read_blob(f: BinaryIO, magic: str, max_version: int) -> tuple[int, dict, dic
         header = json.loads(f.readline().decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:
         raise PayloadError(f"unreadable header: {exc}") from exc
-    if "arrays" not in header:
+    if not isinstance(header, dict) or not isinstance(header.get("arrays"), list):
         raise PayloadError("header missing 'arrays' table")
     arrays: dict[str, np.ndarray] = {}
-    for name, shape, dtype_name in header["arrays"]:
+    for entry in header["arrays"]:
+        if not (isinstance(entry, list) and len(entry) == 3 and isinstance(entry[0], str)
+                and isinstance(entry[1], list) and isinstance(entry[2], str)
+                and all(type(n) is int and n >= 0 for n in entry[1])):
+            raise PayloadError(f"bad 'arrays' entry {entry!r}, expected [name, shape, dtype]")
+        name, shape, dtype_name = entry
         dt = _le_dtype(dtype_name)
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         raw = f.read(count * dt.itemsize)
@@ -88,6 +95,14 @@ def read_blob(f: BinaryIO, magic: str, max_version: int) -> tuple[int, dict, dic
     if trailing:
         raise PayloadError("trailing bytes after declared payload")
     return version, header, arrays
+
+
+def require(mapping: dict, keys, what: str) -> None:
+    """Raise ``PayloadError`` naming the first of ``keys`` missing from ``mapping``,
+    an envelope's header or arrays (``what`` says which file part it is)."""
+    for key in keys:
+        if key not in mapping:
+            raise PayloadError(f"{what} missing {key!r}")
 
 
 def _json_fields(pairs) -> dict:

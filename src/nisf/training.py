@@ -26,7 +26,8 @@ from .errors import ContractError, NumericalError
 from .losses import LossReport, LossWeights, train_loss
 from .model import FieldModel, ModelConfig
 from .optim import Adam
-from .serial import config_dict, config_hash, read_blob, write_blob, write_text_atomic
+from .serial import (config_dict, config_hash, read_blob, require, write_blob,
+                     write_text_atomic)
 from .volume import VolumeSample, make_batch
 
 CKPT_MAGIC = "NISF-CKPT"
@@ -99,7 +100,7 @@ class LatentTable:
         self.latent_dim = latent_dim
         rng = np.random.default_rng(np.random.SeedSequence([_STREAM_TABLE, seed]))
         rows = rng.normal(0.0, LATENT_PRIOR_SIGMA, size=(len(subject_ids), latent_dim))
-        self.rows = {sid: Tensor(rows[i].copy(), requires_grad=True, name=f"h[{sid}]")
+        self.rows = {sid: Tensor(rows[i].copy(), name=f"h[{sid}]")
                      for i, sid in enumerate(subject_ids)}
         self.adams = {sid: Adam({"h": self.rows[sid]}, lr=lr) for sid in subject_ids}
 
@@ -215,7 +216,6 @@ def train_prior(subjects: list[VolumeSample], config: TrainConfig,
             resume_from, config, ids)
     else:
         model = FieldModel.init(config.model, seed=config.seed)
-        model.set_trainable(True)
         table = LatentTable(ids, config.model.latent_dim, seed=config.seed,
                             lr=config.lr_prior)
         adam_model = Adam({n: model.params[n] for n in model.param_names()},
@@ -238,7 +238,7 @@ def train_prior(subjects: list[VolumeSample], config: TrainConfig,
             batch = make_batch(subject, t_index)
             h = table.row(sid)
             try:
-                with Tape() as tape:
+                with Tape(wrt=[*model.parameters(), h]) as tape:
                     terms = train_loss(model, h, batch.coords, batch.intensities,
                                        batch.labels, config.weights)
                     report = terms.report()
@@ -301,6 +301,8 @@ def load_checkpoint(path: str, config: TrainConfig | None = None,
     """Restore (model, table, model optimizer, next_epoch, global_step)."""
     with open(path, "rb") as f:
         _, header, arrays = read_blob(f, CKPT_MAGIC, CKPT_VERSION)
+    require(header, ("train_config", "config_hash", "subject_ids", "epoch_done",
+                     "global_step", "adam_model_t"), "checkpoint header")
     saved_config = TrainConfig.from_dict(header["train_config"])
     if config is not None and config.content_hash() != header["config_hash"]:
         raise ContractError("checkpoint was written under a different config; "
@@ -310,8 +312,10 @@ def load_checkpoint(path: str, config: TrainConfig | None = None,
     if expect_ids is not None and ids != list(expect_ids):
         raise ContractError("checkpoint subject ids do not match the dataset")
 
-    params = {name: Tensor(arrays[f"model.{name}"], requires_grad=True)
-              for name in FieldModel._names_for(cfg.model)}
+    names = FieldModel._names_for(cfg.model)
+    require(arrays, [*(f"model.{name}" for name in names), "latent.H", "adam_latent.m",
+                     "adam_latent.v", "adam_latent.t"], "checkpoint payload")
+    params = {name: Tensor(arrays[f"model.{name}"]) for name in names}
     model = FieldModel(cfg.model, params)
     adam_model = Adam({n: model.params[n] for n in model.param_names()},
                       lr=cfg.lr_prior)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ContractError, DimensionError, PayloadError
-from .serial import read_blob, write_blob, write_json_atomic
+from .serial import read_blob, require, write_blob, write_json_atomic
 
 VOLUME_MAGIC = "NISF-VOL"
 VOLUME_VERSION = 1
@@ -233,9 +233,8 @@ def save_volume(volume: VolumeSample, path: str) -> None:
 def load_volume(path: str) -> VolumeSample:
     with open(path, "rb") as f:
         _, header, arrays = read_blob(f, VOLUME_MAGIC, VOLUME_VERSION)
-    for key in ("intensity", "labels"):
-        if key not in arrays:
-            raise PayloadError(f"volume file missing {key!r} array")
+    require(header, ("shape", "subject_id", "spacing"), "volume header")
+    require(arrays, ("intensity", "labels"), "volume payload")
     shape = tuple(header["shape"])
     if arrays["intensity"].shape != shape or arrays["labels"].shape != shape:
         raise PayloadError(f"payload shapes {arrays['intensity'].shape} disagree "

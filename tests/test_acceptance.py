@@ -23,10 +23,10 @@ from nisf.experiments import (DeskScaleConfig, DeskScaleRun, OverfitConfig,
                               cached_overfit)
 from nisf.gradcheck import run_model_check, run_op_checks
 from nisf.inference import InferConfig, evaluate_points, full_observations, infer_latent
-from nisf.losses import (LossWeights, bce, dice_loss, infer_loss, one_hot,
+from nisf.losses import (LossWeights, bce, dice_loss, inference_loss, one_hot,
                          train_loss)
 from nisf.model import FieldModel, ModelConfig
-from nisf.optim import Adam, select_trainables
+from nisf.optim import Adam
 from nisf.phantom import generate_subject
 from nisf.sampling import nn_lookup
 from nisf.training import (LatentTable, TrainConfig, latest_checkpoint,
@@ -104,7 +104,7 @@ def test_criterion_02_loss_identities():
     coords = rng.uniform(size=(17, 4))
     intensities = rng.uniform(0.02, 0.98, size=17)
     labels = rng.integers(0, 4, size=17)
-    h = ad.Tensor(rng.normal(scale=0.1, size=TINY.latent_dim), requires_grad=True)
+    h = ad.Tensor(rng.normal(scale=0.1, size=TINY.latent_dim))
     weights = LossWeights()
     report = train_loss(model, h, coords, intensities, labels, weights).report()
     rebuilt = (report.bce_seg + report.dice_seg + weights.alpha * report.bce_recon
@@ -112,9 +112,9 @@ def test_criterion_02_loss_identities():
                + weights.lambda_h * report.l2_latent)
     d_total = abs(report.total - rebuilt)
 
-    model.set_trainable(False)
     icfg = InferConfig(max_steps=1, lambda_h=1e-4)
-    inf = infer_loss(model, h, coords, intensities, icfg.weights()).total.item()
+    inf = inference_loss(model.intensity(coords, h), intensities, h,
+                         icfg.weights()).total.item()
     restricted_weights = LossWeights(alpha=1.0, lambda_theta_phi=0.0, lambda_h=1e-4)
     terms = train_loss(model, h, coords, intensities, labels, restricted_weights)
     restriction = (terms.bce_recon.item()
@@ -224,7 +224,6 @@ def test_criterion_08_frozen_weights_and_isolation():
     # (a) inference may not move the model
     _, vol = generate_subject(31, grid_shape=(6, 6, 2, 2), spacing=(4.0, 4.0, 10.0))
     model = FieldModel.init(TINY, seed=4)
-    model.set_trainable(False)
     before = model.checksum()
     coords, intensities = full_observations(vol)
     infer_latent(model, coords, intensities, InferConfig(max_steps=3, seed=1))
@@ -232,13 +231,13 @@ def test_criterion_08_frozen_weights_and_isolation():
 
     # (b) one training step touches exactly one latent row
     model2 = FieldModel.init(TINY, seed=5)
-    model2.set_trainable(True)
     table = LatentTable(["a", "b", "c"], TINY.latent_dim, seed=6, lr=1e-3)
     snapshot = {k: v.values.copy() for k, v in table.rows.items()}
     h_b = table.rows["b"]
-    opt = Adam(select_trainables("prior_training", model2, h_b), lr=1e-3)
+    opt = Adam({**{n: model2.params[n] for n in model2.param_names()}, "latent": h_b},
+               lr=1e-3)
     rng = np.random.default_rng(7)
-    with ad.Tape() as tape:
+    with ad.Tape(wrt=opt.params.values()) as tape:
         terms = train_loss(model2, h_b, rng.uniform(size=(12, 4)),
                            rng.uniform(0.1, 0.9, size=12),
                            rng.integers(0, 4, size=12), LossWeights())
@@ -249,7 +248,6 @@ def test_criterion_08_frozen_weights_and_isolation():
               and not np.array_equal(table.rows["b"].values, snapshot["b"]))
 
     # (c) softmax rows sum to 1 over a million queries
-    model.set_trainable(False)
     h = ad.Tensor(np.random.default_rng(8).normal(scale=0.1, size=TINY.latent_dim))
     pts = np.random.default_rng(9).uniform(size=(1_000_000, 4))
     _, probs, _ = evaluate_points(model, h, pts)

@@ -4,11 +4,11 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import nisf.autodiff as ad
 from nisf.errors import ContractError, DimensionError, NumericalError
-from nisf.gradcheck import check_scalar_fn, numerical_gradient, run_op_checks
+from nisf.gradcheck import numerical_gradient, relative_error, run_op_checks
 
 
 def test_every_op_matches_finite_differences():
@@ -23,33 +23,46 @@ def test_op_checks_are_seed_robust():
 
 
 def test_backward_without_tape_raises():
-    x = ad.Tensor(np.ones(3), requires_grad=True)
+    x = ad.Tensor(np.ones(3))
     y = ad.mul(x, x)  # no active tape: not recorded
-    with ad.Tape() as tape, pytest.raises(ContractError, match="empty tape"):
+    with ad.Tape(wrt=[x]) as tape, pytest.raises(ContractError, match="empty tape"):
         tape.backward(ad.reduce_sum(y))
 
 
 def test_grad_accumulates_over_reuse():
     # f(x) = sum(x*x + x) -> df/dx = 2x + 1, with x used by two ops
-    x = ad.Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)
-    with ad.Tape() as tape:
+    x = ad.Tensor(np.array([1.0, -2.0, 0.5]))
+    with ad.Tape(wrt=[x]) as tape:
         y = ad.add(ad.mul(x, x), x)
         tape.backward(ad.reduce_sum(y))
     np.testing.assert_allclose(x.grad, 2.0 * x.values + 1.0)
 
 
 def test_non_grad_leaf_gets_no_gradient():
-    x = ad.Tensor(np.ones(4), requires_grad=True)
+    x = ad.Tensor(np.ones(4))
     c = ad.Tensor(np.full(4, 2.0))
-    with ad.Tape() as tape:
+    with ad.Tape(wrt=[x]) as tape:
         tape.backward(ad.reduce_sum(ad.mul(x, c)))
     assert x.grad is not None
     assert c.grad is None
 
 
+def test_another_tapes_output_is_a_constant():
+    # a tape records for its named leaves and its own outputs only
+    x = ad.Tensor(np.array([1.0, 2.0, 3.0]))
+    with ad.Tape(wrt=[x]) as first:
+        y = ad.mul(x, x)
+    with ad.Tape() as second:
+        ad.mul(y, 2.0)
+    with ad.Tape(wrt=[x]) as third:
+        third.backward(ad.reduce_sum(ad.mul(y, x)))
+    assert (len(first), len(second), len(third)) == (1, 0, 2)
+    np.testing.assert_array_equal(x.grad, y.values)
+
+
 def test_intermediate_gradients_are_freed():
-    x = ad.Tensor(np.ones((5, 3)), requires_grad=True)
-    with ad.Tape() as tape:
+    x = ad.Tensor(np.ones((5, 3)))
+    with ad.Tape(wrt=[x]) as tape:
         mid = ad.mul(x, x)
         out = ad.reduce_sum(ad.mul(mid, 3.0))
         tape.backward(out)
@@ -62,9 +75,9 @@ def test_rule_holds_the_only_reference_to_its_gradient():
     # Tape.backward hands each rule its gradient without keeping a reference
     # of its own, so a rule that drops the array frees it (gabor_trunk's
     # rule rewrites it in place and hands it on instead of copying).
-    x = ad.Tensor(np.ones(3), requires_grad=True)
+    x = ad.Tensor(np.ones(3))
     freed = []
-    with ad.Tape() as tape:
+    with ad.Tape(wrt=[x]) as tape:
         sx = ad._grad_slot(x)
 
         def rule(g):
@@ -81,8 +94,8 @@ def test_rule_holds_the_only_reference_to_its_gradient():
 
 def test_log_clamps_and_zeroes_gradient_below_eps():
     vals = np.array([0.5, 0.0, -1.0, ad.LOG_EPS])
-    x = ad.Tensor(vals.copy(), requires_grad=True)
-    with ad.Tape() as tape:
+    x = ad.Tensor(vals.copy())
+    with ad.Tape(wrt=[x]) as tape:
         y = ad.log(x)
         tape.backward(ad.reduce_sum(y))
     assert np.all(np.isfinite(y.values))
@@ -93,8 +106,8 @@ def test_log_clamps_and_zeroes_gradient_below_eps():
 
 
 def test_sigmoid_is_stable_for_large_inputs():
-    x = ad.Tensor(np.array([-800.0, -30.0, 0.0, 30.0, 800.0]), requires_grad=True)
-    with ad.Tape() as tape:
+    x = ad.Tensor(np.array([-800.0, -30.0, 0.0, 30.0, 800.0]))
+    with ad.Tape(wrt=[x]) as tape:
         y = ad.sigmoid(x)
         tape.backward(ad.reduce_sum(y))
     assert np.all(np.isfinite(y.values))
@@ -137,9 +150,9 @@ def test_no_silent_numpy_broadcasting():
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_finite_check_catches_nan_result():
-    x = ad.Tensor(np.array([1e308]), requires_grad=True)
+    x = ad.Tensor(np.array([1e308]))
     with pytest.raises(NumericalError):
-        with ad.Tape():
+        with ad.Tape(wrt=[x]):
             ad.mul(x, 10.0)  # overflows to inf
 
 
@@ -199,8 +212,8 @@ def test_contiguous_transposed_products_are_batch_invariant():
 def _input_grad_rows(op, arrays, coef, rows):
     # the gradient of sum(op(...) * coef) with respect to arrays[0], whose
     # first ``rows`` rows are the batch; the others are shared by every row
-    x = ad.Tensor(arrays[0][:rows], requires_grad=True)
-    with ad.Tape() as tape:
+    x = ad.Tensor(arrays[0][:rows])
+    with ad.Tape(wrt=[x]) as tape:
         out = op(x, *(ad.Tensor(v) for v in arrays[1:]))
         tape.backward(ad.reduce_sum(ad.mul(out, ad.Tensor(coef[:rows]))))
     return x.grad
@@ -264,8 +277,8 @@ def test_gabor_accurate_at_trained_scale(s0):
     x = np.concatenate([rng.uniform(-4.0, 4.0, size=4000), near, [0.0, -4.0, 4.0]])
     x = x.reshape(-1, 1)
     assert np.abs(np.tan(0.5 * omega0 * x)).max() > 1e15
-    xt = ad.Tensor(x, requires_grad=True)
-    with ad.Tape() as tape:
+    xt = ad.Tensor(x)
+    with ad.Tape(wrt=[xt]) as tape:
         taped = ad.gabor(xt, omega0, s0)
         tape.backward(ad.reduce_sum(taped))
     envelope = np.exp(-np.square(s0 * x))
@@ -289,8 +302,8 @@ def test_latent_linear_matches_concat_formulation():
     b = rng.normal(size=5)
     coef = rng.normal(size=(53, 5))
     x = np.concatenate([coords, np.tile(h, (53, 1))], axis=1)
-    tensors = [ad.Tensor(v, requires_grad=True) for v in (coords, h, w, b)]
-    with ad.Tape() as tape:
+    tensors = [ad.Tensor(v) for v in (coords, h, w, b)]
+    with ad.Tape(wrt=tensors) as tape:
         out = ad.latent_linear(*tensors)
         tape.backward(ad.reduce_sum(ad.mul(out, ad.Tensor(coef))))
     expect_grads = [coef @ w[:4].T, w[4:] @ coef.sum(axis=0), x.T @ coef, coef.sum(axis=0)]
@@ -334,7 +347,7 @@ def _composed_trunk(coords, h, w_in, b_in, blocks, omega0, s0):
     return x
 
 
-def _check_matches_composed(rows, trainable, num_blocks):
+def _check_matches_composed(rows, wrt, num_blocks):
     # the one-entry trunk keeps the bits of latent_linear followed by the
     # chained five-op blocks: value and every gradient
     rng = np.random.default_rng(7)
@@ -342,11 +355,11 @@ def _check_matches_composed(rows, trainable, num_blocks):
     coef = ad.Tensor(rng.normal(size=(rows, 24)))
     # "x" is the coordinates alone, "h" the latent alone (a latent-only step)
     grads = {"all": range(len(arrays)), "x": [0], "h": [1], "none": [],
-             "w2": range(6, len(arrays), 4)}[trainable]
+             "w2": range(6, len(arrays), 4)}[wrt]
 
     def run(fn):
-        tensors = [ad.Tensor(v.copy(), requires_grad=i in grads) for i, v in enumerate(arrays)]
-        with ad.Tape() as tape:
+        tensors = [ad.Tensor(v.copy()) for v in arrays]
+        with ad.Tape(wrt=[tensors[i] for i in grads]) as tape:
             out = _trunk(fn, tensors)
             if grads:
                 tape.backward(ad.reduce_sum(ad.mul(out, coef)))
@@ -364,9 +377,9 @@ def _check_matches_composed(rows, trainable, num_blocks):
 
 def _check_second_backward_doubles(num_blocks):
     rng = np.random.default_rng(8)
-    tensors = [ad.Tensor(v, requires_grad=True) for v in _trunk_arrays(40, num_blocks, rng)]
+    tensors = [ad.Tensor(v) for v in _trunk_arrays(40, num_blocks, rng)]
     coef = ad.Tensor(rng.normal(size=(40, 24)))
-    with ad.Tape() as tape:
+    with ad.Tape(wrt=tensors) as tape:
         loss = ad.reduce_sum(ad.mul(_trunk(ad.gabor_trunk, tensors), coef))
         tape.backward(loss)
         once = [t.grad.copy() for t in tensors]
@@ -383,17 +396,17 @@ def _check_rejects_nan(arrays):
 
 
 @pytest.mark.parametrize("rows", [1, 53, 2500, MULTI_TILE_ROWS])
-@pytest.mark.parametrize("trainable", ["all", "x", "h", "w2", "none"])
-def test_gabor_block_matches_composed_ops(rows, trainable):
+@pytest.mark.parametrize("wrt", ["all", "x", "h", "w2", "none"])
+def test_gabor_block_matches_composed_ops(rows, wrt):
     # a single residual block: the trunk op with one block
-    _check_matches_composed(rows, trainable, 1)
+    _check_matches_composed(rows, wrt, 1)
 
 
 @pytest.mark.parametrize("rows", [1, 53, 2500, MULTI_TILE_ROWS])
-@pytest.mark.parametrize("trainable", ["all", "x", "h", "w2", "none"])
-def test_gabor_trunk_matches_composed_ops(rows, trainable):
+@pytest.mark.parametrize("wrt", ["all", "x", "h", "w2", "none"])
+def test_gabor_trunk_matches_composed_ops(rows, wrt):
     for num_blocks in (3, 8):
-        _check_matches_composed(rows, trainable, num_blocks)
+        _check_matches_composed(rows, wrt, num_blocks)
 
 
 def test_gabor_block_second_backward_doubles_gradients():
@@ -445,8 +458,8 @@ def test_sum_squares_matches_composed_chain():
     coefs = [rng.normal(size=v.shape) for v in arrays]
 
     def run(prior):
-        tensors = [ad.Tensor(v.copy(), requires_grad=True) for v in arrays]
-        with ad.Tape() as tape:
+        tensors = [ad.Tensor(v.copy()) for v in arrays]
+        with ad.Tape(wrt=tensors) as tape:
             other = ad.reduce_sum(ad.mul(tensors[0], ad.Tensor(coefs[0])))
             for t, c in zip(tensors[1:], coefs[1:]):
                 other = ad.add(other, ad.reduce_sum(ad.mul(t, ad.Tensor(c))))
@@ -465,10 +478,10 @@ def test_sum_squares_matches_composed_chain():
 def test_same_seed_same_graph_same_gradients():
     def build(seed):
         rng = np.random.default_rng(seed)
-        x = ad.Tensor(rng.normal(size=(6, 4)), requires_grad=True)
-        w = ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        b = ad.Tensor(rng.normal(size=3), requires_grad=True)
-        with ad.Tape() as tape:
+        x = ad.Tensor(rng.normal(size=(6, 4)))
+        w = ad.Tensor(rng.normal(size=(4, 3)))
+        b = ad.Tensor(rng.normal(size=3))
+        with ad.Tape(wrt=[x, w, b]) as tape:
             y = ad.gabor(ad.linear(x, w, b), 10.0, 5.0)
             tape.backward(ad.reduce_mean(ad.mul(y, y)))
         return x.grad.copy(), w.grad.copy(), b.grad.copy()
@@ -490,23 +503,39 @@ def test_softmax_rows_always_normalized(rows, cols, seed):
 @settings(max_examples=20, deadline=None)
 def test_reduce_mean_gradient_is_uniform(seed):
     rng = np.random.default_rng(seed)
-    x = ad.Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-    with ad.Tape() as tape:
+    x = ad.Tensor(rng.normal(size=(3, 5)))
+    with ad.Tape(wrt=[x]) as tape:
         tape.backward(ad.reduce_mean(x))
     np.testing.assert_allclose(x.grad, np.full((3, 5), 1.0 / 15.0))
 
 
+def _complex_step_gradient(a0, step=1e-30):
+    # d/dx of mean(sigmoid(cos(3x) * exp(-(0.5x)^2) * 2x)) in plain numpy, one
+    # element at a time as Im f(x + i*step*e_k) / step: no difference is
+    # taken, so the result is exact to rounding at any step this small
+    grad = np.empty_like(a0)
+    for k in np.ndindex(a0.shape):
+        z = a0.astype(np.complex128)
+        z[k] += 1j * step
+        y = np.cos(3.0 * z) * np.exp(-np.square(0.5 * z)) * (2.0 * z)
+        grad[k] = np.mean(1.0 / (1.0 + np.exp(-y))).imag / step
+    return grad
+
+
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
+@example(seed=727)
+@example(seed=2709)
+@example(seed=114270)
 @settings(max_examples=15, deadline=None)
 def test_chain_rule_against_fd_random_graphs(seed):
-    rng = np.random.default_rng(seed)
-    a0 = rng.normal(size=(4, 3))
-
-    def build(p):
-        return ad.reduce_mean(ad.sigmoid(ad.mul(ad.gabor(p[0], 3.0, 0.5), ad.mul(p[0], 2.0))))
-
-    result = check_scalar_fn("fuzz", build, [a0], tol=1e-6)
-    assert result.passed, result
+    # The reference is the complex-step derivative, not a central difference:
+    # at the pinned seeds the difference, not the tape, misses by 1.1e-6 to
+    # 1.3e-6, while the complex step agrees with the tape to 1e-12.
+    a0 = np.random.default_rng(seed).normal(size=(4, 3))
+    x = ad.Tensor(a0.copy())
+    with ad.Tape(wrt=[x]) as tape:
+        tape.backward(ad.reduce_mean(ad.sigmoid(ad.mul(ad.gabor(x, 3.0, 0.5), ad.mul(x, 2.0)))))
+    assert relative_error(x.grad, _complex_step_gradient(a0)) <= 1e-6
 
 
 def test_numerical_gradient_of_quadratic():

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from nisf.model import ModelConfig
-from nisf.serial import read_blob
-from nisf.training import load_checkpoint
-from nisf.volume import load_volume
+from nisf.serial import read_blob, write_blob
+from nisf.training import CKPT_MAGIC, load_checkpoint
+from nisf.volume import VOLUME_MAGIC, load_volume
 
 TINY = {"model": ModelConfig(num_res_layers=2, hidden_width=16,
                              latent_dim=8).to_dict()}
@@ -171,7 +171,6 @@ def test_sample_plane_writes_images(inferred, dataset, trained, tmp_path):
     from nisf.sampling import PlaneSpec, nearest_neighbor_resample, sample_plane
     volume = load_volume(os.path.join(dataset, "s0003.nvol"))
     model = load_checkpoint(ckpt)[0]
-    model.set_trainable(False)
     with open(os.path.join(inferred, "latent.nlat"), "rb") as f:
         h = Tensor(read_blob(f, "NISF-LATENT", 1)[2]["h"])
     span = tuple((volume.shape[a] - 1) * volume.spacing[a] for a in range(3))
@@ -218,6 +217,41 @@ def test_threads_caps_the_trunk_workers(threads, inferred, dataset, trained, tmp
          "--extent", "14,14", "--counts", "128,128", "--quiet"],
         capture_output=True, text=True)
     assert res.stdout.split() == ["0", str(threads)], res.stderr
+
+
+def _without(src, dest, magic, header_key=None, array=None):
+    # a copy of the envelope at src, written without one header key or array
+    with open(src, "rb") as f:
+        version, header, arrays = read_blob(f, magic, 1)
+    del header["arrays"]
+    header.pop(header_key, None)
+    arrays.pop(array, None)
+    with open(dest, "wb") as f:
+        write_blob(f, magic, version, header, arrays)
+    return str(dest)
+
+
+def test_malformed_envelopes_exit_1_naming_what_is_missing(inferred, dataset, trained,
+                                                           tmp_path):
+    _, ckpt = trained
+    volume = os.path.join(dataset, "s0003.nvol")
+    latent = os.path.join(inferred, "latent.nlat")
+    plane = ("--origin", "0.5,0.5,0.5", "--dir1", "1,0,0", "--dir2", "0,1,0",
+             "--extent", "14,14", "--counts", "4,4", "--quiet")
+    runs = {
+        "'shape'": ("eval", "--true", volume, "--pred",
+                    _without(volume, tmp_path / "a.nvol", VOLUME_MAGIC, header_key="shape")),
+        "'train_config'": ("infer", "--volume", volume, "--out", str(tmp_path / "fit"),
+                           "--checkpoint", _without(ckpt, tmp_path / "b.nckpt", CKPT_MAGIC,
+                                                    header_key="train_config")),
+        "'h'": ("sample-plane", "--checkpoint", ckpt, "--volume", volume,
+                "--out", str(tmp_path / "plane"), *plane,
+                "--latent", _without(latent, tmp_path / "c.nlat", "NISF-LATENT", array="h")),
+    }
+    for missing, argv in runs.items():
+        res = run_cli(*argv)
+        assert res.returncode == 1, (argv[0], res.stderr)
+        assert res.stderr.startswith("error: ") and missing in res.stderr, res.stderr
 
 
 def test_gradcheck_command_passes():

@@ -112,7 +112,6 @@ def test_curve_rows_produce_aligned_curves():
                                  subject_id=f"t{seed}")[1] for seed in (30, 31)]
     model = train_prior(subjects[:1], TrainConfig(model=TINY, epochs=15, lr_prior=1e-3,
                                                   seed=2, log_every=0)).model
-    model.set_trainable(False)
     fit = InferConfig(max_steps=20, record_cadence=10, lr_infer=1e-2, seed=5)
     rows = [curve_row(model, subject, replace(fit, seed=fit.seed + 1000 * (i + 1)))
             for i, subject in enumerate(subjects)]

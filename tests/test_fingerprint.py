@@ -18,7 +18,7 @@ import numpy as np
 import nisf.autodiff as ad
 from nisf.autodiff import Tensor
 from nisf.inference import evaluate_points
-from nisf.losses import LossWeights, infer_loss, train_loss
+from nisf.losses import LossWeights, inference_loss, train_loss
 from nisf.model import FieldModel, ModelConfig
 from nisf.sampling import PlaneSpec, sample_plane
 
@@ -41,16 +41,15 @@ def numerics_digest() -> str:
     latent = rng.normal(0.0, 0.1, size=128)
     digest = hashlib.sha256()
 
-    h = Tensor(latent.copy(), requires_grad=True)
-    with ad.Tape() as tape:
+    h = Tensor(latent.copy())
+    with ad.Tape(wrt=[*model.parameters(), h]) as tape:
         terms = train_loss(model, h, coords, intensities, labels, LossWeights())
         tape.backward(terms.total)
     _feed(digest, terms.total.values, h.grad, *(p.grad for p in model.parameters()))
 
-    model.set_trainable(False)
-    h = Tensor(latent.copy(), requires_grad=True)
-    with ad.Tape() as tape:
-        terms = infer_loss(model, h, coords, intensities, LossWeights())
+    h = Tensor(latent.copy())
+    with ad.Tape(wrt=[h]) as tape:
+        terms = inference_loss(model.intensity(coords, h), intensities, h, LossWeights())
         tape.backward(terms.total)
     _feed(digest, terms.total.values, h.grad)
 

@@ -3,16 +3,18 @@
 import numpy as np
 import pytest
 
+from nisf.autodiff import Tape
 from nisf.errors import ContractError, NumericalError
 from nisf.inference import (InferConfig, InferenceTrace, analysis_points,
                             evaluate_points,
                             full_observations, infer_latent,
                             select_early_stop_steps)
+from nisf.losses import LossWeights, train_loss
 from nisf.model import FieldModel, ModelConfig
 from nisf.phantom import generate_subject
 from nisf.sampling import sample_volume
 from nisf.training import TrainConfig, train_prior
-from nisf.volume import VolumeSample, degrade
+from nisf.volume import VolumeSample, degrade, make_batch
 
 TINY = ModelConfig(num_res_layers=2, hidden_width=16, latent_dim=8)
 
@@ -24,9 +26,7 @@ def _subject(seed=21, grid=(6, 6, 3, 2)):
 
 def _trained_model(subject, epochs=40):
     cfg = TrainConfig(model=TINY, epochs=epochs, lr_prior=1e-3, seed=2, log_every=0)
-    result = train_prior([subject], cfg)
-    result.model.set_trainable(False)
-    return result.model
+    return train_prior([subject], cfg).model
 
 
 # -- config -------------------------------------------------------------------
@@ -203,6 +203,24 @@ def test_infer_latent_leaves_model_frozen_and_reduces_loss():
     assert h.values.shape == (TINY.latent_dim,)
     assert trace.steps[0] == 0 and trace.steps[-1] == 150
     assert trace.recon_loss[-1] < trace.recon_loss[0]
+
+
+def test_infer_latent_differentiates_only_its_latent():
+    # infer_latent's tape names its fresh latent alone: the caller's model
+    # keeps its values and gets no gradient, and a training step on it
+    # afterwards still reaches every parameter
+    vol = _subject()
+    model = FieldModel.init(TINY, seed=0)
+    checksum = model.checksum()
+    batch = make_batch(vol)
+    h, _ = infer_latent(model, batch.coords, batch.intensities,
+                        InferConfig(max_steps=3, seed=2))
+    assert model.checksum() == checksum
+    assert all(p.grad is None for p in model.parameters())
+    with Tape(wrt=[*model.parameters(), h]) as tape:
+        tape.backward(train_loss(model, h, batch.coords, batch.intensities, batch.labels,
+                                 LossWeights()).total)
+    assert all(p.grad is not None for p in model.parameters())
 
 
 def test_infer_latent_runs_exactly_selected_steps():

@@ -50,8 +50,9 @@ def test_bce_shape_and_range_contracts():
         bce(pred, np.ones((3, 2)))
     with pytest.raises(ContractError):
         bce(pred, np.full((3, 1), 1.5))
-    with pytest.raises(ContractError):
-        bce(pred, Tensor(np.ones((3, 1)), requires_grad=True))
+    target = Tensor(np.ones((3, 1)))
+    with ad.Tape(wrt=[target]), pytest.raises(ContractError, match="target"):
+        bce(pred, target)
 
 
 def test_bce_finite_at_extreme_predictions():
@@ -168,9 +169,9 @@ def test_inference_objective_is_restriction_of_training_objective():
 
 def test_loss_gradients_flow_to_latent_only_at_inference():
     rng = np.random.default_rng(9)
-    intensity_leaf = Tensor(rng.normal(size=(6, 1)), requires_grad=True)
-    latent = Tensor(rng.normal(size=4), requires_grad=True)
-    with ad.Tape() as tape:
+    intensity_leaf = Tensor(rng.normal(size=(6, 1)))
+    latent = Tensor(rng.normal(size=4))
+    with ad.Tape(wrt=[intensity_leaf, latent]) as tape:
         intensity = ad.sigmoid(intensity_leaf)
         terms = inference_loss(intensity, rng.uniform(0.1, 0.9, size=6), latent,
                                LossWeights())
@@ -180,9 +181,9 @@ def test_loss_gradients_flow_to_latent_only_at_inference():
 
 
 def test_l2_sum_sq_hand_value():
-    t1 = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-    t2 = Tensor(np.array([[3.0]]))  # frozen: no gradient
-    with ad.Tape() as tape:
+    t1 = Tensor(np.array([1.0, -2.0]))
+    t2 = Tensor(np.array([[3.0]]))  # not named by the tape: no gradient
+    with ad.Tape(wrt=[t1]) as tape:
         total = ad.sum_squares([t1, t2])
         tape.backward(total)
     assert total.item() == 14.0

@@ -7,9 +7,10 @@ import pytest
 
 import nisf.autodiff as ad
 from nisf.autodiff import Tensor
-from nisf.errors import ContractError, DimensionError
+from nisf.errors import ContractError, DimensionError, PayloadError
 from nisf.losses import LossWeights, inference_loss, train_loss
-from nisf.model import FieldModel, ModelConfig, param_count
+from nisf.model import MODEL_MAGIC, MODEL_VERSION, FieldModel, ModelConfig, param_count
+from nisf.serial import write_blob
 
 
 def tiny_config(**overrides):
@@ -79,15 +80,14 @@ def test_intensity_alone_keeps_the_forward_bits():
     # or the latent gradient
     cfg = ModelConfig()
     model = FieldModel.init(cfg, seed=2)
-    model.set_trainable(False)
     rng = np.random.default_rng(3)
     coords = rng.uniform(0, 1, (1500, 4))
     coef = Tensor(rng.normal(size=(1500, 1)))
     latent = rng.normal(scale=0.1, size=cfg.latent_dim)
 
     def run(head):
-        h = Tensor(latent.copy(), requires_grad=True)
-        with ad.Tape() as tape:
+        h = Tensor(latent.copy())
+        with ad.Tape(wrt=[h]) as tape:
             out = head(coords, h)
             tape.backward(ad.reduce_sum(ad.mul(out, coef)))
         return out.values, h.grad, len(tape)
@@ -126,11 +126,12 @@ def test_init_activation_scale_healthy():
         assert 0.1 <= std <= 2.0, f"layer {depth} std {std:.3f}"
 
 
-def _traced_step(cfg, model, h, rows=4096, intensity_alone=False):
+def _traced_step(cfg, model, h, rows=4096, intensity_alone=False, train=False):
     """(bytes held after the forward, forward+backward peak), each in
     [rows, hidden_width] float64 arrays, of one taped step under tracemalloc.
-    A latent-only step reads the intensity of ``forward``, or of
-    ``FieldModel.intensity`` if ``intensity_alone``."""
+    A training step (``train``) differentiates every parameter and ``h``; a
+    latent-only step differentiates ``h`` alone and reads the intensity of
+    ``forward``, or of ``FieldModel.intensity`` if ``intensity_alone``."""
     rng = np.random.default_rng(4)
     coords = rng.uniform(0, 1, size=(rows, cfg.coord_dim))
     targets = rng.uniform(size=(rows, 1))
@@ -139,8 +140,8 @@ def _traced_step(cfg, model, h, rows=4096, intensity_alone=False):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        with ad.Tape() as tape:
-            if model.params["w_in"].requires_grad:
+        with ad.Tape(wrt=[*model.parameters(), h] if train else [h]) as tape:
+            if train:
                 total = train_loss(model, h, coords, targets, labels, LossWeights()).total
             else:
                 intensity = (model.intensity(coords, h) if intensity_alone
@@ -163,9 +164,7 @@ def test_latent_only_taped_forward_keeps_one_array_per_block():
     # kept every layer output alive).
     cfg = ModelConfig()
     model = FieldModel.init(cfg, seed=0)
-    model.set_trainable(False)
-    h = Tensor(np.random.default_rng(5).normal(scale=0.1, size=cfg.latent_dim),
-               requires_grad=True)
+    h = Tensor(np.random.default_rng(5).normal(scale=0.1, size=cfg.latent_dim))
     held, peak = _traced_step(cfg, model, h)
     assert held <= cfg.num_res_layers + 0.5, held
     assert peak <= cfg.num_res_layers + 2.5, peak
@@ -180,9 +179,7 @@ def test_latent_only_step_holds_only_the_wavelet_derivatives():
     # and every layer output kept by the tape).
     cfg = ModelConfig()
     model = FieldModel.init(cfg, seed=0)
-    model.set_trainable(False)
-    h = Tensor(np.random.default_rng(5).normal(scale=0.1, size=cfg.latent_dim),
-               requires_grad=True)
+    h = Tensor(np.random.default_rng(5).normal(scale=0.1, size=cfg.latent_dim))
     held, peak = _traced_step(cfg, model, h, intensity_alone=True)
     assert held <= cfg.num_res_layers + 0.5, held
     assert peak <= cfg.num_res_layers + 2.5, peak
@@ -197,9 +194,8 @@ def test_training_step_peak_is_three_arrays_per_block():
     # test_autodiff's test_rule_holds_the_only_reference_to_its_gradient.
     cfg = ModelConfig()
     model = FieldModel.init(cfg, seed=0)
-    h = Tensor(np.random.default_rng(5).normal(scale=0.01, size=cfg.latent_dim),
-               requires_grad=True)
-    _, peak = _traced_step(cfg, model, h)
+    h = Tensor(np.random.default_rng(5).normal(scale=0.01, size=cfg.latent_dim))
+    _, peak = _traced_step(cfg, model, h, train=True)
     assert peak <= 3 * cfg.num_res_layers + 4.5, peak
 
 
@@ -273,6 +269,16 @@ def test_save_load_round_trip_is_bit_exact(tmp_path):
         assert np.array_equal(loaded.params[name].values, model.params[name].values)
 
 
+def test_load_rejects_a_header_without_config(tmp_path):
+    model = FieldModel.init(tiny_config(), seed=9)
+    path = tmp_path / "headless.nmodel"
+    with open(path, "wb") as f:
+        write_blob(f, MODEL_MAGIC, MODEL_VERSION, {"param_count": model.num_params},
+                   {n: model.params[n].values for n in model.param_names()})
+    with pytest.raises(PayloadError, match="model header missing 'config'"):
+        FieldModel.load(path)
+
+
 def test_checksum_changes_when_any_parameter_moves():
     model = FieldModel.init(tiny_config(), seed=10)
     before = model.checksum()
@@ -280,12 +286,29 @@ def test_checksum_changes_when_any_parameter_moves():
     assert model.checksum() != before
 
 
-def test_set_trainable_touches_every_parameter():
-    model = FieldModel.init(tiny_config(), seed=11)
-    model.set_trainable(True)
-    assert all(p.requires_grad for p in model.parameters())
-    model.set_trainable(False)
-    assert not any(p.requires_grad for p in model.parameters())
+def test_tape_differentiates_only_the_tensors_it_names():
+    # A latent-only step names h alone: the tape records the trunk, the
+    # intensity head's linear and sigmoid and the 11 entries of the
+    # reconstruction loss and latent prior, and no parameter gets a
+    # gradient. A tape that names nothing records nothing.
+    cfg = ModelConfig()
+    model = FieldModel.init(cfg, seed=11)
+    rng = np.random.default_rng(12)
+    coords = rng.uniform(0, 1, (300, cfg.coord_dim))
+    targets = rng.uniform(size=(300, 1))
+    h = Tensor(rng.normal(scale=0.1, size=cfg.latent_dim))
+    with ad.Tape(wrt=[h]) as tape:
+        total = inference_loss(model.intensity(coords, h), targets, h, LossWeights()).total
+        tape.backward(total)
+    assert len(tape) == 14
+    assert h.grad is not None and h.grad.shape == h.shape
+    assert all(p.grad is None for p in model.parameters())
+    h.reset_grad()
+    with ad.Tape() as tape:
+        frozen = inference_loss(model.intensity(coords, h), targets, h, LossWeights()).total
+    assert len(tape) == 0
+    assert np.array_equal(frozen.values, total.values)
+    assert h.grad is None and all(p.grad is None for p in model.parameters())
 
 
 def test_config_dict_round_trip():

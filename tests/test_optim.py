@@ -1,18 +1,15 @@
-"""Adam and trainable-selection behavior."""
+"""Adam behavior."""
 
 import numpy as np
 import pytest
 
-import nisf.autodiff as ad
 from nisf.autodiff import Tensor
 from nisf.errors import ContractError, NumericalError
-from nisf.model import FieldModel, ModelConfig
-from nisf.optim import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ADAM_LR, Adam,
-                        select_trainables)
+from nisf.optim import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ADAM_LR, Adam
 
 
 def make_param(values):
-    return Tensor(np.asarray(values, dtype=np.float64), requires_grad=True, name="p")
+    return Tensor(np.asarray(values, dtype=np.float64), name="p")
 
 
 def test_defaults_match_documented_constants():
@@ -107,42 +104,13 @@ def test_load_state_validates_shapes():
 
 
 def test_moments_stay_float64_for_float32_params():
-    p = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True, name="p")
+    p = Tensor(np.zeros(3, dtype=np.float32), name="p")
     p.grad = np.ones(3, dtype=np.float32)
     opt = Adam({"p": p}, lr=1e-3)
     opt.step()
     assert opt.m["p"].dtype == np.float64
     assert opt.v["p"].dtype == np.float64
     assert p.values.dtype == np.float32
-
-
-def test_select_trainables_prior_mode_includes_everything():
-    model = FieldModel.init(ModelConfig(latent_dim=4, hidden_width=4,
-                                        num_res_layers=1), seed=0)
-    h = Tensor(np.zeros(4), name="h")
-    out = select_trainables("prior_training", model, h)
-    assert set(out) == set(model.param_names()) | {"latent"}
-    assert all(t.requires_grad for t in out.values())
-
-
-def test_select_trainables_inference_mode_freezes_model():
-    model = FieldModel.init(ModelConfig(latent_dim=4, hidden_width=4,
-                                        num_res_layers=1), seed=0)
-    model.set_trainable(True)
-    h = Tensor(np.zeros(4), name="h")
-    out = select_trainables("inference", model, h)
-    assert list(out) == ["latent"]
-    assert h.requires_grad
-    assert not any(p.requires_grad for p in model.parameters())
-
-
-def test_select_trainables_rejects_unknown_mode_and_bad_latent():
-    model = FieldModel.init(ModelConfig(latent_dim=4, hidden_width=4,
-                                        num_res_layers=1), seed=0)
-    with pytest.raises(ContractError):
-        select_trainables("finetune", model, Tensor(np.zeros(4)))
-    with pytest.raises(ContractError):
-        select_trainables("inference", model, Tensor(np.zeros(5)))
 
 
 def test_independent_optimizers_do_not_interact():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nisf.errors import FormatVersionError, PayloadError
-from nisf.serial import array_entries, read_blob, write_blob, write_json_atomic
+from nisf.serial import array_entries, read_blob, require, write_blob, write_json_atomic
 
 MAGIC = "NISF-TEST"
 
@@ -103,6 +103,23 @@ def test_header_without_arrays_table_rejected():
     buf = io.BytesIO(f"{MAGIC} 1\n".encode() + json.dumps({"k": 1}).encode() + b"\n")
     with pytest.raises(PayloadError, match="arrays"):
         read_blob(buf, MAGIC, 1)
+
+
+@pytest.mark.parametrize("entry", [
+    "x", ["x", [2]], [1, [2], "float64"], ["x", 2, "float64"], ["x", [2, "a"], "float64"],
+    ["x", [-1], "float64"], ["x", [2], ["float64"]], ["x", [True], "float64"]])
+def test_malformed_arrays_entry_rejected(entry):
+    # a header table entry that is not [name, shape of ints >= 0, dtype name]
+    buf = io.BytesIO(f"{MAGIC} 1\n".encode() + json.dumps({"arrays": [entry]}).encode()
+                     + b"\n" + bytes(16))
+    with pytest.raises(PayloadError, match="entry"):
+        read_blob(buf, MAGIC, 1)
+
+
+def test_require_names_the_missing_key():
+    require({"a": 1, "b": 2}, ("a", "b"), "test header")
+    with pytest.raises(PayloadError, match="test header missing 'c'"):
+        require({"a": 1}, ("a", "c", "d"), "test header")
 
 
 def test_non_contiguous_array_round_trips():

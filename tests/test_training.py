@@ -5,12 +5,13 @@ import pytest
 
 from nisf import autodiff as ad
 from nisf.autodiff import Tape
-from nisf.errors import ContractError, NumericalError
+from nisf.errors import ContractError, NumericalError, PayloadError
 from nisf.losses import LossWeights, one_hot, train_loss
 from nisf.model import FieldModel, ModelConfig
 from nisf.phantom import generate_subject
-from nisf.training import (LatentTable, TrainConfig, latest_checkpoint,
-                           load_checkpoint, make_batch, train_prior)
+from nisf.serial import read_blob, write_blob
+from nisf.training import (CKPT_MAGIC, CKPT_VERSION, LatentTable, TrainConfig,
+                           latest_checkpoint, load_checkpoint, make_batch, train_prior)
 from nisf.volume import normalize_index
 
 TINY_MODEL = ModelConfig(num_res_layers=2, hidden_width=16, latent_dim=8)
@@ -161,7 +162,6 @@ def test_latent_table_state_round_trip():
 def test_one_training_step_updates_only_the_sampled_row():
     subjects = _subjects(3)
     model = FieldModel.init(TINY_MODEL, seed=0)
-    model.set_trainable(True)
     table = LatentTable([s.subject_id for s in subjects], TINY_MODEL.latent_dim,
                         seed=0, lr=1e-3)
     before = table.matrix().copy()
@@ -170,7 +170,7 @@ def test_one_training_step_updates_only_the_sampled_row():
     batch = make_batch(subjects[1], 0)
     from nisf.optim import Adam
     adam_model = Adam({n: model.params[n] for n in model.param_names()}, lr=1e-3)
-    with Tape() as tape:
+    with Tape(wrt=[*model.parameters(), table.row("s1")]) as tape:
         terms = train_loss(model, table.row("s1"), batch.coords,
                            batch.intensities, batch.labels, LossWeights())
         tape.backward(terms.total)
@@ -186,15 +186,31 @@ def test_one_training_step_updates_only_the_sampled_row():
     assert np.array_equal(after[2], before[2])
 
 
+def test_train_prior_step_moves_every_parameter_and_the_visited_rows():
+    # train_prior's tape names every parameter and the visited subject's row:
+    # after one epoch of three one-step visits, every parameter and every row
+    # has moved from its seeded start
+    subjects = _subjects(3)
+    cfg = _cfg(epochs=1)
+    result = train_prior(subjects, cfg)
+    start = FieldModel.init(cfg.model, seed=cfg.seed)
+    for name in start.param_names():
+        assert not np.array_equal(result.model.params[name].values,
+                                  start.params[name].values), name
+    rows = LatentTable([s.subject_id for s in subjects], TINY_MODEL.latent_dim,
+                       seed=cfg.seed, lr=cfg.lr_prior).matrix()
+    assert np.all(np.any(result.table.matrix() != rows, axis=1))
+
+
 def test_default_training_step_tape_entries():
     # one gabor_trunk (the input layer inside) + 2 heads + losses
     model = FieldModel.init(ModelConfig(), seed=0)
     rng = np.random.default_rng(2)
-    h = ad.Tensor(rng.normal(scale=0.01, size=model.config.latent_dim), requires_grad=True)
+    h = ad.Tensor(rng.normal(scale=0.01, size=model.config.latent_dim))
     coords = rng.uniform(size=(4096, 4))
     intensities = rng.uniform(size=(4096, 1))
     labels = rng.integers(0, model.config.num_classes, size=4096)
-    with Tape() as tape:
+    with Tape(wrt=[*model.parameters(), h]) as tape:
         terms = train_loss(model, h, coords, intensities, labels, LossWeights())
         assert len(tape) == 43
         tape.backward(terms.total)
@@ -340,6 +356,21 @@ def test_resume_rejects_mismatched_subjects(tmp_path):
     ckpt = latest_checkpoint(str(tmp_path))
     with pytest.raises(ContractError, match="subject ids"):
         load_checkpoint(ckpt, _cfg(), expect_ids=["s0", "other"])
+
+
+@pytest.mark.parametrize("key", ["train_config", "model.res1_w2", "latent.H"])
+def test_load_checkpoint_rejects_a_missing_key(tmp_path, key):
+    train_prior(_subjects(2), _cfg(epochs=1), out_dir=str(tmp_path))
+    with open(latest_checkpoint(str(tmp_path)), "rb") as f:
+        _, header, arrays = read_blob(f, CKPT_MAGIC, CKPT_VERSION)
+    del header["arrays"]
+    header.pop(key, None)
+    arrays.pop(key, None)
+    path = str(tmp_path / "broken.nckpt")
+    with open(path, "wb") as f:
+        write_blob(f, CKPT_MAGIC, CKPT_VERSION, header, arrays)
+    with pytest.raises(PayloadError, match=f"checkpoint (header|payload) missing '{key}'"):
+        load_checkpoint(path)
 
 
 def test_log_csv_header_matches_rows():

@@ -20,7 +20,7 @@ import pytest
 import nisf.autodiff as ad
 from nisf.autodiff import Tensor
 from nisf.inference import InferConfig, evaluate_points, infer_latent
-from nisf.losses import LossWeights, infer_loss, train_loss
+from nisf.losses import LossWeights, inference_loss, train_loss
 from nisf.model import FieldModel, ModelConfig
 from nisf.sampling import GridSpec, PlaneSpec, sample_grid, sample_plane
 
@@ -39,9 +39,7 @@ def _row_counts(width):
 
 def _model(width):
     cfg = ModelConfig(hidden_width=width, num_res_layers=2, latent_dim=16)
-    model = FieldModel.init(cfg, seed=3)
-    model.set_trainable(False)
-    return model
+    return FieldModel.init(cfg, seed=3)
 
 
 def frozen_outputs(width) -> list[np.ndarray]:
@@ -145,12 +143,12 @@ def test_taped_steps_submit_nothing_to_the_pool(spy):
     intensities = rng.uniform(size=2048)
     labels = rng.integers(0, 4, size=2048)
     latent = rng.normal(scale=0.1, size=16)
-    h = Tensor(latent.copy(), requires_grad=True)
-    with ad.Tape() as tape:
+    h = Tensor(latent.copy())
+    with ad.Tape(wrt=[*model.parameters(), h]) as tape:
         tape.backward(train_loss(model, h, coords, intensities, labels, LossWeights()).total)
-    model.set_trainable(False)
-    with ad.Tape() as tape:
-        tape.backward(infer_loss(model, h, coords, intensities, LossWeights()).total)
+    with ad.Tape(wrt=[h]) as tape:
+        tape.backward(inference_loss(model.intensity(coords, h), intensities, h,
+                                     LossWeights()).total)
     assert spy.submitted == 0
     model.forward(coords, latent)
     assert spy.submitted == 1

@@ -354,6 +354,20 @@ def test_load_rejects_missing_required_array(tmp_path):
         load_volume(str(path))
 
 
+@pytest.mark.parametrize("key", ["shape", "subject_id", "spacing"])
+def test_load_rejects_missing_header_key(tmp_path, key):
+    _, vol = generate_subject(1, grid_shape=(4, 4, 2, 2))
+    header = {"subject_id": "x", "shape": [4, 4, 2, 2], "spacing": [1.0, 1.0, 1.0],
+              "has_mask": False}
+    del header[key]
+    path = tmp_path / "headless.nvol"
+    with open(path, "wb") as f:
+        write_blob(f, VOLUME_MAGIC, VOLUME_VERSION, header,
+                   {"intensity": vol.intensity, "labels": vol.labels})
+    with pytest.raises(PayloadError, match=f"volume header missing '{key}'"):
+        load_volume(str(path))
+
+
 # -- dataset manifest ------------------------------------------------------------
 
 
