@@ -5,20 +5,19 @@ Design notes:
 * numpy arrays are the storage; the tape and all backward rules are
   implemented here. New tensors are float64 (finite differences are
   unreliable in float32); a float32 array passed in is kept as is.
-* The op set is what the model and the losses run: layers ``linear``
-  and ``gabor_trunk``; elementwise ``add``, ``sub``, ``mul``, ``div``,
-  ``sigmoid``, ``log`` and ``softmax``; reductions ``reduce_sum``,
-  ``reduce_mean`` and ``sum_squares``. ``latent_linear`` and ``gabor``
-  are the composed references that ``gabor_trunk`` is tested against.
+* The op set is what the model and the losses run, and nothing else:
+  layers ``linear`` and ``gabor_trunk``; elementwise ``add``, ``sub``,
+  ``mul``, ``div``, ``sigmoid``, ``log`` and ``softmax``; reductions
+  ``reduce_sum``, ``reduce_mean`` and ``sum_squares``.
 * Broadcasting is deliberately restricted to scalar-with-tensor and
   equal-shape operands so every backward rule stays auditable. The only
   row-broadcasts are fused into layers: ``linear`` adds a row-vector
   bias, and ``gabor_trunk`` conditions every row of a coordinate batch
-  on one shared latent vector without ever tiling it (the input layer,
-  ``latent_linear``), then computes every residual block
-  x + gabor(x @ w1 + b1) @ w2 + b2 of the trunk, all as one entry that
-  keeps only the arrays its backward reads. ``sum_squares`` records a
-  whole L2 prior over a list of tensors as one entry.
+  on one shared latent vector without ever tiling it (its input layer),
+  then computes every residual block x + gabor(x @ w1 + b1) @ w2 + b2
+  of the trunk, all as one entry that keeps only the arrays its
+  backward reads. ``sum_squares`` records a whole L2 prior over a list
+  of tensors as one entry.
 * The tape holds, per entry, a gradient slot for the op's output and
   the op's rule; no entry holds an output ``Tensor``. A rule holds its
   inputs' slots and only the arrays it reads (``linear`` keeps x's
@@ -361,65 +360,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _make_output(vals, "linear", (sx, sw, sb), rule)
 
 
-def _check_latent_linear(coords: Tensor, h: Tensor, w: Tensor, b: Tensor, op: str) -> int:
-    """Validate ``latent_linear``'s operands; return the coordinate count k."""
-    if coords.ndim != 2 or h.ndim != 1 or w.ndim != 2 or b.ndim != 1:
-        raise DimensionError(f"{op} needs [B,k], [d], [k+d,n], [n], got "
-                             f"{coords.shape}, {h.shape}, {w.shape}, {b.shape}")
-    k = coords.shape[1]
-    if w.shape[0] != k + h.shape[0] or w.shape[1] != b.shape[0]:
-        raise DimensionError(f"{op} extents disagree: {coords.shape}, "
-                             f"{h.shape}, {w.shape}, {b.shape}")
-    return k
-
-
-def _latent_linear_rule(coords: Tensor, h: Tensor, w: Tensor, b: Tensor):
-    """(rule, slots): ``latent_linear``'s backward, which ``gabor_trunk`` ends with.
-
-    The rule sums the output gradient over rows once; ``h`` and ``b`` read
-    their gradients off that sum, ``w`` gets [coords.T @ g ; outer(h, sum)]
-    and ``coords`` gets g @ w_c.T. It keeps ``w`` only for the coordinate
-    or latent gradient, and ``coords`` and ``h`` only for ``w``'s.
-    """
-    k = coords.shape[1]
-    sc, sh, sw, sb = (_grad_slot(t) for t in (coords, h, w, b))
-    wv = w.values if sc is not None or sh is not None else None
-    cv, hv = (coords.values, h.values) if sw is not None else (None, None)
-    summed = sh is not None or sw is not None or sb is not None
-
-    def rule(g: np.ndarray) -> None:
-        g_sum = g.sum(axis=0) if summed else None
-        if sc is not None:
-            _accumulate(sc, _input_grad(g, wv[:k]), owned=True)
-        if sh is not None:
-            _accumulate(sh, wv[k:] @ g_sum, owned=True)
-        if sw is not None:
-            _accumulate(sw, np.concatenate([cv.T @ g, np.outer(hv, g_sum)]), owned=True)
-        if sb is not None:
-            _accumulate(sb, g_sum, owned=True)  # last reader of g_sum
-
-    return rule, (sc, sh, sw, sb)
-
-
-def latent_linear(coords: Tensor, h: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``linear`` of [coords | h] where one latent ``h`` [d] conditions every row.
-
-    With ``w`` split row-wise into [w_c; w_h] at k = coords.shape[1], the
-    output is coords @ w_c + (h @ w_h + b). The latent row is computed once
-    per batch. The coordinate term is the sum of k rank-1 updates, taken
-    by ``np.einsum`` (numpy's own loop, not BLAS), which accumulates each
-    element's k products in order: each output row is a fixed sequence
-    over its own coordinates, bit-identical at any batch size or
-    composition. ``gabor_trunk`` runs this layer inside its tiles; this op
-    is the composed reference it is tested against.
-    """
-    k = _check_latent_linear(coords, h, w, b, "latent_linear")
-    vals = np.einsum("bk,kn->bn", coords.values, w.values[:k])
-    vals += h.values @ w.values[k:] + b.values
-    rule, slots = _latent_linear_rule(coords, h, w, b)
-    return _make_output(vals, "latent_linear", slots, rule)
-
-
 def block_rows(width: int) -> int:
     """Rows of a [rows, width] float64 array that fill ``L2_BLOCK_BYTES``.
 
@@ -436,14 +376,20 @@ def gabor_trunk(coords: Tensor, h: Tensor, w_in: Tensor, b_in: Tensor,
                 omega0: float, s0: float) -> Tensor:
     """The input layer and the residual Gabor trunk as one tape entry, run tile-major.
 
-    The input layer is ``latent_linear(coords, h, w_in, b_in)``. Each
-    ``(w1, b1, w2, b2)`` in ``blocks`` then maps x to
-    x + gabor(x @ w1 + b1) @ w2 + b2, and the blocks run in order. The
-    batch runs in tiles of ``block_rows(width)`` rows, and each tile goes
-    through the input layer and every block before the next starts, so
-    its arrays stay in L2 instead of streaming from memory. A tile's
-    input rows are its coordinate einsum plus the latent row
-    h @ w_h + b_in, computed once per call. Both block products go
+    The input layer is a ``linear`` of [coords | h] in which one latent
+    ``h`` [d] conditions every row of ``coords`` [B, k]: with ``w_in``
+    split row-wise into [w_c; w_h] at k, it gives
+    coords @ w_c + (h @ w_h + b_in). Each ``(w1, b1, w2, b2)`` in
+    ``blocks`` then maps x to x + gabor(x @ w1 + b1) @ w2 + b2, with
+    gabor(v) = cos(omega0*v) * exp(-(s0*v)^2), and the blocks run in
+    order. The batch runs in tiles of ``block_rows(width)`` rows, and
+    each tile goes through the input layer and every block before the
+    next starts, so its arrays stay in L2 instead of streaming from
+    memory. A tile's input rows are its coordinate term plus the latent
+    row h @ w_h + b_in, computed once per call. The coordinate term is
+    the sum of k rank-1 updates, taken by ``np.einsum`` (numpy's own
+    loop, not BLAS), so each row is a fixed sequence over its own
+    coordinates, bit-identical at any batch size. Both block products go
     through ``_gemm`` and the wavelet runs in place over the
     pre-activation (see ``_gabor_kernel``). The finite check runs once, on
     the trunk output (a non-finite value cannot vanish through the skip
@@ -475,15 +421,25 @@ def gabor_trunk(coords: Tensor, h: Tensor, w_in: Tensor, b_in: Tensor,
     row-local chain (g @ w2.T, times the derivative, @ w1.T, plus g) tile
     by tile, multiplying by contiguous copies of the transposed weights
     (see ``_input_grad``), and its weight and bias gradients as sums over
-    the whole batch. It ends with ``latent_linear``'s rule on the input
-    layer's full-batch gradient. Every elementwise step and every sum runs
-    in the order of ``latent_linear`` followed by
+    the whole batch. It ends with the input layer's rule on its
+    full-batch gradient g: it sums g over rows once, ``h`` and ``b_in``
+    read their gradients off that sum, ``w_in`` gets
+    [coords.T @ g ; outer(h, sum)] and ``coords`` gets g @ w_c.T; it keeps
+    ``w_in`` only for the coordinate or latent gradient, and ``coords``
+    and ``h`` only for ``w_in``'s. Every elementwise step and every sum
+    runs in the order of the input layer as its own op followed by
     ``add(x, linear(gabor(linear(x, w1, b1)), w2, b2))`` chained over the
     blocks, so values and gradients are bit-identical to that composition
-    wherever the products' rows do not depend on the batch (see
-    ``_gemm``).
+    (``tests/oracles.composed_trunk``) wherever the products' rows do not
+    depend on the batch (see ``_gemm``).
     """
-    k_in = _check_latent_linear(coords, h, w_in, b_in, "gabor_trunk")
+    if coords.ndim != 2 or h.ndim != 1 or w_in.ndim != 2 or b_in.ndim != 1:
+        raise DimensionError(f"gabor_trunk needs [B,k], [d], [k+d,n], [n], got "
+                             f"{coords.shape}, {h.shape}, {w_in.shape}, {b_in.shape}")
+    k_in = coords.shape[1]
+    if w_in.shape[0] != k_in + h.shape[0] or w_in.shape[1] != b_in.shape[0]:
+        raise DimensionError(f"gabor_trunk extents disagree: {coords.shape}, "
+                             f"{h.shape}, {w_in.shape}, {b_in.shape}")
     if not blocks:
         raise ContractError("gabor_trunk needs at least one block")
     n = w_in.shape[1]
@@ -501,9 +457,13 @@ def gabor_trunk(coords: Tensor, h: Tensor, w_in: Tensor, b_in: Tensor,
     k_max = max(w1.shape[1] for w1, _, _, _ in blocks)
     dtype = np.result_type(coords.values, h.values, w_in.values, b_in.values,
                            *(t.values for blk in blocks for t in blk))
-    input_rule, input_slots = _latent_linear_rule(coords, h, w_in, b_in)
+    input_slots = sc, sh, sw_in, sb_in = tuple(_grad_slot(t) for t in (coords, h, w_in, b_in))
     block_slots = [tuple(_grad_slot(t) for t in blk) for blk in blocks]
     slots = (*input_slots, *(s for bs in block_slots for s in bs))
+    # what the input layer's rule reads (see the docstring)
+    w_in_kept = w_in.values if sc is not None or sh is not None else None
+    c_kept, h_kept = (coords.values, h.values) if sw_in is not None else (None, None)
+    summed = sh is not None or sw_in is not None or sb_in is not None
     taped = any(s is not None for s in slots)  # the op records (see _make_output)
     # per block: (w1, w2, their and the biases' slots, derivative, block input,
     # wavelet values)
@@ -581,7 +541,16 @@ def gabor_trunk(coords: Tensor, h: Tensor, w_in: Tensor, b_in: Tensor,
             if sb1 is not None:
                 _accumulate(sb1, gp.sum(axis=0), owned=True)
             gp = gp_tile = None  # the next block's gp replaces this one, not joins it
-        input_rule(g)
+        g_sum = g.sum(axis=0) if summed else None
+        if sc is not None:
+            _accumulate(sc, _input_grad(g, w_in_kept[:k_in]), owned=True)
+        if sh is not None:
+            _accumulate(sh, w_in_kept[k_in:] @ g_sum, owned=True)
+        if sw_in is not None:
+            _accumulate(sw_in, np.concatenate([c_kept.T @ g, np.outer(h_kept, g_sum)]),
+                        owned=True)
+        if sb_in is not None:
+            _accumulate(sb_in, g_sum, owned=True)  # last reader of g_sum
 
     return _make_output(out, "gabor_trunk", slots, rule)
 
@@ -742,30 +711,6 @@ def _gabor_kernel(v: np.ndarray, omega0: float, s0: float, deriv: np.ndarray | N
         vals = np.multiply(q, envelope, out=x)
         slope *= vals
         d += slope
-
-
-def gabor(x: Tensor, omega0: float, s0: float) -> Tensor:
-    """Real Gabor wavelet cos(omega0*x) * exp(-(s0*x)^2), elementwise.
-
-    One tape entry over ``_gabor_kernel``, which ``gabor_trunk`` shares.
-    The derivative factor is computed, and kept for backward, only while
-    a tape records ``x``, so frozen forwards hold none.
-    """
-    sx = _grad_slot(x)
-    taped = sx is not None
-    # A C-ordered copy, so the kernel can work on a [size, 1] view of it; a
-    # 0-d input stays an array rather than a numpy scalar.
-    vals = x.values.copy()
-    deriv = np.empty_like(vals) if taped else None
-    _gabor_kernel(vals.reshape(-1, 1), omega0, s0, None if deriv is None else deriv.reshape(-1, 1),
-                  _kernel_scratch(vals.size, 1, taped, vals.dtype))
-    if not taped:
-        return _make_output(vals, "gabor", (), None)
-
-    def rule(g: np.ndarray) -> None:
-        _accumulate(sx, g * deriv, owned=True)
-
-    return _make_output(vals, "gabor", (sx,), rule)
 
 
 def softmax(x: Tensor) -> Tensor:

@@ -62,21 +62,6 @@ def write_label_pgm(path: str, labels: np.ndarray, num_classes: int) -> None:
     _write_pgm(path, gray, 255)
 
 
-def read_pgm(path: str) -> np.ndarray:
-    """Read P5 PGM back (uint8 for maxval<=255, uint16 otherwise)."""
-    with open(path, "rb") as f:
-        if f.readline().strip() != b"P5":
-            raise ContractError(f"{path} is not a P5 PGM")
-        dims = f.readline().split()
-        maxval = int(f.readline())
-        width, height = int(dims[0]), int(dims[1])
-        dt = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-        raw = f.read(width * height * dt.itemsize)
-        if len(raw) != width * height * dt.itemsize:
-            raise ContractError(f"{path}: truncated PGM payload")
-        return np.frombuffer(raw, dtype=dt).reshape(height, width)
-
-
 def write_raw_f64(path: str, name: str, array: np.ndarray,
                   extra: dict | None = None) -> None:
     """Raw float dump: the standard blob envelope around one float64 array."""

@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractError, DimensionError
-from .serial import config_dict, read_blob, require, write_blob
+from .serial import config_dict, config_from_dict, read_blob, require, write_blob
 
 MODEL_MAGIC = "NISF-MODEL"
 MODEL_VERSION = 1
@@ -59,16 +59,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
-
-
-def param_count(cfg: ModelConfig) -> int:
-    """Total learnable parameter count as a pure function of the config."""
-    w, m = cfg.hidden_width, cfg.num_classes
-    n_in = (cfg.coord_dim + cfg.latent_dim) * w + w
-    n_res = cfg.num_res_layers * 2 * (w * w + w)
-    n_heads = (w * m + m) + (w * 1 + 1)
-    return n_in + n_res + n_heads
+        return config_from_dict(cls, d, "model config")
 
 
 class FieldOutput(NamedTuple):

@@ -21,8 +21,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ContractError
-from .serial import config_dict
-from .volume import CLASS_NAMES, NUM_CLASSES, SPLITS, VolumeSample, normalize_index
+from .serial import config_dict, config_from_dict
+from .volume import SPLITS, VolumeSample, normalize_index
 
 GENERATOR_VERSION = 1
 
@@ -30,16 +30,6 @@ BACKGROUND, LV_POOL, LV_MYO, RV_POOL = 0, 1, 2, 3
 
 DEFAULT_GRID_SHAPE = (32, 32, 8, 10)
 DEFAULT_SPACING = (2.0, 2.0, 10.0)
-
-# Documented generator bounds on per-class volume fraction (whole 4D grid),
-# checked over many seeds by tests.
-CLASS_FRACTION_BOUNDS = {
-    "background": (0.55, 0.98),
-    "lv_pool": (0.002, 0.10),
-    "lv_myocardium": (0.010, 0.20),
-    "rv_pool": (0.002, 0.12),
-}
-
 
 @dataclass(frozen=True)
 class PhantomSpec:
@@ -81,7 +71,7 @@ class PhantomSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PhantomSpec":
-        return cls(**d)
+        return config_from_dict(cls, d, "phantom spec")
 
     @property
     def lv_epi_radii(self) -> tuple[float, float, float]:
@@ -220,8 +210,3 @@ def generate_dataset(dataset_seed: int, counts: tuple[int, int, int],
                                      subject_id=f"s{i:04d}")
         yield split, seed, volume
 
-
-def class_fractions(labels: np.ndarray) -> dict[str, float]:
-    total = labels.size
-    return {CLASS_NAMES[c]: float(np.count_nonzero(labels == c)) / total
-            for c in range(NUM_CLASSES)}

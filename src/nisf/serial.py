@@ -10,9 +10,10 @@ checkpoints, fitted latents, volume payloads) uses the same envelope:
 The header carries an ``arrays`` list of [name, shape, dtype] entries in
 payload order, so readers can validate byte counts before touching the
 payload. A malformed entry, or a header key or array a reader needs and
-does not find (see ``require``), is a ``PayloadError``. Round-trips are
-bit-exact: arrays are written as little-endian raw bytes and read back
-with the recorded dtype and shape.
+does not find (see ``require``), is a ``PayloadError``, and so is a
+stored config whose keys are not its dataclass's fields (see
+``config_from_dict``). Round-trips are bit-exact: arrays are written as
+little-endian raw bytes and read back with the recorded dtype and shape.
 
 JSON artifacts share two helpers as well: configs serialise and hash
 through ``config_dict``/``config_hash``, and records are written through
@@ -24,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 from typing import BinaryIO
 
 import numpy as np
@@ -103,6 +104,28 @@ def require(mapping: dict, keys, what: str) -> None:
     for key in keys:
         if key not in mapping:
             raise PayloadError(f"{what} missing {key!r}")
+
+
+def config_from_dict(cls, d, what: str, **nested):
+    """``cls(**d)`` for a stored dataclass config ``d``, checked first.
+
+    ``PayloadError`` names the keys of ``d`` that are not fields of ``cls``
+    and the fields without a default that ``d`` lacks; a value the
+    constructor cannot take is one too. ``nested`` maps a field to the
+    reader of its own stored dict.
+    """
+    if not isinstance(d, dict):
+        raise PayloadError(f"{what} must be a JSON object, got {type(d).__name__}")
+    known = {f.name: f for f in fields(cls)}
+    unknown = sorted(set(d) - set(known))
+    missing = sorted(name for name, f in known.items() if name not in d
+                     and f.default is MISSING and f.default_factory is MISSING)
+    if unknown or missing:
+        raise PayloadError(f"{what}: unknown keys {unknown}, missing keys {missing}")
+    try:
+        return cls(**{k: nested[k](v) if k in nested else v for k, v in d.items()})
+    except TypeError as exc:
+        raise PayloadError(f"{what}: {exc}") from exc
 
 
 def _json_fields(pairs) -> dict:

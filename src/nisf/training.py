@@ -26,8 +26,8 @@ from .errors import ContractError, NumericalError
 from .losses import LossReport, LossWeights, train_loss
 from .model import FieldModel, ModelConfig
 from .optim import Adam
-from .serial import (config_dict, config_hash, read_blob, require, write_blob,
-                     write_text_atomic)
+from .serial import (config_dict, config_from_dict, config_hash, read_blob, require,
+                     write_blob, write_text_atomic)
 from .volume import VolumeSample, make_batch
 
 CKPT_MAGIC = "NISF-CKPT"
@@ -66,10 +66,8 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        d["model"] = ModelConfig.from_dict(d["model"])
-        d["weights"] = LossWeights(**d["weights"])
-        return cls(**d)
+        return config_from_dict(cls, d, "train config", model=ModelConfig.from_dict,
+                                weights=lambda w: config_from_dict(LossWeights, w, "loss weights"))
 
     def trajectory_dict(self) -> dict:
         """The fields that determine the optimization trajectory.

@@ -112,20 +112,11 @@ class VolumeSample:
 
     # -- coordinate transforms ------------------------------------------
 
-    def voxel_centers_mm(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-axis physical center positions (1-D arrays for x, y, z)."""
-        return tuple(np.arange(self.shape[a], dtype=np.float64) * self.spacing[a]
-                     for a in range(3))
-
     def norm_to_mm(self, norm_xyz: np.ndarray) -> np.ndarray:
         """Normalized [..,3] spatial coordinates to physical mm."""
         norm_xyz = np.asarray(norm_xyz, dtype=np.float64)
         span = np.array([(self.shape[a] - 1) * self.spacing[a] for a in range(3)])
         return norm_xyz * span
-
-    def frame_time(self, t_index: int) -> float:
-        """Normalized time of a frame index."""
-        return normalize_index(t_index, self.num_frames)
 
 
 @dataclass

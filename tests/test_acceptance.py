@@ -13,7 +13,6 @@ self-contained and fast.
 import math
 import os
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,8 +30,8 @@ from nisf.phantom import generate_subject
 from nisf.sampling import nn_lookup
 from nisf.training import (LatentTable, TrainConfig, latest_checkpoint,
                            load_checkpoint, train_prior)
-from nisf.volume import VolumeSample, load_volume, save_volume
-from oracles import brute_force_nn
+from nisf.volume import VolumeSample, load_volume, normalize_index, save_volume
+from oracles import brute_force_nn, voxel_centers_mm
 
 CACHE_ROOT = os.path.join(os.path.dirname(__file__), "..", ".acceptance_cache")
 TINY = ModelConfig(num_res_layers=2, hidden_width=16, latent_dim=8)
@@ -339,16 +338,15 @@ def test_criterion_10_oracle_equivalences():
     nn_ok = mismatch == 0
 
     # (b) rendered labels equal the analytic oracle at every voxel center
-    from nisf.phantom import PhantomSpec
     label_fail = 0
     for seed in (3, 44):
         spec, vol = generate_subject(seed, grid_shape=(12, 12, 4, 3),
                                      spacing=(4.0, 4.0, 10.0))
-        xs, ys, zs = vol.voxel_centers_mm()
+        xs, ys, zs = voxel_centers_mm(vol)
         gx, gy, gz = np.meshgrid(xs, ys, zs, indexing="ij")
         flat = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
         for t in range(vol.num_frames):
-            oracle = spec.label_at(flat, vol.frame_time(t)).reshape(12, 12, 4)
+            oracle = spec.label_at(flat, normalize_index(t, vol.num_frames)).reshape(12, 12, 4)
             label_fail += int(not np.array_equal(oracle, vol.labels[:, :, :, t]))
     label_ok = label_fail == 0
 

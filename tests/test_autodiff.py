@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 import nisf.autodiff as ad
 from nisf.errors import ContractError, DimensionError, NumericalError
 from nisf.gradcheck import numerical_gradient, relative_error, run_op_checks
+from oracles import composed_trunk, gabor, latent_linear
 
 
 def test_every_op_matches_finite_differences():
@@ -259,9 +260,12 @@ def _check_trunk_input_gradient_rows():
 def test_gabor_matches_composed_definition():
     rng = np.random.default_rng(5)
     x = rng.normal(scale=0.2, size=(10, 3))
-    out = ad.gabor(ad.Tensor(x), 10.0, 5.0).values
+    out = gabor(ad.Tensor(x), 10.0, 5.0).values
     expect = np.cos(10.0 * x) * np.exp(-np.square(5.0 * x))
     np.testing.assert_allclose(out, expect, rtol=0, atol=1e-15)
+    scalar = gabor(ad.Tensor(x[0, 0]), 10.0, 5.0)
+    assert scalar.shape == ()
+    np.testing.assert_allclose(scalar.values, expect[0, 0], rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("s0", [5.0, 0.25])
@@ -277,20 +281,22 @@ def test_gabor_accurate_at_trained_scale(s0):
     x = np.concatenate([rng.uniform(-4.0, 4.0, size=4000), near, [0.0, -4.0, 4.0]])
     x = x.reshape(-1, 1)
     assert np.abs(np.tan(0.5 * omega0 * x)).max() > 1e15
-    xt = ad.Tensor(x)
-    with ad.Tape(wrt=[xt]) as tape:
-        taped = ad.gabor(xt, omega0, s0)
-        tape.backward(ad.reduce_sum(taped))
     envelope = np.exp(-np.square(s0 * x))
     value = np.cos(omega0 * x) * envelope
     deriv = -omega0 * np.sin(omega0 * x) * envelope - 2.0 * s0 * s0 * x * value
-    np.testing.assert_allclose(taped.values, value, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(xt.grad, deriv, rtol=0, atol=1e-14)
-    frozen = ad.gabor(ad.Tensor(x), omega0, s0).values
-    assert np.array_equal(frozen, taped.values)
-    scalar = ad.gabor(ad.Tensor(x[0, 0]), omega0, s0)
-    assert scalar.shape == ()
-    np.testing.assert_allclose(scalar.values, value[0, 0], rtol=0, atol=1e-14)
+    # both kernel branches, in row blocks of 1000: the 4051 rows end in a
+    # ragged block of 51
+    assert x.shape[0] % 1000 == 51
+    outputs = []
+    for with_deriv in (False, True):
+        v = x.copy()
+        got = np.empty_like(x) if with_deriv else None
+        ad._gabor_kernel(v, omega0, s0, got, ad._kernel_scratch(1000, 1, with_deriv, x.dtype))
+        np.testing.assert_allclose(v, value, rtol=0, atol=1e-14)
+        if with_deriv:
+            np.testing.assert_allclose(got, deriv, rtol=0, atol=1e-14)
+        outputs.append(v)
+    assert np.array_equal(outputs[0], outputs[1])
 
 
 def test_latent_linear_matches_concat_formulation():
@@ -304,17 +310,17 @@ def test_latent_linear_matches_concat_formulation():
     x = np.concatenate([coords, np.tile(h, (53, 1))], axis=1)
     tensors = [ad.Tensor(v) for v in (coords, h, w, b)]
     with ad.Tape(wrt=tensors) as tape:
-        out = ad.latent_linear(*tensors)
+        out = latent_linear(*tensors)
         tape.backward(ad.reduce_sum(ad.mul(out, ad.Tensor(coef))))
     expect_grads = [coef @ w[:4].T, w[4:] @ coef.sum(axis=0), x.T @ coef, coef.sum(axis=0)]
     np.testing.assert_allclose(out.values, x @ w + b, rtol=1e-14, atol=1e-14)
     for t, expect in zip(tensors, expect_grads):
         assert t.grad.shape == t.shape
         np.testing.assert_allclose(t.grad, expect, rtol=1e-14, atol=1e-14)
-    single = ad.latent_linear(ad.Tensor(coords[:1]), ad.Tensor(h), ad.Tensor(w), ad.Tensor(b))
+    single = latent_linear(ad.Tensor(coords[:1]), ad.Tensor(h), ad.Tensor(w), ad.Tensor(b))
     assert np.array_equal(single.values, out.values[:1])
     with pytest.raises(DimensionError):
-        ad.latent_linear(ad.Tensor(coords), ad.Tensor(h[:7]), ad.Tensor(w), ad.Tensor(b))
+        latent_linear(ad.Tensor(coords), ad.Tensor(h[:7]), ad.Tensor(w), ad.Tensor(b))
 
 
 # the trunk runs in tiles of block_rows(24) rows: two full ones and a ragged
@@ -340,13 +346,6 @@ def _trunk(fn, tensors):
     return fn(*tensors[:4], blocks, 10.0, 5.0)
 
 
-def _composed_trunk(coords, h, w_in, b_in, blocks, omega0, s0):
-    x = ad.latent_linear(coords, h, w_in, b_in)
-    for w1, b1, w2, b2 in blocks:
-        x = ad.add(x, ad.linear(ad.gabor(ad.linear(x, w1, b1), omega0, s0), w2, b2))
-    return x
-
-
 def _check_matches_composed(rows, wrt, num_blocks):
     # the one-entry trunk keeps the bits of latent_linear followed by the
     # chained five-op blocks: value and every gradient
@@ -368,7 +367,7 @@ def _check_matches_composed(rows, wrt, num_blocks):
         return out.values, [t.grad for t in tensors]
 
     fused, fused_grads = run(ad.gabor_trunk)
-    plain, plain_grads = run(_composed_trunk)
+    plain, plain_grads = run(composed_trunk)
     assert np.array_equal(fused, plain), num_blocks
     for i, (got, expect) in enumerate(zip(fused_grads, plain_grads)):
         assert (got is None) == (i not in grads), (num_blocks, i)
@@ -482,7 +481,7 @@ def test_same_seed_same_graph_same_gradients():
         w = ad.Tensor(rng.normal(size=(4, 3)))
         b = ad.Tensor(rng.normal(size=3))
         with ad.Tape(wrt=[x, w, b]) as tape:
-            y = ad.gabor(ad.linear(x, w, b), 10.0, 5.0)
+            y = gabor(ad.linear(x, w, b), 10.0, 5.0)
             tape.backward(ad.reduce_mean(ad.mul(y, y)))
         return x.grad.copy(), w.grad.copy(), b.grad.copy()
 
@@ -534,7 +533,7 @@ def test_chain_rule_against_fd_random_graphs(seed):
     a0 = np.random.default_rng(seed).normal(size=(4, 3))
     x = ad.Tensor(a0.copy())
     with ad.Tape(wrt=[x]) as tape:
-        tape.backward(ad.reduce_mean(ad.sigmoid(ad.mul(ad.gabor(x, 3.0, 0.5), ad.mul(x, 2.0)))))
+        tape.backward(ad.reduce_mean(ad.sigmoid(ad.mul(gabor(x, 3.0, 0.5), ad.mul(x, 2.0)))))
     assert relative_error(x.grad, _complex_step_gradient(a0)) <= 1e-6
 
 

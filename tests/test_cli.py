@@ -12,6 +12,7 @@ from nisf.model import ModelConfig
 from nisf.serial import read_blob, write_blob
 from nisf.training import CKPT_MAGIC, load_checkpoint
 from nisf.volume import VOLUME_MAGIC, load_volume
+from oracles import read_pgm
 
 TINY = {"model": ModelConfig(num_res_layers=2, hidden_width=16,
                              latent_dim=8).to_dict()}
@@ -155,7 +156,6 @@ def test_sample_plane_writes_images(inferred, dataset, trained, tmp_path):
                   "--extent", "14,14", "--counts", "8,8", "--t", "0.0",
                   "--baseline", "--quiet")
     assert res.returncode == 0, res.stderr
-    from nisf.images import read_pgm
     for name in ("intensity8.pgm", "labels.pgm", "baseline_intensity8.pgm",
                  "baseline_labels.pgm"):
         assert read_pgm(os.path.join(out, name)).shape == (8, 8)
@@ -219,16 +219,75 @@ def test_threads_caps_the_trunk_workers(threads, inferred, dataset, trained, tmp
     assert res.stdout.split() == ["0", str(threads)], res.stderr
 
 
-def _without(src, dest, magic, header_key=None, array=None):
-    # a copy of the envelope at src, written without one header key or array
+def _rewritten(src, dest, magic, edit):
+    # a copy of the envelope at src after edit(header, arrays)
     with open(src, "rb") as f:
         version, header, arrays = read_blob(f, magic, 1)
     del header["arrays"]
-    header.pop(header_key, None)
-    arrays.pop(array, None)
+    edit(header, arrays)
     with open(dest, "wb") as f:
         write_blob(f, magic, version, header, arrays)
     return str(dest)
+
+
+def _without(src, dest, magic, header_key=None, array=None):
+    # a copy of the envelope at src, written without one header key or array
+    return _rewritten(src, dest, magic,
+                      lambda header, arrays: (header.pop(header_key, None),
+                                              arrays.pop(array, None)))
+
+
+def _renamed(d, old, new):
+    d[new] = d.pop(old)
+
+
+def _exits_1_naming(res, text):
+    assert res.returncode == 1, res.stderr
+    assert res.stderr.startswith("error: ") and text in res.stderr, res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_stored_model_config_with_a_wrong_key_exits_1(dataset, trained, tmp_path):
+    # ModelConfig.from_dict, from a checkpoint's train config and from --config
+    ckpt = _rewritten(trained[1], tmp_path / "w.nckpt", CKPT_MAGIC, lambda header, _: _renamed(
+        header["train_config"]["model"], "hidden_width", "width"))
+    _exits_1_naming(run_cli("infer", "--checkpoint", ckpt, "--out", str(tmp_path / "fit"),
+                            "--volume", os.path.join(dataset, "s0003.nvol"), "--quiet"),
+                    "model config: unknown keys ['width']")
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({"model": {"width": 16}}))
+    out = str(tmp_path / "prior")
+    _exits_1_naming(run_cli("train-prior", "--dataset", dataset, "--out", out,
+                            "--config", str(cfg), "--quiet"),
+                    "model config: unknown keys ['width']")
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("part, key", [("train_config", "epoch"), ("weights", "beta")])
+def test_stored_train_config_with_a_wrong_key_exits_1(part, key, dataset, trained, tmp_path):
+    # TrainConfig.from_dict, with its loss weights
+    def add_key(header, _):
+        config = header["train_config"]
+        (config if part == "train_config" else config[part])[key] = 1
+
+    ckpt = _rewritten(trained[1], tmp_path / "k.nckpt", CKPT_MAGIC, add_key)
+    what = {"train_config": "train config", "weights": "loss weights"}[part]
+    _exits_1_naming(run_cli("infer", "--checkpoint", ckpt, "--out", str(tmp_path / "fit"),
+                            "--volume", os.path.join(dataset, "s0003.nvol"), "--quiet"),
+                    f"{what}: unknown keys ['{key}']")
+
+
+def test_stored_phantom_with_a_wrong_key_exits_1(inferred, dataset, trained, tmp_path):
+    # PhantomSpec.from_dict, which scores the baseline against the analytic labels
+    volume = _rewritten(os.path.join(dataset, "s0003.nvol"), tmp_path / "r.nvol", VOLUME_MAGIC,
+                        lambda header, _: _renamed(header["phantom"], "wall_thickness",
+                                                   "radius"))
+    _exits_1_naming(run_cli("sample-plane", "--checkpoint", trained[1], "--volume", volume,
+                            "--latent", os.path.join(inferred, "latent.nlat"),
+                            "--out", str(tmp_path / "plane"), "--origin", "0.5,0.5,0.5",
+                            "--dir1", "1,0,0", "--dir2", "0,1,0", "--extent", "14,14",
+                            "--counts", "4,4", "--t", "0.0", "--baseline", "--quiet"),
+                    "phantom spec: unknown keys ['radius'], missing keys ['wall_thickness']")
 
 
 def test_malformed_envelopes_exit_1_naming_what_is_missing(inferred, dataset, trained,

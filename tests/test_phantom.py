@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from nisf.errors import ContractError
-from nisf.phantom import (BACKGROUND, CLASS_FRACTION_BOUNDS, LV_MYO, LV_POOL,
-                          RV_POOL, PhantomSpec, class_fractions, draw_spec,
+from nisf.phantom import (BACKGROUND, LV_MYO, LV_POOL, RV_POOL, PhantomSpec, draw_spec,
                           generate_dataset, generate_subject, subject_seeds)
 from nisf.volume import CLASS_NAMES, normalize_index
+from oracles import CLASS_FRACTION_BOUNDS, class_fractions
 
 # Hand-checkable geometry: LV at (30,30,20) with endo radii (10,10,12) and a
 # 5 mm wall (epi radii (15,15,17)); RV ball of radius 8 centered 18 mm to the

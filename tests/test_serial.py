@@ -3,13 +3,15 @@
 import io
 import json
 import os
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nisf.errors import FormatVersionError, PayloadError
-from nisf.serial import array_entries, read_blob, require, write_blob, write_json_atomic
+from nisf.serial import (array_entries, config_from_dict, read_blob, require, write_blob,
+                         write_json_atomic)
 
 MAGIC = "NISF-TEST"
 
@@ -120,6 +122,32 @@ def test_require_names_the_missing_key():
     require({"a": 1, "b": 2}, ("a", "b"), "test header")
     with pytest.raises(PayloadError, match="test header missing 'c'"):
         require({"a": 1}, ("a", "c", "d"), "test header")
+
+
+@dataclass(frozen=True)
+class _Stored:
+    size: int
+    scale: float = 1.0
+
+    def __post_init__(self):
+        if self.size < 1:
+            raise ValueError("size must be >= 1")
+
+
+def test_config_from_dict_names_wrong_keys_and_values():
+    assert config_from_dict(_Stored, {"size": 2}, "stored") == _Stored(2)
+    assert config_from_dict(_Stored, {"size": 2, "scale": [3]}, "stored",
+                            scale=lambda v: v[0]) == _Stored(2, 3)
+    with pytest.raises(PayloadError, match=r"^stored: unknown keys \['width'\], "
+                                           r"missing keys \['size'\]$"):
+        config_from_dict(_Stored, {"width": 2}, "stored")
+    with pytest.raises(PayloadError, match=r"^stored: unknown keys \['w', 'x'\], "
+                                           r"missing keys \[\]$"):
+        config_from_dict(_Stored, {"size": 2, "x": 0, "w": 1}, "stored")
+    with pytest.raises(PayloadError, match="must be a JSON object, got list"):
+        config_from_dict(_Stored, [2], "stored")
+    with pytest.raises(PayloadError, match="^stored: '<' not supported"):
+        config_from_dict(_Stored, {"size": "2"}, "stored")
 
 
 def test_non_contiguous_array_round_trips():

@@ -117,25 +117,12 @@ def test_observed_defaults_to_all_true():
     assert np.array_equal(_tiny_volume(mask=mask).observed(), mask)
 
 
-def test_voxel_centers_spacing_product():
-    vol = _tiny_volume()
-    xs, ys, zs = vol.voxel_centers_mm()
-    assert np.array_equal(xs, [0.0, 2.0, 4.0, 6.0, 8.0])
-    assert np.array_equal(zs, [0.0, 10.0, 20.0])
-
-
 def test_norm_mm_round_trip():
     vol = _tiny_volume()
     norm = np.array([[0.0, 0.5, 1.0], [0.25, 1.0, 0.0]])
     mm = vol.norm_to_mm(norm)
     assert np.array_equal(mm[0], [0.0, 3.0, 20.0])
     assert np.array_equal(mm[1], [2.0, 6.0, 0.0])
-
-
-def test_frame_time_uses_normalized_rule():
-    vol = _tiny_volume()
-    assert vol.frame_time(0) == 0.0
-    assert vol.frame_time(1) == 1.0
 
 
 # -- coordinate rows ----------------------------------------------------------
