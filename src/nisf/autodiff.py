@@ -63,9 +63,9 @@ _active_tape: "Tape | None" = None
 
 
 def _blas_threads() -> int:
-    """The BLAS thread count: ``OPENBLAS_NUM_THREADS``, which ``--threads``,
-    ``NISF_THREADS`` and perfbench set before numpy loads, else the CPUs
-    this process may use."""
+    """The BLAS thread count: ``OPENBLAS_NUM_THREADS``, which ``--threads``
+    and perfbench set before numpy loads, else the CPUs this process may
+    use."""
     env = os.environ.get("OPENBLAS_NUM_THREADS", "").strip()
     return max(1, int(env)) if env.isdigit() else len(os.sched_getaffinity(0))
 
@@ -397,10 +397,10 @@ def gabor_trunk(coords: Tensor, h: Tensor, w_in: Tensor, b_in: Tensor,
 
     When the op does not record, W workers run the tiles: this thread and
     W - 1 pool threads, started on the first such call. W is the BLAS
-    thread count (``OPENBLAS_NUM_THREADS``, which ``--threads`` and
-    ``NISF_THREADS`` set, else the CPUs this process may use), and at
-    W = 1 no thread starts. Each block product then runs in row blocks of
-    at most ``SMALL_GEMM_MNK // (k * n)`` rows (``_gemm_small``), so
+    thread count (``OPENBLAS_NUM_THREADS``, which ``--threads`` sets,
+    else the CPUs this process may use), and at W = 1 no thread starts.
+    Each block product then runs in row blocks of at most
+    ``SMALL_GEMM_MNK // (k * n)`` rows (``_gemm_small``), so
     OpenBLAS runs every one on the worker's thread and its own pool never
     competes with the workers. The bits depend on the tiles and row
     blocks, never on W or on which worker ran a tile; at widths where the

@@ -13,8 +13,7 @@ Tunable options are declared once, in a table per command. gen-data,
 train-prior and infer also read a JSON ``--config`` file keyed by flag
 name (``_`` for ``-``): a flag wins over its key, an option set by
 neither keeps the default of the config dataclass it sets, and an
-unknown key is an error. ``NISF_THREADS`` supplies the default for
-``--threads``.
+unknown key is an error. ``--threads`` is the one thread setting.
 
 Heavy imports happen inside the command handlers so that thread limits
 can be applied to the BLAS before numpy loads.
@@ -41,13 +40,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _apply_thread_limit(threads: int | None) -> None:
     if threads is None:
-        env = os.environ.get("NISF_THREADS", "").strip()
-        if not env:
-            return
-        try:
-            threads = int(env)
-        except ValueError:
-            raise SystemExit(_fail(f"NISF_THREADS must be an integer, got {env!r}"))
+        return
     if threads < 1:
         raise SystemExit(_fail("--threads must be >= 1"))
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -89,12 +82,11 @@ def _tuple(cast, n: int):
 # field's default.
 _GEN_DATA = (
     ("--seed", integer, "seed", None),
-    ("--subjects", integer, "subjects", None),
     ("--split", _tuple(integer, 3), "split", "train,val,test counts"),
     ("--grid", _tuple(integer, 4), "grid", "X,Y,Z,T voxel counts"),
     ("--spacing", _tuple(float, 3), "spacing", "x,y,z spacing in mm"),
 )
-_GEN_DATA_DEFAULTS = {"seed": 0, "subjects": 90, "split": (60, 10, 20)}
+_GEN_DATA_DEFAULTS = {"seed": 0, "split": (60, 10, 20)}
 
 _TRAIN_PRIOR = (  # TrainConfig fields, and LossWeights fields for its ``weights``
     ("--epochs", integer, "epochs", None),
@@ -108,8 +100,7 @@ _TRAIN_PRIOR = (  # TrainConfig fields, and LossWeights fields for its ``weights
 )
 
 _INFER = (  # InferConfig fields
-    ("--steps", integer, "selected_steps", "run exactly this many steps"),
-    ("--max-steps", integer, "max_steps", None),
+    ("--steps", integer, "steps_to_run", "run exactly this many steps"),
     ("--lr", float, "lr_infer", None),
     ("--seed", integer, "seed", None),
     ("--cadence", integer, "record_cadence", None),
@@ -200,8 +191,8 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     config = _load_config_file(args.config, _GEN_DATA)
     opts = {"grid": DEFAULT_GRID_SHAPE, "spacing": DEFAULT_SPACING, **_GEN_DATA_DEFAULTS,
             **_options(args, config, _GEN_DATA)}
-    if sum(opts["split"]) != opts["subjects"]:
-        return _fail(f"split {opts['split']} does not sum to {opts['subjects']} subjects")
+    if min(opts["split"]) < 0:
+        return _fail(f"split counts must be >= 0, got {opts['split']}")
 
     out_dir = args.out
     if os.path.exists(out_dir) and os.listdir(out_dir) and not args.force:
@@ -221,7 +212,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     write_dataset_manifest(out_dir, entries, seed=opts["seed"],
                            generator_version=GENERATOR_VERSION)
     if not args.quiet:
-        print(f"dataset of {opts['subjects']} subjects written to {out_dir}")
+        print(f"dataset of {sum(opts['split'])} subjects written to {out_dir}")
     return 0
 
 
@@ -437,7 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Coordinate-field segmentation engine.")
     parser.add_argument("--threads", type=int, default=None,
                         help="BLAS thread cap, which also caps the frozen trunk's "
-                             "worker threads (default: NISF_THREADS env var)")
+                             "worker threads (default: OPENBLAS_NUM_THREADS, else the "
+                             "CPUs this process may use)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a synthetic heart dataset")

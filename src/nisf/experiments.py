@@ -80,8 +80,9 @@ class DeskScaleConfig:
     plane_extent_mm: tuple[float, float] = (90.0, 60.0)
     plane_counts: tuple[int, int] = (72, 48)
 
-    def infer_config(self, selected_steps: int | None = None) -> InferConfig:
-        return InferConfig(max_steps=self.infer_max_steps, selected_steps=selected_steps,
+    def infer_config(self, steps: int | None = None) -> InferConfig:
+        """The fit settings for ``steps`` steps, ``infer_max_steps`` if None."""
+        return InferConfig(steps_to_run=self.infer_max_steps if steps is None else steps,
                            lr_infer=self.infer_lr, lambda_h=self.infer_lambda_h,
                            seed=self.infer_seed, record_cadence=self.infer_cadence,
                            points_per_step=self.infer_points)
@@ -152,12 +153,12 @@ def curve_summary(rows: list[dict]) -> dict:
             "selected_steps": selected}
 
 
-def eval_row(model: FieldModel, subject: VolumeSample, cfg: InferConfig
-             ) -> tuple[dict, np.ndarray]:
+def eval_row(model: FieldModel, subject: VolumeSample, cfg: InferConfig) -> dict:
     """Fit one test subject and score it on every voxel of every frame.
 
     Labels and intensities are scored against the truth of the same rows
-    they are decoded at. Returns the row and the fitted latent.
+    they are decoded at. The row holds the fitted latent too, as a list of
+    floats: JSON's float repr reads back as the same float64.
     """
     coords, intensities = full_observations(subject)
     h, trace = infer_latent(model, coords, intensities, cfg)
@@ -169,7 +170,8 @@ def eval_row(model: FieldModel, subject: VolumeSample, cfg: InferConfig
             "dice_mean": report.mean,
             "recon_mae": float(np.mean(np.abs(pred_intensity - voxels.intensities[:, 0]))),
             "final_recon_bce": trace.recon_loss[-1],
-            "seed": cfg.seed}, h.values.copy()
+            "seed": cfg.seed,
+            "latent": h.values.tolist()}
 
 
 def copy_nearest_slice_labels(volume: VolumeSample, slice_index: int) -> np.ndarray:
@@ -341,8 +343,7 @@ class DeskScaleRun:
         selected count, to expose the rise-then-decline shape."""
         def build() -> dict:
             budget = 4 * self.selected_steps()
-            fit = replace(self.cfg.infer_config(), max_steps=budget,
-                          seed=self.cfg.infer_seed + 5)
+            fit = replace(self.cfg.infer_config(budget), seed=self.cfg.infer_seed + 5)
             curve = curve_summary(self._rows("val", curve_row, fit, 1000))
             return {"budget": budget, "steps": curve["steps"],
                     "mean_dice": curve["mean_dice"], "argmax_steps": curve["selected_steps"]}
@@ -354,10 +355,7 @@ class DeskScaleRun:
     def test_eval(self) -> dict:
         def build() -> dict:
             selected = self.selected_steps()
-            fits = self._rows("test", eval_row, self.cfg.infer_config(selected), 777)
-            rows = [row for row, _ in fits]
-            np.savez(os.path.join(self.dir, "test_latents.npz"),
-                     **{row["id"]: latent for row, latent in fits})
+            rows = self._rows("test", eval_row, self.cfg.infer_config(selected), 777)
             mean_report = aggregate([DiceReport(classes=("lv_pool", "lv_myocardium",
                                                          "rv_pool"),
                                                 per_class=tuple(r["dice_per_class"]),
@@ -368,8 +366,8 @@ class DeskScaleRun:
         return self._json_stage("test_eval.json", build)
 
     def test_latents(self) -> dict[str, np.ndarray]:
-        self.test_eval()
-        return _load_latents(os.path.join(self.dir, "test_latents.npz"))
+        return {row["id"]: np.array(row["latent"], dtype=np.float64)
+                for row in self.test_eval()["subjects"]}
 
     # -- held-out slice ---------------------------------------------------
 
@@ -418,11 +416,6 @@ def code_fingerprint() -> str:
         with open(os.path.join(pkg, name), "rb") as f:
             h.update(f.read())
     return h.hexdigest()
-
-
-def _load_latents(path: str) -> dict[str, np.ndarray]:
-    with np.load(path) as data:
-        return {k: data[k].copy() for k in data.files}
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .errors import ContractError, NumericalError
-from .losses import LossWeights, bce, inference_loss
+from .losses import bce, inference_loss
 from .metrics import dice
 from .model import FieldModel
 from .optim import Adam
@@ -34,10 +34,14 @@ _STREAM_SAMPLE = 0x5A30
 
 @dataclass(frozen=True)
 class InferConfig:
-    """Inference-time optimization settings."""
+    """Inference-time optimization settings.
 
-    max_steps: int = 1000
-    selected_steps: int | None = None  # validation-chosen; defaults to max_steps
+    ``steps_to_run`` is the one step count of a fit: the count validation
+    selects, or any budget a caller names. The objective is
+    ``losses.inference_loss`` with weight ``lambda_h`` on ||h||^2.
+    """
+
+    steps_to_run: int = 1000
     lr_infer: float = 1e-4
     lambda_h: float = 1e-4
     seed: int = 0
@@ -45,27 +49,17 @@ class InferConfig:
     points_per_step: int | None = None  # None = all observed points every step
 
     def __post_init__(self):
-        self.weights()  # rejects a negative or non-finite lambda_h before any work starts
-        if self.max_steps < 0:
-            raise ContractError("max_steps must be >= 0")
-        steps = self.steps_to_run
-        if not 0 <= steps <= self.max_steps:
-            raise ContractError(f"selected_steps {steps} outside [0, {self.max_steps}]")
+        # written so that NaN fails: every comparison with NaN is False
+        if not (np.isfinite(self.lambda_h) and self.lambda_h >= 0):
+            raise ContractError("lambda_h must be finite and nonnegative")
+        if self.steps_to_run < 0:
+            raise ContractError("steps_to_run must be >= 0")
         if not (np.isfinite(self.lr_infer) and self.lr_infer > 0):
             raise ContractError("lr_infer must be finite and positive")
         if self.record_cadence < 1:
             raise ContractError("record_cadence must be >= 1")
         if self.points_per_step is not None and self.points_per_step < 1:
             raise ContractError("points_per_step must be >= 1 when set")
-
-    @property
-    def steps_to_run(self) -> int:
-        return self.max_steps if self.selected_steps is None else self.selected_steps
-
-    def weights(self) -> LossWeights:
-        # alpha is a training-only coefficient; the reconstruction term
-        # enters the inference objective unweighted.
-        return LossWeights(alpha=1.0, lambda_theta_phi=0.0, lambda_h=self.lambda_h)
 
 
 @dataclass
@@ -178,7 +172,6 @@ def infer_latent(model: FieldModel, coords: np.ndarray, intensities: np.ndarray,
     rng = np.random.default_rng(np.random.SeedSequence([_STREAM_INIT, config.seed]))
     h = Tensor(rng.normal(0.0, INFER_INIT_SIGMA, size=model.config.latent_dim), name="h")
     adam = Adam({"latent": h}, lr=config.lr_infer)
-    weights = config.weights()
     sample_rng = np.random.default_rng(np.random.SeedSequence([_STREAM_SAMPLE, config.seed]))
     num_points = coords.shape[0]
 
@@ -207,7 +200,8 @@ def infer_latent(model: FieldModel, coords: np.ndarray, intensities: np.ndarray,
         else:
             step_coords, step_targets = coords, intensities
         with Tape(wrt=[h]) as tape:
-            terms = inference_loss(model.intensity(step_coords, h), step_targets, h, weights)
+            terms = inference_loss(model.intensity(step_coords, h), step_targets, h,
+                                   config.lambda_h)
             tape.backward(terms.total)
         adam.step()
         adam.reset_grads()

@@ -178,12 +178,12 @@ def training_loss(seg_probs: Tensor, intensity: Tensor, labels, intensity_target
 
 
 def inference_loss(intensity: Tensor, intensity_targets, latent: Tensor,
-                   weights: LossWeights) -> LossTerms:
+                   lambda_h: float) -> LossTerms:
     """Reconstruction-only objective: bce_recon + lambda_h * ||h||^2."""
     targets = np.asarray(intensity_targets, dtype=intensity.dtype).reshape(intensity.shape)
     bce_recon = bce(intensity, targets)
     l2_latent = ad.sum_squares([latent])
-    total = ad.add(bce_recon, ad.mul(l2_latent, weights.lambda_h))
+    total = ad.add(bce_recon, ad.mul(l2_latent, lambda_h))
     return LossTerms(total, None, None, bce_recon, None, l2_latent)
 
 

@@ -100,7 +100,10 @@ def read_blob(f: BinaryIO, magic: str, max_version: int) -> tuple[int, dict, dic
 
 def require(mapping: dict, keys, what: str) -> None:
     """Raise ``PayloadError`` naming the first of ``keys`` missing from ``mapping``,
-    an envelope's header or arrays (``what`` says which file part it is)."""
+    an envelope's header or arrays or a JSON object (``what`` says which file
+    part it is); a ``mapping`` that is not a dict is one too."""
+    if not isinstance(mapping, dict):
+        raise PayloadError(f"{what} must be a JSON object, got {type(mapping).__name__}")
     for key in keys:
         if key not in mapping:
             raise PayloadError(f"{what} missing {key!r}")

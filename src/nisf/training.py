@@ -277,7 +277,6 @@ def save_checkpoint(path: str, model: FieldModel, table: LatentTable,
     header = {
         "train_config": config.to_dict(),
         "config_hash": config.content_hash(),
-        "model_config": model.config.to_dict(),
         "subject_ids": table.subject_ids,
         "epoch_done": epoch_done,
         "global_step": global_step,

@@ -270,14 +270,25 @@ def write_dataset_manifest(out_dir: str, entries: list[dict], seed: int,
 
 
 def load_dataset_manifest(dataset_dir: str) -> dict:
+    """The manifest of ``dataset_dir``; a file that is not JSON, or lacks a
+    key its readers use, is a ``PayloadError``."""
     path = os.path.join(dataset_dir, MANIFEST_NAME)
     if not os.path.exists(path):
         raise ContractError(f"no {MANIFEST_NAME} in {dataset_dir}")
-    with open(path, "r", encoding="utf-8") as f:
-        manifest = json.load(f)
-    if manifest.get("format_version") != 1:
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            manifest = json.load(f)
+    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+        raise PayloadError(f"unreadable dataset manifest {path}: {exc}") from exc
+    what = f"dataset manifest {path}"
+    require(manifest, ("format_version",), what)
+    if manifest["format_version"] != 1:
         raise ContractError(f"unsupported manifest format_version "
-                            f"{manifest.get('format_version')}")
+                            f"{manifest['format_version']}")
+    require(manifest, ("subjects", "splits"), what)
+    require(manifest["splits"], SPLITS, f"{what} splits")
+    for entry in manifest["subjects"]:
+        require(entry, ("id", "path"), f"{what} subject entry")
     return manifest
 
 

@@ -111,9 +111,7 @@ def test_criterion_02_loss_identities():
                + weights.lambda_h * report.l2_latent)
     d_total = abs(report.total - rebuilt)
 
-    icfg = InferConfig(max_steps=1, lambda_h=1e-4)
-    inf = inference_loss(model.intensity(coords, h), intensities, h,
-                         icfg.weights()).total.item()
+    inf = inference_loss(model.intensity(coords, h), intensities, h, 1e-4).total.item()
     restricted_weights = LossWeights(alpha=1.0, lambda_theta_phi=0.0, lambda_h=1e-4)
     terms = train_loss(model, h, coords, intensities, labels, restricted_weights)
     restriction = (terms.bce_recon.item()
@@ -225,7 +223,7 @@ def test_criterion_08_frozen_weights_and_isolation():
     model = FieldModel.init(TINY, seed=4)
     before = model.checksum()
     coords, intensities = full_observations(vol)
-    infer_latent(model, coords, intensities, InferConfig(max_steps=3, seed=1))
+    infer_latent(model, coords, intensities, InferConfig(steps_to_run=3, seed=1))
     frozen_ok = model.checksum() == before
 
     # (b) one training step touches exactly one latent row

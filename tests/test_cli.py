@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -18,21 +19,16 @@ TINY = {"model": ModelConfig(num_res_layers=2, hidden_width=16,
                              latent_dim=8).to_dict()}
 
 
-def run_cli(*argv, env_extra=None):
-    env = os.environ.copy()
-    env.setdefault("NISF_THREADS", "1")
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run([sys.executable, "-m", "nisf.cli", *argv],
-                          capture_output=True, text=True, env=env)
+def run_cli(*argv):
+    return subprocess.run([sys.executable, "-m", "nisf.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
 
 
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("data") / "set")
-    res = run_cli("gen-data", "--out", out, "--seed", "5", "--subjects", "4",
-                  "--split", "2,1,1", "--grid", "8,8,2,2", "--spacing", "2,2,10",
-                  "--quiet")
+    res = run_cli("gen-data", "--out", out, "--seed", "5", "--split", "2,1,1",
+                  "--grid", "8,8,2,2", "--spacing", "2,2,10", "--quiet")
     assert res.returncode == 0, res.stderr
     return out
 
@@ -58,7 +54,7 @@ def inferred(tmp_path_factory, dataset, trained):
     out = str(tmp_path_factory.mktemp("fit") / "s0003")
     res = run_cli("infer", "--checkpoint", ckpt,
                   "--volume", os.path.join(dataset, "s0003.nvol"),
-                  "--out", out, "--max-steps", "6", "--cadence", "3",
+                  "--out", out, "--steps", "6", "--cadence", "3",
                   "--lr", "1e-2", "--seed", "3", "--quiet")
     assert res.returncode == 0, res.stderr
     return out
@@ -80,9 +76,8 @@ def test_gen_data_layout_and_manifest(dataset):
 
 def test_gen_data_repeats_are_byte_identical(tmp_path, dataset):
     again = str(tmp_path / "again")
-    res = run_cli("gen-data", "--out", again, "--seed", "5", "--subjects", "4",
-                  "--split", "2,1,1", "--grid", "8,8,2,2", "--spacing", "2,2,10",
-                  "--quiet")
+    res = run_cli("gen-data", "--out", again, "--seed", "5", "--split", "2,1,1",
+                  "--grid", "8,8,2,2", "--spacing", "2,2,10", "--quiet")
     assert res.returncode == 0, res.stderr
     for name in sorted(os.listdir(dataset)):
         if name == "run_manifest.json":
@@ -93,8 +88,8 @@ def test_gen_data_repeats_are_byte_identical(tmp_path, dataset):
 
 
 def test_gen_data_refuses_nonempty_dir(dataset):
-    res = run_cli("gen-data", "--out", dataset, "--seed", "5", "--subjects", "4",
-                  "--split", "2,1,1", "--grid", "8,8,2,2", "--quiet")
+    res = run_cli("gen-data", "--out", dataset, "--seed", "5", "--split", "2,1,1",
+                  "--grid", "8,8,2,2", "--quiet")
     assert res.returncode == 1
     assert "not empty" in res.stderr
 
@@ -125,6 +120,42 @@ def test_infer_outputs(inferred, trained):
     pred = load_volume(os.path.join(inferred, "prediction.nvol"))
     assert pred.shape == (8, 8, 2, 2)
     assert pred.intensity.min() >= 0.0 and pred.intensity.max() <= 1.0
+
+
+def test_infer_steps_names_the_whole_budget(dataset, trained, tmp_path):
+    # one step count per fit: 1001 is above the default of 1000, and runs
+    out = str(tmp_path / "long")
+    res = run_cli("infer", "--checkpoint", trained[1],
+                  "--volume", os.path.join(dataset, "s0003.nvol"), "--out", out,
+                  "--steps", "1001", "--cadence", "500", "--lr", "1e-2", "--quiet")
+    assert res.returncode == 0, res.stderr
+    trace = open(os.path.join(out, "trace.csv")).read().splitlines()
+    assert [row.split(",")[0] for row in trace[1:]] == ["0", "500", "1000", "1001"]
+
+
+def test_gen_data_subject_count_is_the_split_sum(tmp_path):
+    out = str(tmp_path / "set")
+    res = run_cli("gen-data", "--out", out, "--split", "1,1,1", "--grid", "8,8,2,2")
+    assert res.returncode == 0, res.stderr
+    assert "dataset of 3 subjects" in res.stdout
+    manifest = json.load(open(os.path.join(out, "dataset.json")))
+    assert [e["id"] for e in manifest["subjects"]] == ["s0000", "s0001", "s0002"]
+    assert manifest["splits"] == {"train": ["s0000"], "val": ["s0001"], "test": ["s0002"]}
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"format_version": 1, "subjects": []}', "missing 'splits'"),
+    ('{"format_version": 1, "subj', "unreadable dataset manifest"),
+    ('{"format_version": 1, "subjects": [{"id": "s0000"}], '
+     '"splits": {"train": ["s0000"], "val": [], "test": []}}', "missing 'path'"),
+    ('[1]', "must be a JSON object, got list"),
+])
+def test_malformed_dataset_manifest_exits_1(text, message, tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "dataset.json").write_text(text)
+    _exits_1_naming(run_cli("train-prior", "--dataset", str(data),
+                            "--out", str(tmp_path / "prior"), "--quiet"), message)
 
 
 def test_eval_prints_table_and_writes_report(inferred, dataset, tmp_path):
@@ -324,17 +355,27 @@ def test_usage_errors_exit_1():
     assert run_cli("infer", "--checkpoint", "x").returncode == 1  # missing flags
 
 
+def test_readme_commands_parse():
+    # every command of README's "Command line" block, so a removed flag
+    # cannot survive in the docs
+    from nisf.cli import build_parser
+
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme, encoding="utf-8") as f:
+        section = f.read().split("## Command line", 1)[1]
+    block = section.split("```", 2)[1].replace("\\\n", " ")
+    commands = [shlex.split(line) for line in block.splitlines() if line.startswith("nisf ")]
+    assert [argv[1] for argv in commands] == ["gen-data", "train-prior", "infer", "eval",
+                                              "sample-plane", "gradcheck"]
+    for argv in commands:
+        build_parser().parse_args(argv[1:])
+
+
 def test_missing_checkpoint_exits_1(dataset, tmp_path):
     res = run_cli("infer", "--checkpoint", str(tmp_path / "none.nckpt"),
                   "--volume", os.path.join(dataset, "s0003.nvol"),
-                  "--out", str(tmp_path / "o"), "--max-steps", "1")
+                  "--out", str(tmp_path / "o"), "--steps", "1")
     assert res.returncode == 1
-
-
-def test_bad_threads_env_exits_1():
-    res = run_cli("gradcheck", env_extra={"NISF_THREADS": "lots"})
-    assert res.returncode == 1
-    assert "NISF_THREADS" in res.stderr
 
 
 def test_divergent_training_exits_2_after_manifest(dataset, tmp_path):
@@ -383,7 +424,7 @@ def test_gen_data_resolved_config_at_defaults(tmp_path):
     res = run_cli("gen-data", "--out", out, "--quiet")
     assert res.returncode == 0, res.stderr
     assert _resolved(out) == _same_json(
-        {"seed": 0, "subjects": 90, "split": [60, 10, 20],
+        {"seed": 0, "split": [60, 10, 20],
          "grid": [32, 32, 8, 10], "spacing": [2.0, 2.0, 10.0]})
     assert len(os.listdir(out)) == 92
 
@@ -410,8 +451,8 @@ def test_infer_resolved_config_at_defaults(dataset, trained, tmp_path):
     assert res.returncode == 0, res.stderr
     assert _resolved(out) == _same_json(
         {"cadence": 50, "checkpoint": os.path.abspath(ckpt), "lambda_h": 0.0001,
-         "lr": 0.0001, "max_steps": 1000, "points_per_step": None, "seed": 0,
-         "steps": None, "volume": os.path.abspath(volume)})
+         "lr": 0.0001, "points_per_step": None, "seed": 0, "steps": 1000,
+         "volume": os.path.abspath(volume)})
 
 
 def test_sample_plane_resolved_config_at_defaults(inferred, dataset, trained, tmp_path):
@@ -434,7 +475,7 @@ def test_sample_plane_resolved_config_at_defaults(inferred, dataset, trained, tm
 def test_gen_data_reads_lists_from_config(dataset, tmp_path):
     """JSON lists in the config file stand for the comma flags."""
     cfg = tmp_path / "data.json"
-    cfg.write_text(json.dumps({"seed": 5, "subjects": 4, "split": [2, 1, 1],
+    cfg.write_text(json.dumps({"seed": 5, "split": [2, 1, 1],
                                "grid": [8, 8, 2, 2]}))
     out = str(tmp_path / "from_config")
     res = run_cli("gen-data", "--out", out, "--config", str(cfg), "--quiet")
@@ -451,14 +492,14 @@ def test_gen_data_reads_lists_from_config(dataset, tmp_path):
 def test_infer_flag_beats_config_value(dataset, trained, tmp_path):
     _, ckpt = trained
     cfg = tmp_path / "infer.json"
-    cfg.write_text(json.dumps({"max_steps": 4, "cadence": 2, "lr": 0.5, "seed": 9}))
+    cfg.write_text(json.dumps({"steps": 4, "cadence": 2, "lr": 0.5, "seed": 9}))
     out = str(tmp_path / "fit")
     res = run_cli("infer", "--checkpoint", ckpt,
                   "--volume", os.path.join(dataset, "s0003.nvol"), "--out", out,
                   "--config", str(cfg), "--lr", "1e-2", "--quiet")
     assert res.returncode == 0, res.stderr
     resolved = json.loads(_resolved(out))
-    assert (resolved["max_steps"], resolved["cadence"], resolved["lr"],
+    assert (resolved["steps"], resolved["cadence"], resolved["lr"],
             resolved["seed"]) == (4, 2, 1e-2, 9)
     with open(os.path.join(out, "latent.nlat"), "rb") as f:
         _, header, _ = read_blob(f, "NISF-LATENT", 1)
@@ -470,6 +511,10 @@ def test_malformed_option_values_exit_1(dataset, tmp_path):
     assert res.returncode == 1
     assert "--grid" in res.stderr
     assert not os.path.exists(tmp_path / "g")
+    res = run_cli("gen-data", "--out", str(tmp_path / "s"), "--split", "2,-1,1", "--quiet")
+    assert res.returncode == 1
+    assert "split counts must be >= 0" in res.stderr
+    assert not os.path.exists(tmp_path / "s")
     res = run_cli("train-prior", "--dataset", dataset, "--out", str(tmp_path / "t"),
                   "--epochs", "x", "--quiet")
     assert res.returncode == 1
@@ -501,18 +546,21 @@ def test_gen_data_matches_build_splits(dataset, tmp_path):
 
 @pytest.mark.parametrize("command", ["gen-data", "train-prior", "infer"])
 def test_unknown_config_key_exits_1_naming_it(command, dataset, trained, tmp_path):
-    """{"epoch": 5} must not silently train the default epoch count."""
-    cfg = tmp_path / "typo.json"
-    cfg.write_text(json.dumps({**TINY, "epoch": 5}))
-    out = str(tmp_path / "out")
+    """{"epoch": 5} must not silently train the default epoch count, and the
+    retired keys max_steps (infer) and subjects (gen-data) are unknown too."""
     required = {"gen-data": [],
                 "train-prior": ["--dataset", dataset],
                 "infer": ["--checkpoint", trained[1],
                           "--volume", os.path.join(dataset, "s0003.nvol")]}[command]
-    res = run_cli(command, *required, "--out", out, "--config", str(cfg), "--quiet")
-    assert res.returncode == 1
-    assert "'epoch'" in res.stderr
-    assert not os.path.exists(out)
+    retired = {"gen-data": ["subjects"], "infer": ["max_steps"]}.get(command, [])
+    for key in ["epoch", *retired]:
+        cfg = tmp_path / "typo.json"
+        cfg.write_text(json.dumps({**TINY, key: 5}))
+        out = str(tmp_path / "out")
+        res = run_cli(command, *required, "--out", out, "--config", str(cfg), "--quiet")
+        assert res.returncode == 1
+        assert f"'{key}'" in res.stderr
+        assert not os.path.exists(out)
 
 
 def _infer_rejects_lambda_h(dataset, ckpt, out, value):

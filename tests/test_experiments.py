@@ -96,7 +96,7 @@ def test_copy_nearest_slice_donor_selection():
 def test_heldout_row_structure():
     _, vol = generate_subject(13, grid_shape=(6, 6, 4, 2), spacing=(4.0, 4.0, 10.0))
     model = FieldModel.init(TINY, seed=0)
-    row = heldout_row(model, vol, InferConfig(max_steps=5, lr_infer=1e-2, seed=3), 2)
+    row = heldout_row(model, vol, InferConfig(steps_to_run=5, lr_infer=1e-2, seed=3), 2)
     assert row["id"] == vol.subject_id
     # foreground classes only: lv_pool, lv_myocardium, rv_pool
     assert len(row["model_per_class"]) == len(row["baseline_per_class"]) == 3
@@ -104,7 +104,7 @@ def test_heldout_row_structure():
     assert all(0.0 <= d <= 1.0 for d in row["baseline_per_class"])
     assert 0.0 <= row["recon_mae"] <= 1.0
     with pytest.raises(ContractError):
-        heldout_row(model, vol, InferConfig(max_steps=1), 4)
+        heldout_row(model, vol, InferConfig(steps_to_run=1), 4)
 
 
 def test_curve_rows_produce_aligned_curves():
@@ -112,7 +112,7 @@ def test_curve_rows_produce_aligned_curves():
                                  subject_id=f"t{seed}")[1] for seed in (30, 31)]
     model = train_prior(subjects[:1], TrainConfig(model=TINY, epochs=15, lr_prior=1e-3,
                                                   seed=2, log_every=0)).model
-    fit = InferConfig(max_steps=20, record_cadence=10, lr_infer=1e-2, seed=5)
+    fit = InferConfig(steps_to_run=20, record_cadence=10, lr_infer=1e-2, seed=5)
     rows = [curve_row(model, subject, replace(fit, seed=fit.seed + 1000 * (i + 1)))
             for i, subject in enumerate(subjects)]
     summary = curve_summary(rows)
@@ -160,7 +160,7 @@ def test_pipeline_stage_files_on_disk(micro_run):
     _, run, _ = micro_run
     names = set(os.listdir(run.dir))
     expected = {"config.json", "train_log.csv", "validation.json", "longrun.json",
-                "test_eval.json", "heldout.json", "oblique.json", "test_latents.npz"}
+                "test_eval.json", "heldout.json", "oblique.json"}
     assert expected <= names
     assert any(n.endswith(".nckpt") for n in names)
     for name in expected & {n for n in names if n.endswith(".json")}:
@@ -208,7 +208,7 @@ def _assert_stage_rows_equal_direct_fits(run):
     # longrun: the same curve over four times the selected budget
     budget = 4 * selected
     _, trace = infer_latent(model, coords, intensities,
-                            replace(MICRO.infer_config(), max_steps=budget,
+                            replace(MICRO.infer_config(budget),
                                     seed=MICRO.infer_seed + 5 + 1000),
                             analysis=analysis_points(val))
     longrun = run.longrun()
@@ -227,7 +227,8 @@ def _assert_stage_rows_equal_direct_fits(run):
     assert run.test_eval()["subjects"] == [{
         "id": test.subject_id, "dice_per_class": list(report.per_class),
         "dice_mean": report.mean, "recon_mae": float(np.mean(np.abs(intensity - truth))),
-        "final_recon_bce": trace.recon_loss[-1], "seed": cfg.seed}]
+        "final_recon_bce": trace.recon_loss[-1], "seed": cfg.seed,
+        "latent": h.values.tolist()}]
     assert np.array_equal(run.test_latents()[test.subject_id], h.values)
 
     # heldout: fitted without the slice, which is then decoded on its own grid

@@ -49,7 +49,7 @@ def numerics_digest() -> str:
 
     h = Tensor(latent.copy())
     with ad.Tape(wrt=[h]) as tape:
-        terms = inference_loss(model.intensity(coords, h), intensities, h, LossWeights())
+        terms = inference_loss(model.intensity(coords, h), intensities, h, 1e-4)
         tape.backward(terms.total)
     _feed(digest, terms.total.values, h.grad)
 

@@ -9,7 +9,7 @@ from nisf.inference import (InferConfig, InferenceTrace, analysis_points,
                             evaluate_points,
                             full_observations, infer_latent,
                             select_early_stop_steps)
-from nisf.losses import LossWeights, train_loss
+from nisf.losses import LossWeights, inference_loss, train_loss
 from nisf.model import FieldModel, ModelConfig
 from nisf.phantom import generate_subject
 from nisf.sampling import sample_volume
@@ -33,19 +33,14 @@ def _trained_model(subject, epochs=40):
 
 
 def test_infer_config_defaults_and_steps_property():
-    cfg = InferConfig()
-    assert cfg.steps_to_run == cfg.max_steps == 1000
-    assert InferConfig(max_steps=100, selected_steps=40).steps_to_run == 40
-    assert InferConfig(max_steps=100, selected_steps=0).steps_to_run == 0
+    assert InferConfig().steps_to_run == 1000
+    assert InferConfig(steps_to_run=40).steps_to_run == 40
+    assert InferConfig(steps_to_run=0).steps_to_run == 0
 
 
 def test_infer_config_contracts():
     with pytest.raises(ContractError):
-        InferConfig(max_steps=-1)
-    with pytest.raises(ContractError):
-        InferConfig(max_steps=100, selected_steps=101)
-    with pytest.raises(ContractError):
-        InferConfig(max_steps=100, selected_steps=-5)
+        InferConfig(steps_to_run=-1)
     with pytest.raises(ContractError):
         InferConfig(lr_infer=0.0)
     with pytest.raises(ContractError):
@@ -61,11 +56,26 @@ def test_infer_config_contracts():
             InferConfig(lambda_h=bad)
 
 
-def test_infer_weights_drop_training_terms():
-    w = InferConfig(lambda_h=3e-4).weights()
-    assert w.alpha == 1.0
-    assert w.lambda_theta_phi == 0.0
-    assert w.lambda_h == 3e-4
+def test_infer_weights_drop_training_terms(monkeypatch):
+    # the fit's objective is the reconstruction BCE, unweighted, plus
+    # lambda_h * ||h||^2: no segmentation or parameter term
+    import nisf.inference
+
+    seen = []
+
+    def spy(intensity, targets, latent, lambda_h):
+        seen.append((lambda_h, inference_loss(intensity, targets, latent, lambda_h)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(nisf.inference, "inference_loss", spy)
+    coords, inten = full_observations(_subject())
+    infer_latent(FieldModel.init(TINY, seed=0), coords, inten,
+                 InferConfig(steps_to_run=1, lambda_h=3e-4, seed=2))
+    ((lambda_h, terms),) = seen
+    report = terms.report()
+    assert lambda_h == 3e-4
+    assert (report.bce_seg, report.dice_seg, report.l2_params) == (0.0, 0.0, 0.0)
+    assert report.total == report.bce_recon + 3e-4 * report.l2_latent
 
 
 # -- trace --------------------------------------------------------------------
@@ -197,7 +207,7 @@ def test_infer_latent_leaves_model_frozen_and_reduces_loss():
     model = _trained_model(vol)
     checksum = model.checksum()
     coords, inten = full_observations(vol)
-    cfg = InferConfig(max_steps=150, lr_infer=1e-2, seed=4, record_cadence=50)
+    cfg = InferConfig(steps_to_run=150, lr_infer=1e-2, seed=4, record_cadence=50)
     h, trace = infer_latent(model, coords, inten, cfg)
     assert model.checksum() == checksum
     assert h.values.shape == (TINY.latent_dim,)
@@ -214,7 +224,7 @@ def test_infer_latent_differentiates_only_its_latent():
     checksum = model.checksum()
     batch = make_batch(vol)
     h, _ = infer_latent(model, batch.coords, batch.intensities,
-                        InferConfig(max_steps=3, seed=2))
+                        InferConfig(steps_to_run=3, seed=2))
     assert model.checksum() == checksum
     assert all(p.grad is None for p in model.parameters())
     with Tape(wrt=[*model.parameters(), h]) as tape:
@@ -227,7 +237,7 @@ def test_infer_latent_runs_exactly_selected_steps():
     vol = _subject()
     model = FieldModel.init(TINY, seed=0)
     coords, inten = full_observations(vol)
-    cfg = InferConfig(max_steps=40, selected_steps=7, record_cadence=1, seed=1)
+    cfg = InferConfig(steps_to_run=7, record_cadence=1, seed=1)
     _, trace = infer_latent(model, coords, inten, cfg)
     assert trace.steps == list(range(8))  # 0 plus one entry per step
 
@@ -236,7 +246,7 @@ def test_infer_latent_zero_steps_returns_seeded_init():
     vol = _subject()
     model = FieldModel.init(TINY, seed=0)
     coords, inten = full_observations(vol)
-    cfg = InferConfig(max_steps=10, selected_steps=0, seed=9)
+    cfg = InferConfig(steps_to_run=0, seed=9)
     h_a, trace = infer_latent(model, coords, inten, cfg)
     h_b, _ = infer_latent(model, coords, inten, cfg)
     assert np.array_equal(h_a.values, h_b.values)
@@ -249,8 +259,8 @@ def test_infer_latent_seed_changes_init_and_result():
     vol = _subject()
     model = FieldModel.init(TINY, seed=0)
     coords, inten = full_observations(vol)
-    a, _ = infer_latent(model, coords, inten, InferConfig(max_steps=5, seed=0))
-    b, _ = infer_latent(model, coords, inten, InferConfig(max_steps=5, seed=1))
+    a, _ = infer_latent(model, coords, inten, InferConfig(steps_to_run=5, seed=0))
+    b, _ = infer_latent(model, coords, inten, InferConfig(steps_to_run=5, seed=1))
     assert not np.array_equal(a.values, b.values)
 
 
@@ -259,12 +269,12 @@ def test_infer_latent_subsampling_matches_full_batch_when_budget_covers():
     model = FieldModel.init(TINY, seed=0)
     coords, inten = full_observations(vol)
     n = coords.shape[0]
-    full, _ = infer_latent(model, coords, inten, InferConfig(max_steps=6, seed=3))
+    full, _ = infer_latent(model, coords, inten, InferConfig(steps_to_run=6, seed=3))
     capped, _ = infer_latent(model, coords, inten,
-                             InferConfig(max_steps=6, seed=3, points_per_step=n))
+                             InferConfig(steps_to_run=6, seed=3, points_per_step=n))
     assert np.array_equal(full.values, capped.values)
     sub, trace = infer_latent(model, coords, inten,
-                              InferConfig(max_steps=6, seed=3, points_per_step=n // 3))
+                              InferConfig(steps_to_run=6, seed=3, points_per_step=n // 3))
     assert not np.array_equal(full.values, sub.values)
     # trace still reports the full-observation reconstruction loss
     assert len(trace.recon_loss) == len(trace.steps)
@@ -275,11 +285,11 @@ def test_infer_latent_contract_violations():
     good = np.random.default_rng(0).uniform(size=(10, 4))
     inten = np.full((10, 1), 0.5)
     with pytest.raises(ContractError, match="align"):
-        infer_latent(model, good, inten[:5], InferConfig(max_steps=1))
+        infer_latent(model, good, inten[:5], InferConfig(steps_to_run=1))
     with pytest.raises(ContractError, match="observation"):
-        infer_latent(model, good[:0], inten[:0], InferConfig(max_steps=1))
+        infer_latent(model, good[:0], inten[:0], InferConfig(steps_to_run=1))
     with pytest.raises(ContractError, match=r"\[0,1\]"):
-        infer_latent(model, good + 2.0, inten, InferConfig(max_steps=1))
+        infer_latent(model, good + 2.0, inten, InferConfig(steps_to_run=1))
 
 
 # -- early stopping ---------------------------------------------------------------

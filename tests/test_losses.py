@@ -160,7 +160,7 @@ def test_inference_objective_is_restriction_of_training_objective():
     params = [Tensor(np.zeros(1))]
 
     train_rep = training_loss(probs, intensity, labels, targets, params, latent, w).report()
-    infer_terms = inference_loss(intensity, targets, latent, w)
+    infer_terms = inference_loss(intensity, targets, latent, w.lambda_h)
     restricted = train_rep.total - train_rep.bce_seg - train_rep.dice_seg
     assert abs(infer_terms.total.item() - restricted) <= 1e-12
     assert infer_terms.bce_seg is None and infer_terms.dice_seg is None
@@ -173,8 +173,7 @@ def test_loss_gradients_flow_to_latent_only_at_inference():
     latent = Tensor(rng.normal(size=4))
     with ad.Tape(wrt=[intensity_leaf, latent]) as tape:
         intensity = ad.sigmoid(intensity_leaf)
-        terms = inference_loss(intensity, rng.uniform(0.1, 0.9, size=6), latent,
-                               LossWeights())
+        terms = inference_loss(intensity, rng.uniform(0.1, 0.9, size=6), latent, 1e-4)
         tape.backward(terms.total)
     assert latent.grad is not None
     assert intensity_leaf.grad is not None  # recon term reaches the field

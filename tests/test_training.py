@@ -328,6 +328,29 @@ def test_resumed_log_wall_time_continues_from_the_first_session(tmp_path):
     assert [round(row.wall_time, 3) for row in resumed.log] == walls[6:]
 
 
+def test_checkpoint_with_a_model_config_header_key_still_resumes(tmp_path):
+    # checkpoints state their model config once, in train_config; ones
+    # written with the former duplicate "model_config" key still load and
+    # resume the same run
+    subjects = _subjects(2)
+    straight = train_prior(subjects, _cfg(epochs=4))
+    train_prior(subjects, _cfg(epochs=2), out_dir=str(tmp_path))
+    with open(latest_checkpoint(str(tmp_path)), "rb") as f:
+        _, header, arrays = read_blob(f, CKPT_MAGIC, CKPT_VERSION)
+    assert sorted(header) == ["adam_model_t", "arrays", "config_hash", "epoch_done",
+                              "global_step", "subject_ids", "train_config"]
+    del header["arrays"]
+    header["model_config"] = TINY_MODEL.to_dict()
+    older = str(tmp_path / "older.nckpt")
+    with open(older, "wb") as f:
+        write_blob(f, CKPT_MAGIC, CKPT_VERSION, header, arrays)
+    resumed = train_prior(subjects, _cfg(epochs=4), resume_from=older)
+    for name in straight.model.param_names():
+        assert np.array_equal(resumed.model.params[name].values,
+                              straight.model.params[name].values)
+    assert np.array_equal(resumed.table.matrix(), straight.table.matrix())
+
+
 def test_checkpoint_restores_optimizer_and_counters(tmp_path):
     subjects = _subjects(2)
     train_prior(subjects, _cfg(epochs=4, checkpoint_every=2), out_dir=str(tmp_path))

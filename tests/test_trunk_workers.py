@@ -62,7 +62,7 @@ def frozen_outputs(width) -> list[np.ndarray]:
         labels = rng.integers(0, model.config.num_classes, size=rows)
         latent, trace = infer_latent(
             model, coords, rng.uniform(0.05, 0.95, size=rows),
-            InferConfig(max_steps=1, record_cadence=1, points_per_step=64, lr_infer=1e-2,
+            InferConfig(steps_to_run=1, record_cadence=1, points_per_step=64, lr_infer=1e-2,
                         seed=rows), analysis=(coords[:1025], labels[:1025]))
         arrays += [latent.values, trace.recon_loss, trace.latent_norm, trace.dice_per_class]
     return arrays
@@ -147,8 +147,7 @@ def test_taped_steps_submit_nothing_to_the_pool(spy):
     with ad.Tape(wrt=[*model.parameters(), h]) as tape:
         tape.backward(train_loss(model, h, coords, intensities, labels, LossWeights()).total)
     with ad.Tape(wrt=[h]) as tape:
-        tape.backward(inference_loss(model.intensity(coords, h), intensities, h,
-                                     LossWeights()).total)
+        tape.backward(inference_loss(model.intensity(coords, h), intensities, h, 1e-4).total)
     assert spy.submitted == 0
     model.forward(coords, latent)
     assert spy.submitted == 1
