@@ -62,6 +62,12 @@ def main() -> int:
         print(f"oblique plane: model beats NN baseline on "
               f"{summary['oblique']['win_fraction']:.0%} of subjects")
 
+    # a stage's record holds the wall time of the run that computed it,
+    # also when this run loaded it from the cache
+    for stage in STAGES:
+        if stage in summary:
+            print(f"{stage}: computed in {summary[stage]['elapsed_seconds']:.1f}s")
+
     write_json_atomic(os.path.join(run.dir, "summary.json"), summary)
     print(f"done in {time.monotonic() - t0:.1f}s; cache at {run.dir}")
     return 0

@@ -271,7 +271,7 @@ def write_dataset_manifest(out_dir: str, entries: list[dict], seed: int,
 
 def load_dataset_manifest(dataset_dir: str) -> dict:
     """The manifest of ``dataset_dir``; a file that is not JSON, or lacks a
-    key its readers use, is a ``PayloadError``."""
+    key its readers use or holds it with the wrong type, is a ``PayloadError``."""
     path = os.path.join(dataset_dir, MANIFEST_NAME)
     if not os.path.exists(path):
         raise ContractError(f"no {MANIFEST_NAME} in {dataset_dir}")
@@ -286,10 +286,22 @@ def load_dataset_manifest(dataset_dir: str) -> dict:
         raise ContractError(f"unsupported manifest format_version "
                             f"{manifest['format_version']}")
     require(manifest, ("subjects", "splits"), what)
+    _expect(manifest["subjects"], list, f"{what} 'subjects'")
     require(manifest["splits"], SPLITS, f"{what} splits")
+    for split in SPLITS:
+        _expect(manifest["splits"][split], list, f"{what} split {split!r}")
+        for subject_id in manifest["splits"][split]:
+            _expect(subject_id, str, f"{what} split {split!r} entry")
     for entry in manifest["subjects"]:
         require(entry, ("id", "path"), f"{what} subject entry")
+        for key in ("id", "path"):
+            _expect(entry[key], str, f"{what} subject entry {key!r}")
     return manifest
+
+
+def _expect(value, kind: type, what: str) -> None:
+    if not isinstance(value, kind):
+        raise PayloadError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
 
 
 def manifest_subjects(manifest: dict, dataset_dir: str, split: str) -> list[tuple[str, str]]:

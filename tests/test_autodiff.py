@@ -287,14 +287,30 @@ def test_gabor_accurate_at_trained_scale(s0):
     # both kernel branches, in row blocks of 1000: the 4051 rows end in a
     # ragged block of 51
     assert x.shape[0] % 1000 == 51
+    _check_gabor_kernel(x, omega0, s0, value, deriv, 1e-14, 1e-14)
+    # Latent fits run the kernel in float32. Against float64 on the same
+    # (rounded) inputs, the float32 phase omega0*x/2 is off by up to ~20
+    # float32 ulp, so values are good to ~1e-6 and derivatives to omega0
+    # times that (1.0e-6 and 9.1e-6 measured at s0=0.25).
+    x32 = x.astype(np.float32)
+    xr = x32.astype(np.float64)
+    envelope = np.exp(-np.square(s0 * xr))
+    value = np.cos(omega0 * xr) * envelope
+    deriv = -omega0 * np.sin(omega0 * xr) * envelope - 2.0 * s0 * s0 * xr * value
+    _check_gabor_kernel(x32, omega0, s0, value, deriv, 3e-6, 3e-5)
+
+
+def _check_gabor_kernel(x, omega0, s0, value, deriv, value_atol, deriv_atol):
     outputs = []
     for with_deriv in (False, True):
         v = x.copy()
         got = np.empty_like(x) if with_deriv else None
         ad._gabor_kernel(v, omega0, s0, got, ad._kernel_scratch(1000, 1, with_deriv, x.dtype))
-        np.testing.assert_allclose(v, value, rtol=0, atol=1e-14)
+        assert v.dtype == x.dtype
+        np.testing.assert_allclose(v, value, rtol=0, atol=value_atol)
         if with_deriv:
-            np.testing.assert_allclose(got, deriv, rtol=0, atol=1e-14)
+            assert got.dtype == x.dtype and np.all(np.isfinite(got))
+            np.testing.assert_allclose(got, deriv, rtol=0, atol=deriv_atol)
         outputs.append(v)
     assert np.array_equal(outputs[0], outputs[1])
 

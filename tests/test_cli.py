@@ -149,6 +149,18 @@ def test_gen_data_subject_count_is_the_split_sum(tmp_path):
     ('{"format_version": 1, "subjects": [{"id": "s0000"}], '
      '"splits": {"train": ["s0000"], "val": [], "test": []}}', "missing 'path'"),
     ('[1]', "must be a JSON object, got list"),
+    ('{"format_version": 1, "subjects": 5, '
+     '"splits": {"train": [], "val": [], "test": []}}', "'subjects' must be a list, got int"),
+    ('{"format_version": 1, "subjects": [], '
+     '"splits": {"train": "s0000", "val": [], "test": []}}', "split 'train' must be a list"),
+    ('{"format_version": 1, "subjects": [], '
+     '"splits": {"train": [[0]], "val": [], "test": []}}', "entry must be a str, got list"),
+    ('{"format_version": 1, "subjects": ["s0000"], '
+     '"splits": {"train": [], "val": [], "test": []}}', "must be a JSON object, got str"),
+    ('{"format_version": 1, "subjects": [{"id": 0, "path": "s0000.nvol"}], '
+     '"splits": {"train": [], "val": [], "test": []}}', "'id' must be a str, got int"),
+    ('{"format_version": 1, "subjects": [{"id": "s0000", "path": null}], '
+     '"splits": {"train": [], "val": [], "test": []}}', "'path' must be a str, got NoneType"),
 ])
 def test_malformed_dataset_manifest_exits_1(text, message, tmp_path):
     data = tmp_path / "data"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nisf.autodiff import Tape
+from nisf.autodiff import Tape, Tensor
 from nisf.errors import ContractError, NumericalError
 from nisf.inference import (InferConfig, InferenceTrace, analysis_points,
                             evaluate_points,
@@ -11,6 +11,7 @@ from nisf.inference import (InferConfig, InferenceTrace, analysis_points,
                             select_early_stop_steps)
 from nisf.losses import LossWeights, inference_loss, train_loss
 from nisf.model import FieldModel, ModelConfig
+from nisf.optim import Adam
 from nisf.phantom import generate_subject
 from nisf.sampling import sample_volume
 from nisf.training import TrainConfig, train_prior
@@ -75,7 +76,9 @@ def test_infer_weights_drop_training_terms(monkeypatch):
     report = terms.report()
     assert lambda_h == 3e-4
     assert (report.bce_seg, report.dice_seg, report.l2_params) == (0.0, 0.0, 0.0)
-    assert report.total == report.bce_recon + 3e-4 * report.l2_latent
+    # the step's arithmetic is float32, so the identity holds in float32
+    f32 = np.float32
+    assert f32(report.total) == f32(report.bce_recon) + f32(report.l2_latent) * f32(3e-4)
 
 
 # -- trace --------------------------------------------------------------------
@@ -227,10 +230,50 @@ def test_infer_latent_differentiates_only_its_latent():
                         InferConfig(steps_to_run=3, seed=2))
     assert model.checksum() == checksum
     assert all(p.grad is None for p in model.parameters())
+    # the steps' float32 copies never reach the caller: the latent and the
+    # model stay float64
+    assert h.values.dtype == np.float64 and h.grad is None
+    assert all(p.values.dtype == np.float64 for p in model.parameters())
     with Tape(wrt=[*model.parameters(), h]) as tape:
         tape.backward(train_loss(model, h, batch.coords, batch.intensities, batch.labels,
                                  LossWeights()).total)
     assert all(p.grad is not None for p in model.parameters())
+
+
+def test_float32_step_gradient_matches_float64(monkeypatch):
+    # one step over 8192 rows of the default-width model: its latent gradient
+    # is the float32 one, and agrees with the float64 gradient of the same
+    # objective
+    import nisf.inference
+
+    seen = []
+
+    class Spy(Adam):
+        def step(self) -> None:
+            p = self.params["latent"]
+            seen.append((p.values.copy(), p.grad.copy()))
+            super().step()
+
+    monkeypatch.setattr(nisf.inference, "Adam", Spy)
+    model = FieldModel.init(ModelConfig(), seed=4)
+    rng = np.random.default_rng(8)
+    coords = rng.uniform(size=(8192, 4))
+    inten = rng.uniform(0.05, 0.95, size=(8192, 1))
+    infer_latent(model, coords, inten, InferConfig(steps_to_run=1, seed=6))
+    ((h0, grad),) = seen
+    assert grad.dtype == np.float32
+    model32 = FieldModel(model.config, {name: Tensor(p.values.astype(np.float32))
+                                        for name, p in model.params.items()})
+    h32 = Tensor(h0.astype(np.float32))
+    with Tape(wrt=[h32]) as tape:
+        tape.backward(inference_loss(model32.intensity(coords.astype(np.float32), h32),
+                                     inten.astype(np.float32), h32, 1e-4).total)
+    assert np.array_equal(grad, h32.grad)
+    h = Tensor(h0)
+    with Tape(wrt=[h]) as tape:
+        tape.backward(inference_loss(model.intensity(coords, h), inten, h, 1e-4).total)
+    assert h.grad.dtype == np.float64
+    assert np.linalg.norm(grad - h.grad) <= 1e-4 * np.linalg.norm(h.grad)
 
 
 def test_infer_latent_runs_exactly_selected_steps():
@@ -238,8 +281,13 @@ def test_infer_latent_runs_exactly_selected_steps():
     model = FieldModel.init(TINY, seed=0)
     coords, inten = full_observations(vol)
     cfg = InferConfig(steps_to_run=7, record_cadence=1, seed=1)
-    _, trace = infer_latent(model, coords, inten, cfg)
+    h, trace = infer_latent(model, coords, inten, cfg, analysis=analysis_points(vol))
     assert trace.steps == list(range(8))  # 0 plus one entry per step
+    # records are float64 reads of the float64 latent, the last one of the
+    # latent returned
+    for values in (trace.recon_loss, trace.latent_norm, trace.dice_mean):
+        assert len(values) == 8 and all(type(v) is float for v in values)
+    assert trace.latent_norm[-1] == float(np.sqrt(np.sum(h.values * h.values)))
 
 
 def test_infer_latent_zero_steps_returns_seeded_init():

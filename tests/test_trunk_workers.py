@@ -2,9 +2,11 @@
 worker under a tape, and errors that reach the caller after every tile.
 
 ``autodiff.TRUNK_WORKERS`` (W) is the worker count ``gabor_trunk`` and
-``inference._in_chunks`` read; these tests patch it. The pinned digests
-were taken on the commit before the trunk ran on worker threads, with
-numpy 2.4 and OpenBLAS 0.3.31 on an AVX-512 Xeon (see
+``inference._in_chunks`` read; these tests patch it. The pinned frozen
+digests hash bits unchanged since the commit before the trunk ran on worker
+threads; the fit digests were taken on the commit that moved a latent
+fit's steps to float32. Both with numpy 2.4 and OpenBLAS 0.3.31 on an
+AVX-512 Xeon (see
 ``test_fingerprint.py`` for another BLAS build or CPU).
 """
 
@@ -24,10 +26,13 @@ from nisf.losses import LossWeights, inference_loss, train_loss
 from nisf.model import FieldModel, ModelConfig
 from nisf.sampling import GridSpec, PlaneSpec, sample_grid, sample_plane
 
-# widths 128 and 24 keep the bits of whole-tile products; at width 100 the
-# products' rows depend on the batch, so only the worker count is free there
-DIGESTS = {128: "42c35c5d0c6516cd2a8f296c194871e658accb79629aa0b8dd339c3853ee1cd6",
-           24: "df25b04b0bdc3136ee3ad380eea52dbdae105ea1525a2a8d3f316d8254843e44",
+# (frozen digest, fit digest) per width. Widths 128 and 24 keep the bits of
+# whole-tile products; at width 100 the products' rows depend on the batch,
+# so only the worker count is free there.
+DIGESTS = {128: ("aedacee7006b3f89c161b2aabf423f886e61ae2621530ceb6230051bfb7f9706",
+                 "3deb92bf308ffacc395e5c4775c840db54380fbc14530b8cb0a6db1fd344d1b8"),
+           24: ("354bf3f77755b732da9e5d57fc74aefe591215f120026b414fb8cc5a24c40602",
+                "d786c15e0b37bbb1985355d758e28e0502adba0e40709edbb87d7bd12baa80bf"),
            100: None}
 
 
@@ -42,30 +47,32 @@ def _model(width):
     return FieldModel.init(cfg, seed=3)
 
 
-def frozen_outputs(width) -> list[np.ndarray]:
-    """Every array ``evaluate_points``, ``sample_grid``, ``sample_plane`` and
-    a fixed-seed ``infer_latent`` trace return, at each row count."""
+def frozen_outputs(width) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """At each row count, (every array ``evaluate_points``, ``sample_grid``
+    and ``sample_plane`` return; the latent and trace of a fixed-seed
+    ``infer_latent``). The first are float64 decodes of a fixed latent, the
+    second depend on the fit's float32 steps as well."""
     model = _model(width)
     rng = np.random.default_rng(width)
     h = rng.normal(scale=0.1, size=model.config.latent_dim)
-    arrays = []
+    frozen, fit = [], []
     for rows in _row_counts(width):
         coords = rng.uniform(size=(rows, 4))
-        arrays += evaluate_points(model, h, coords)
+        frozen += evaluate_points(model, h, coords)
         grid = sample_grid(model, h, GridSpec(counts=(rows, 1, 1, 1), ranges=(
             (-0.1, 1.1), (0.4, 0.4), (0.6, 0.6), (0.2, 0.2))))
-        arrays += [grid.intensity, grid.labels, grid.probs]
+        frozen += [grid.intensity, grid.labels, grid.probs]
         plane = sample_plane(model, h, PlaneSpec(
             origin_norm=(0.5, 0.5, 0.5), dir1_mm=(0.6, 0.8, 0.0), dir2_mm=(0.0, 0.0, 1.0),
             extent_mm=(60.0, 40.0), counts=(1, rows), t=0.3, span_mm=(60.0, 60.0, 40.0)))
-        arrays += [plane.intensity, plane.labels, plane.probs]
+        frozen += [plane.intensity, plane.labels, plane.probs]
         labels = rng.integers(0, model.config.num_classes, size=rows)
         latent, trace = infer_latent(
             model, coords, rng.uniform(0.05, 0.95, size=rows),
             InferConfig(steps_to_run=1, record_cadence=1, points_per_step=64, lr_infer=1e-2,
                         seed=rows), analysis=(coords[:1025], labels[:1025]))
-        arrays += [latent.values, trace.recon_loss, trace.latent_norm, trace.dice_per_class]
-    return arrays
+        fit += [latent.values, trace.recon_loss, trace.latent_norm, trace.dice_per_class]
+    return frozen, fit
 
 
 def _digest(arrays) -> str:
@@ -79,13 +86,13 @@ def _digest(arrays) -> str:
 @pytest.mark.parametrize("width", sorted(DIGESTS))
 def test_frozen_bits_do_not_depend_on_the_worker_count(width, monkeypatch):
     monkeypatch.setattr(ad, "TRUNK_WORKERS", 1)
-    one = frozen_outputs(width)
+    one_frozen, one_fit = frozen_outputs(width)
     monkeypatch.setattr(ad, "TRUNK_WORKERS", 2)
-    two = frozen_outputs(width)
-    for i, (a, b) in enumerate(zip(one, two)):
+    two_frozen, two_fit = frozen_outputs(width)
+    for i, (a, b) in enumerate(zip(one_frozen + one_fit, two_frozen + two_fit)):
         assert np.array_equal(a, b), (width, i)
     if DIGESTS[width] is not None:
-        assert _digest(two) == DIGESTS[width]
+        assert (_digest(two_frozen), _digest(two_fit)) == DIGESTS[width]
 
 
 def test_more_workers_than_cores_keep_the_bits(monkeypatch):
