@@ -17,6 +17,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from nisf.experiments import DEFAULT_CACHE_ROOT, STAGES, DeskScaleConfig, DeskScaleRun
 from nisf.serial import write_json_atomic
+from nisf.volume import CLASS_NAMES
 
 
 def main() -> int:
@@ -59,8 +60,13 @@ def main() -> int:
         print(f"heldout slice: model beats copy baseline on "
               f"{summary['heldout']['win_fraction']:.0%} of subjects")
     if "oblique" in summary:
+        # the class and subject with the fewest truth pixels on the plane,
+        # where a per-subject mean Dice turns on a handful of pixels
+        pixels, c, subject = min((n, c, row["id"]) for row in summary["oblique"]["subjects"]
+                                 for c, n in enumerate(row["truth_pixels_per_class"]))
         print(f"oblique plane: model beats NN baseline on "
-              f"{summary['oblique']['win_fraction']:.0%} of subjects")
+              f"{summary['oblique']['win_fraction']:.0%} of subjects; fewest truth "
+              f"pixels: {CLASS_NAMES[c + 1]} {pixels} on {subject}")
 
     # a stage's record holds the wall time of the run that computed it,
     # also when this run loaded it from the cache

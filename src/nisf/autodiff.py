@@ -6,8 +6,9 @@ Design notes:
   implemented here. New tensors are float64 (finite differences are
   unreliable in float32); a float32 array passed in is kept as is, and
   every op keeps float32 operands float32 end to end (python scalars do
-  not promote them). Latent fits run their steps this way (see
-  ``inference.infer_latent``); training, decodes and gradcheck stay float64.
+  not promote them). Latent fits run their steps and reconstruction
+  records this way (see ``inference.infer_latent``); training, every other
+  decode and gradcheck stay float64.
 * The op set is what the model and the losses run, and nothing else:
   layers ``linear`` and ``gabor_trunk``; elementwise ``add``, ``sub``,
   ``mul``, ``div``, ``sigmoid``, ``log`` and ``softmax``; reductions
@@ -280,12 +281,14 @@ def _as_operands(a, b, op: str):
 def _gemm(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # Per-row results must be bit-identical across batch sizes. BLAS routes
     # m==1 through gemv-style kernels whose summation order differs from
-    # gemm, so a single row is padded to two. OpenBLAS 0.3.31 runs products
-    # with M*N*K <= SMALL_GEMM_MNK through small-matrix kernels; at K=128
-    # and M >= 2 their rows depend on the batch size for N = 1-4, 9-12 and
-    # 100, and are invariant for N = 5-8, 13-64 and 128. The heads (N = 1 and the
-    # default 4 classes) therefore take numpy's own einsum loop, which sums
-    # every row in the same order; the trunk's N = 128 stays on BLAS.
+    # gemm, so a single row is padded to two. With OpenBLAS 0.3.31 (AVX-512,
+    # 2 threads) at K=128, over prefix sizes 2-2048 of a 2100-row batch, the
+    # rows depend on the batch size
+    #   in float64 at N = 1-4, 9-12, 17-20, 25-28, ..., 57-60 and 100;
+    #   in float32 at N = 1-8, 17-24, 33-40, 49-56 and 100;
+    # and at N = 128 in neither. The heads (N = 1 and the default 4 classes)
+    # therefore take numpy's own einsum loop, which sums every row in the
+    # same order; the trunk's N is its width, 128 by default, on BLAS.
     # ``out`` receives the product in place, with the same bits.
     if y.shape[1] <= 4:
         return np.einsum("bk,kn->bn", x, y, out=out)

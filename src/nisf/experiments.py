@@ -209,12 +209,18 @@ def heldout_row(model: FieldModel, subject: VolumeSample, cfg: InferConfig,
     full = GridSpec.matching_volume(subject).ranges
     pred = sample_grid(model, h, GridSpec(counts=(gx, gy, 1, gt),
                                           ranges=(full[0], full[1], (z_norm, z_norm), full[3])))
-    truth = subject.labels[:, :, slice_index, :]
     recon = reconstruction_error(np.clip(pred.intensity[:, :, 0, :], 0.0, 1.0),
                                  subject.intensity[:, :, slice_index, :])
-    return {**_versus(subject, dice_report(pred.labels[:, :, 0, :], truth),
-                      dice_report(copy_nearest_slice_labels(subject, slice_index), truth)),
+    return {**_versus(subject, subject.labels[:, :, slice_index, :], pred.labels[:, :, 0, :],
+                      copy_nearest_slice_labels(subject, slice_index)),
             "recon_mae": recon.mae}
+
+
+def _plane_truth(volume: VolumeSample, spec: PlaneSpec, keep: np.ndarray) -> np.ndarray:
+    """The analytic labels of ``volume``'s phantom at ``spec``'s pixels,
+    flattened, on the pixels ``keep`` selects."""
+    oracle = PhantomSpec.from_dict(volume.phantom).label_at(spec.pixel_mm(), spec.t)
+    return oracle.reshape(-1)[keep]
 
 
 def plane_dice(volume: VolumeSample, spec: PlaneSpec, model_labels: np.ndarray,
@@ -225,9 +231,8 @@ def plane_dice(volume: VolumeSample, spec: PlaneSpec, model_labels: np.ndarray,
     ``volume``'s phantom at ``spec``'s pixels, on the pixels ``inside`` the
     voxel hull only. Returns (model report, baseline report).
     """
-    oracle = PhantomSpec.from_dict(volume.phantom).label_at(spec.pixel_mm(), spec.t)
     keep = inside.reshape(-1)
-    truth = oracle.reshape(-1)[keep]
+    truth = _plane_truth(volume, spec, keep)
     return (dice_report(model_labels.reshape(-1)[keep], truth),
             dice_report(nn_labels.reshape(-1)[keep], truth))
 
@@ -235,21 +240,29 @@ def plane_dice(volume: VolumeSample, spec: PlaneSpec, model_labels: np.ndarray,
 def oblique_row(model: FieldModel, subject: VolumeSample, latents: dict[str, np.ndarray],
                 cfg: DeskScaleConfig) -> dict:
     """The oblique plane decoded from the subject's fitted latent, next to
-    nearest-neighbor resampling, both scored by ``plane_dice``."""
+    nearest-neighbor resampling, both scored as ``plane_dice`` scores them."""
     spec = oblique_plane_spec(subject, cfg.plane_tilt_deg, cfg.plane_extent_mm,
                               cfg.plane_counts)
     pred = sample_plane(model, latents[subject.subject_id], spec)
     _, nn_labels, inside = nearest_neighbor_resample(subject, spec)
-    return _versus(subject, *plane_dice(subject, spec, pred.labels, nn_labels, inside))
+    keep = inside.reshape(-1)
+    return _versus(subject, _plane_truth(subject, spec, keep), pred.labels.reshape(-1)[keep],
+                   nn_labels.reshape(-1)[keep])
 
 
-def _versus(subject: VolumeSample, model_report: DiceReport,
-            baseline_report: DiceReport) -> dict:
+def _versus(subject: VolumeSample, truth: np.ndarray, model_labels: np.ndarray,
+            baseline_labels: np.ndarray) -> dict:
+    """Model and baseline labels scored against ``truth``, with the count of
+    ``truth``'s pixels per foreground class, in the order of the Dice."""
+    model_report = dice_report(model_labels, truth)
+    baseline_report = dice_report(baseline_labels, truth)
     return {"id": subject.subject_id,
             "model_mean": model_report.mean,
             "baseline_mean": baseline_report.mean,
             "model_per_class": list(model_report.per_class),
-            "baseline_per_class": list(baseline_report.per_class)}
+            "baseline_per_class": list(baseline_report.per_class),
+            "truth_pixels_per_class": [int(np.count_nonzero(truth == c))
+                                       for c in range(1, len(model_report.per_class) + 1)]}
 
 
 def _win_fraction(rows: list[dict]) -> float:

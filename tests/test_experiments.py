@@ -249,7 +249,9 @@ def _assert_stage_rows_equal_direct_fits(run):
     assert run.heldout()["subjects"] == [{
         "id": test.subject_id, "model_mean": model_report.mean,
         "baseline_mean": copy_report.mean, "model_per_class": list(model_report.per_class),
-        "baseline_per_class": list(copy_report.per_class), "recon_mae": mae}]
+        "baseline_per_class": list(copy_report.per_class),
+        "truth_pixels_per_class": [int(np.sum(truth == c)) for c in (1, 2, 3)],
+        "recon_mae": mae}]
 
 
 def test_stage_rows_equal_direct_fits(micro_run):
@@ -303,13 +305,16 @@ def test_desk_small_run_drives_every_stage(tmp_path):
     assert val["selected_steps"] in val["steps"] and val["selected_steps"] > 0
     assert summary["test_eval"]["aggregate"]["mean"] >= 0.85
     assert summary["heldout"]["win_fraction"] == 1.0
-    # no claim on the oblique win fraction: these planes hold no RV pool, so
-    # the baseline's empty RV scores 1.0 and the model's few RV pixels 0.0
+    # no claim on the oblique win fraction: these planes hold no RV pool
+    # (class 3), so the baseline's empty RV scores 1.0 and the model's few RV
+    # pixels 0.0
     rows = summary["oblique"]["subjects"]
     assert len(rows) == DESK_SMALL.test_subjects
     for row in rows:
         for key in ("model_per_class", "baseline_per_class"):
             assert len(row[key]) == 3 and all(0.0 <= v <= 1.0 for v in row[key])
+        lv_pool, myocardium, rv_pool = row["truth_pixels_per_class"]
+        assert lv_pool > 0 and myocardium > 0 and rv_pool == 0
 
 
 def test_cached_overfit_runs_once_then_loads(tmp_path, monkeypatch):

@@ -9,7 +9,7 @@ from nisf.inference import (InferConfig, InferenceTrace, analysis_points,
                             evaluate_points,
                             full_observations, infer_latent,
                             select_early_stop_steps)
-from nisf.losses import LossWeights, inference_loss, train_loss
+from nisf.losses import LossWeights, bce, inference_loss, train_loss
 from nisf.model import FieldModel, ModelConfig
 from nisf.optim import Adam
 from nisf.phantom import generate_subject
@@ -240,6 +240,11 @@ def test_infer_latent_differentiates_only_its_latent():
     assert all(p.grad is not None for p in model.parameters())
 
 
+def _float32_copy(model):
+    return FieldModel(model.config, {name: Tensor(p.values.astype(np.float32))
+                                     for name, p in model.params.items()})
+
+
 def test_float32_step_gradient_matches_float64(monkeypatch):
     # one step over 8192 rows of the default-width model: its latent gradient
     # is the float32 one, and agrees with the float64 gradient of the same
@@ -262,8 +267,7 @@ def test_float32_step_gradient_matches_float64(monkeypatch):
     infer_latent(model, coords, inten, InferConfig(steps_to_run=1, seed=6))
     ((h0, grad),) = seen
     assert grad.dtype == np.float32
-    model32 = FieldModel(model.config, {name: Tensor(p.values.astype(np.float32))
-                                        for name, p in model.params.items()})
+    model32 = _float32_copy(model)
     h32 = Tensor(h0.astype(np.float32))
     with Tape(wrt=[h32]) as tape:
         tape.backward(inference_loss(model32.intensity(coords.astype(np.float32), h32),
@@ -276,6 +280,42 @@ def test_float32_step_gradient_matches_float64(monkeypatch):
     assert np.linalg.norm(grad - h.grad) <= 1e-4 * np.linalg.norm(h.grad)
 
 
+def test_infer_latent_records_decode_through_the_float32_copy():
+    # the last record is the float64 BCE of the float32 copy's decode of the
+    # returned latent, and stays within 1e-6 relative of the float64 decode's
+    vol = _subject()
+    model = _trained_model(vol)
+    coords, inten = full_observations(vol)
+    h, trace = infer_latent(model, coords, inten,
+                            InferConfig(steps_to_run=20, lr_infer=1e-2, seed=5))
+    _, _, decoded32 = evaluate_points(_float32_copy(model), h, coords)
+    assert decoded32.dtype == np.float32
+    recon32 = bce(Tensor(decoded32.astype(np.float64)), inten[:, 0]).item()
+    assert trace.recon_loss[-1] == recon32
+    _, _, decoded64 = evaluate_points(model, h, coords)
+    recon64 = bce(Tensor(decoded64), inten[:, 0]).item()
+    assert abs(recon32 - recon64) <= 1e-6 * recon64
+
+
+def test_infer_latent_records_do_not_move_the_fit():
+    # a record only reads the latent: a fit that records every step, Dice
+    # included, returns the bits of one that records step 0 and the last only
+    vol = _subject()
+    model = FieldModel.init(TINY, seed=0)
+    coords, inten = full_observations(vol)
+    fits = []
+    for cadence in (1, 6):
+        h, trace = infer_latent(model, coords, inten,
+                                InferConfig(steps_to_run=6, lr_infer=1e-2, seed=7,
+                                            record_cadence=cadence,
+                                            points_per_step=coords.shape[0] // 2),
+                                analysis=analysis_points(vol))
+        fits.append((h.values, trace.steps))
+    (every, every_steps), (ends, ends_steps) = fits
+    assert every_steps == list(range(7)) and ends_steps == [0, 6]
+    assert np.array_equal(every, ends)
+
+
 def test_infer_latent_runs_exactly_selected_steps():
     vol = _subject()
     model = FieldModel.init(TINY, seed=0)
@@ -283,8 +323,8 @@ def test_infer_latent_runs_exactly_selected_steps():
     cfg = InferConfig(steps_to_run=7, record_cadence=1, seed=1)
     h, trace = infer_latent(model, coords, inten, cfg, analysis=analysis_points(vol))
     assert trace.steps == list(range(8))  # 0 plus one entry per step
-    # records are float64 reads of the float64 latent, the last one of the
-    # latent returned
+    # records are Python floats read off the float64 latent, the last one
+    # off the latent returned; the reconstruction decodes at float32
     for values in (trace.recon_loss, trace.latent_norm, trace.dice_mean):
         assert len(values) == 8 and all(type(v) is float for v in values)
     assert trace.latent_norm[-1] == float(np.sqrt(np.sum(h.values * h.values)))

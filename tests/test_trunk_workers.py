@@ -5,8 +5,8 @@ worker under a tape, and errors that reach the caller after every tile.
 ``inference._in_chunks`` read; these tests patch it. The pinned frozen
 digests hash bits unchanged since the commit before the trunk ran on worker
 threads; the fit digests were taken on the commit that moved a latent
-fit's steps to float32. Both with numpy 2.4 and OpenBLAS 0.3.31 on an
-AVX-512 Xeon (see
+fit's reconstruction records, after its steps, to float32. Both with
+numpy 2.4 and OpenBLAS 0.3.31 on an AVX-512 Xeon (see
 ``test_fingerprint.py`` for another BLAS build or CPU).
 """
 
@@ -30,9 +30,9 @@ from nisf.sampling import GridSpec, PlaneSpec, sample_grid, sample_plane
 # whole-tile products; at width 100 the products' rows depend on the batch,
 # so only the worker count is free there.
 DIGESTS = {128: ("aedacee7006b3f89c161b2aabf423f886e61ae2621530ceb6230051bfb7f9706",
-                 "3deb92bf308ffacc395e5c4775c840db54380fbc14530b8cb0a6db1fd344d1b8"),
+                 "24f8eb5f7c1664cffcf9e6c9344bf3ca6ff7b54baf3201f1826ffb1088b1e31d"),
            24: ("354bf3f77755b732da9e5d57fc74aefe591215f120026b414fb8cc5a24c40602",
-                "d786c15e0b37bbb1985355d758e28e0502adba0e40709edbb87d7bd12baa80bf"),
+                "d0ece27ff432ff5c1ff802583ebe4bc77bd330f2ec5609b8d95a4bc6f9983bf5"),
            100: None}
 
 
@@ -51,7 +51,7 @@ def frozen_outputs(width) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """At each row count, (every array ``evaluate_points``, ``sample_grid``
     and ``sample_plane`` return; the latent and trace of a fixed-seed
     ``infer_latent``). The first are float64 decodes of a fixed latent, the
-    second depend on the fit's float32 steps as well."""
+    second depend on the fit's float32 steps and records as well."""
     model = _model(width)
     rng = np.random.default_rng(width)
     h = rng.normal(scale=0.1, size=model.config.latent_dim)
