@@ -5,15 +5,17 @@ per-subject stages of ``STAGES``: the validation curve and its early-stop
 selection on 10 subjects, the same curve over four times the selected
 budget, and three comparisons on 20 unseen test subjects (test-set Dice,
 the held-out slice and the oblique plane). Sequentially that is several
-hours of compute (about 5.5-9.3 h on a 2-vCPU machine, depending on the
-selected step count), so every stage is cached on disk keyed by a hash of
-the experiment config. Tests and scripts share the cache: the first caller
-pays, everyone else loads.
+hours of compute (an estimate from per-step timings on a 2-vCPU machine,
+not a measured run: about 3.1 h at 600 selected steps, 4.7 h at 1200), so
+every stage is cached on disk keyed by a hash of the experiment config.
+Tests and scripts share the cache: the first caller pays, everyone else
+loads.
 
-This module is the only one that knows the protocols. Each stage applies a
-row function (``curve_row``, ``eval_row``, ``heldout_row`` or
-``oblique_row``) to every subject of its split through one loop,
-``DeskScaleRun._rows``, and assembles its file from the rows.
+This module is the only one that knows the protocols, and the only one
+that scores a fit against labels: ``inference`` fits on intensities alone.
+Each stage applies a row function (``curve_row``, ``eval_row``,
+``heldout_row`` or ``oblique_row``) to every subject of its split through
+one loop, ``DeskScaleRun._rows``, and assembles its file from the rows.
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractError
-from .inference import (InferConfig, InferenceTrace, analysis_points, evaluate_points,
-                        full_observations, infer_latent, select_early_stop_steps)
+from .inference import (InferConfig, analysis_points, evaluate_points, full_observations,
+                        infer_latent)
 from .losses import LossWeights, train_loss
-from .metrics import DiceReport, aggregate, dice_report, reconstruction_error
+from .metrics import DiceReport, aggregate, dice_report, reconstruction_mae
 from .model import FieldModel, ModelConfig
 from .optim import Adam
 from .phantom import (DEFAULT_GRID_SHAPE, DEFAULT_SPACING, PhantomSpec, generate_dataset,
@@ -136,21 +138,32 @@ def oblique_plane_spec(volume: VolumeSample, tilt_deg: float,
 def curve_row(model: FieldModel, subject: VolumeSample, cfg: InferConfig) -> dict:
     """Dice and reconstruction curves of one validation fit over ``cfg``'s steps.
 
-    The fit sees intensities only; Dice is recorded on ``analysis_points``.
+    The fit sees intensities only. Afterwards each recorded latent is
+    decoded on ``analysis_points`` and scored against their labels.
     """
     coords, intensities = full_observations(subject)
-    _, trace = infer_latent(model, coords, intensities, cfg,
-                            analysis=analysis_points(subject))
-    return {"steps": trace.steps, "dice_mean": trace.dice_mean,
-            "recon_loss": trace.recon_loss}
+    _, trace = infer_latent(model, coords, intensities, cfg)
+    eval_coords, eval_labels = analysis_points(subject)
+    dice_mean = [dice_report(evaluate_points(model, h, eval_coords)[0], eval_labels).mean
+                 for h in trace.latents]
+    return {"steps": trace.steps, "dice_mean": dice_mean, "recon_loss": trace.recon_loss}
 
 
 def curve_summary(rows: list[dict]) -> dict:
-    """Mean Dice curve over ``curve_row`` rows and the step count it peaks at."""
-    selected = select_early_stop_steps([InferenceTrace(**row) for row in rows])
+    """Mean Dice curve over ``curve_row`` rows and the step count it peaks at.
+
+    This is the early-stop selection: the first maximum of the mean curve,
+    so a tie goes to the smaller step. Every row must hold a Dice value at
+    each step of one shared grid.
+    """
+    if not rows:
+        raise ContractError("a curve summary needs at least one curve")
+    grid = rows[0]["steps"]
+    if any(row["steps"] != grid or len(row["dice_mean"]) != len(grid) for row in rows):
+        raise ContractError("curves must share one step grid")
     mean_curve = np.mean([row["dice_mean"] for row in rows], axis=0)
-    return {"steps": rows[0]["steps"], "mean_dice": [float(v) for v in mean_curve],
-            "selected_steps": selected}
+    return {"steps": grid, "mean_dice": [float(v) for v in mean_curve],
+            "selected_steps": grid[int(np.argmax(mean_curve))]}
 
 
 def eval_row(model: FieldModel, subject: VolumeSample, cfg: InferConfig) -> dict:
@@ -168,7 +181,7 @@ def eval_row(model: FieldModel, subject: VolumeSample, cfg: InferConfig) -> dict
     return {"id": subject.subject_id,
             "dice_per_class": list(report.per_class),
             "dice_mean": report.mean,
-            "recon_mae": float(np.mean(np.abs(pred_intensity - voxels.intensities[:, 0]))),
+            "recon_mae": reconstruction_mae(pred_intensity, voxels.intensities[:, 0]),
             "final_recon_bce": trace.recon_loss[-1],
             "seed": cfg.seed,
             "latent": h.values.tolist()}
@@ -209,11 +222,10 @@ def heldout_row(model: FieldModel, subject: VolumeSample, cfg: InferConfig,
     full = GridSpec.matching_volume(subject).ranges
     pred = sample_grid(model, h, GridSpec(counts=(gx, gy, 1, gt),
                                           ranges=(full[0], full[1], (z_norm, z_norm), full[3])))
-    recon = reconstruction_error(np.clip(pred.intensity[:, :, 0, :], 0.0, 1.0),
-                                 subject.intensity[:, :, slice_index, :])
     return {**_versus(subject, subject.labels[:, :, slice_index, :], pred.labels[:, :, 0, :],
                       copy_nearest_slice_labels(subject, slice_index)),
-            "recon_mae": recon.mae}
+            "recon_mae": reconstruction_mae(np.clip(pred.intensity[:, :, 0, :], 0.0, 1.0),
+                                            subject.intensity[:, :, slice_index, :])}
 
 
 def _plane_truth(volume: VolumeSample, spec: PlaneSpec, keep: np.ndarray) -> np.ndarray:
@@ -491,7 +503,7 @@ def run_overfit(cfg: OverfitConfig = OverfitConfig()) -> OverfitResult:
 
     spec = GridSpec.matching_volume(vol, t_index=0)
     sampled = sample_grid(model, h, spec)
-    mae = float(np.mean(np.abs(sampled.intensity[:, :, :, 0] - vol.intensity[:, :, :, 0])))
+    mae = reconstruction_mae(sampled.intensity[:, :, :, 0], vol.intensity[:, :, :, 0])
     return OverfitResult(initial_loss=losses[0], final_loss=losses[-1],
                          recon_mae_frame0=mae, losses=losses)
 

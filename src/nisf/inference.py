@@ -6,15 +6,18 @@ alone; the model's weights are read, never moved. Segmentations are
 then decoded from the fitted latent: the bet is that a latent explaining
 the image also lands where the segmentation head is accurate.
 
-Early stopping uses a step count selected on validation subjects, not a
-per-subject criterion: at inference time there is no ground truth to
-monitor, so the only honest knob is how long to optimize.
+A fit sees intensities only. Early stopping uses a step count selected
+on validation subjects, not a per-subject criterion: at inference time
+there is no ground truth to monitor, so the only honest knob is how long
+to optimize. The trace keeps each recorded latent, and the validation
+protocol (``experiments.curve_row``) decodes and scores those against
+ground truth after the fit.
 
 A fit's gradient steps run in float32 against a float64 master latent,
 as in mixed-precision training (Micikevicius et al., ICLR 2018), and so
 does the decode behind each reconstruction record, whose BCE is taken in
 float64: neither feeds back into the fit. The latent, its Adam moments,
-the latent norm and Dice records and every other decode stay float64.
+the recorded latents and their norms and every other decode stay float64.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .errors import ContractError, NumericalError
 from .losses import bce, inference_loss
-from .metrics import dice
 from .model import FieldModel
 from .optim import Adam
 from .volume import VolumeSample, make_batch
@@ -70,16 +72,21 @@ class InferConfig:
 
 @dataclass
 class InferenceTrace:
-    """Recorded optimization history: step 0 plus every cadence-th step."""
+    """Recorded optimization history: step 0 plus every cadence-th step.
+
+    ``latents[k]`` is a float64 copy of the master latent at ``steps[k]``
+    and ``latent_norm[k]`` its Euclidean norm; a caller that holds labels
+    scores the curve by decoding these latents (``experiments.curve_row``).
+    """
 
     steps: list[int] = field(default_factory=list)
     recon_loss: list[float] = field(default_factory=list)
     latent_norm: list[float] = field(default_factory=list)
-    dice_mean: list[float] = field(default_factory=list)       # empty without analysis
-    dice_per_class: list[tuple] = field(default_factory=list)
+    latents: list[np.ndarray] = field(default_factory=list)
 
-    def append(self, step: int, recon: float, norm: float,
-               dice: tuple | None = None) -> None:
+    def append(self, step: int, recon: float, latent: np.ndarray) -> None:
+        latent = np.array(latent, dtype=np.float64)
+        norm = float(np.sqrt(np.sum(latent * latent)))
         if self.steps and step <= self.steps[-1]:
             raise ContractError("trace steps must be strictly increasing")
         if not (np.isfinite(recon) and np.isfinite(norm)):
@@ -87,30 +94,14 @@ class InferenceTrace:
         self.steps.append(step)
         self.recon_loss.append(recon)
         self.latent_norm.append(norm)
-        if dice is not None:
-            self.dice_per_class.append(tuple(dice))
-            self.dice_mean.append(float(np.mean(dice)))
-
-    @property
-    def has_dice(self) -> bool:
-        return len(self.dice_mean) == len(self.steps) and bool(self.steps)
+        self.latents.append(latent)
 
     def csv_header(self) -> str:
-        cols = ["step", "recon_loss", "latent_norm"]
-        if self.has_dice:
-            cols += [f"dice_class{i + 1}" for i in range(len(self.dice_per_class[0]))]
-            cols += ["dice_mean"]
-        return ",".join(cols)
+        return "step,recon_loss,latent_norm"
 
     def csv_rows(self) -> list[str]:
-        rows = []
-        for i, step in enumerate(self.steps):
-            cells = [str(step), repr(self.recon_loss[i]), repr(self.latent_norm[i])]
-            if self.has_dice:
-                cells += [repr(v) for v in self.dice_per_class[i]]
-                cells += [repr(self.dice_mean[i])]
-            rows.append(",".join(cells))
-        return rows
+        return [f"{step},{recon!r},{norm!r}"
+                for step, recon, norm in zip(self.steps, self.recon_loss, self.latent_norm)]
 
 
 def _in_chunks(head, model: FieldModel, h, coords: np.ndarray) -> list:
@@ -158,14 +149,14 @@ def full_observations(volume: VolumeSample) -> tuple[np.ndarray, np.ndarray]:
 
 
 def infer_latent(model: FieldModel, coords: np.ndarray, intensities: np.ndarray,
-                 config: InferConfig, analysis: tuple[np.ndarray, np.ndarray] | None = None
-                 ) -> tuple[Tensor, InferenceTrace]:
+                 config: InferConfig) -> tuple[Tensor, InferenceTrace]:
     """Fit a fresh latent to intensity observations; the model never moves.
 
-    ``analysis`` optionally supplies (eval_coords, eval_labels) so the
-    trace records Dice over the run; the optimization itself never sees
-    labels. The trace always records the full-observation reconstruction
-    BCE, even when steps draw subsampled batches.
+    The fit takes intensities only: no label reaches it. Each record keeps
+    the latent, so a Dice curve is scored afterwards from
+    ``trace.latents`` (``experiments.curve_row``). The trace always records
+    the full-observation reconstruction BCE, even when steps draw
+    subsampled batches.
 
     ``h`` is a float64 master latent, and Adam updates it with float64
     moments. Each step's taped forward and backward run in float32: on a
@@ -182,10 +173,9 @@ def infer_latent(model: FieldModel, coords: np.ndarray, intensities: np.ndarray,
     float64. On the same machine, one 81,920-row record took 590-750 ms
     against 1,090-1,780 ms in float64, with intensities within 1.7e-7
     relative. Records never feed back into the steps, so the fitted latent
-    is the same bits at any record cadence and precision. The latent norm
-    and the ``analysis`` Dice read the float64 ``h`` through the float64
-    model; the returned latent and the trace are float64, and the caller's
-    model is never cast or moved.
+    is the same bits at any record cadence and precision. The recorded
+    latents and their norms are float64 copies of ``h``; the returned latent
+    is float64, and the caller's model is never cast or moved.
     """
     coords = np.asarray(coords, dtype=np.float64)
     intensities = np.asarray(intensities, dtype=np.float64).reshape(-1, 1)
@@ -215,15 +205,7 @@ def infer_latent(model: FieldModel, coords: np.ndarray, intensities: np.ndarray,
         # intensity head alone in evaluate_points' chunks; its BCE is float64
         chunks = _in_chunks(model32.intensity, model32, h, coords32)
         inten = np.concatenate([t.values[:, 0] for t in chunks]).astype(np.float64)
-        recon = bce(Tensor(inten), intensities[:, 0]).item()
-        norm = float(np.sqrt(np.sum(h.values * h.values)))
-        dice_vals = None
-        if analysis is not None:
-            eval_coords, eval_labels = analysis
-            pred, _, _ = evaluate_points(model, h, eval_coords)
-            num_classes = model.config.num_classes
-            dice_vals = tuple(dice(pred, eval_labels, c) for c in range(1, num_classes))
-        trace.append(step, recon, norm, dice_vals)
+        trace.append(step, bce(Tensor(inten), intensities[:, 0]).item(), h.values)
 
     steps_to_run = config.steps_to_run
     record(0)
@@ -249,30 +231,13 @@ def infer_latent(model: FieldModel, coords: np.ndarray, intensities: np.ndarray,
     return h, trace
 
 
-def select_early_stop_steps(traces: list[InferenceTrace]) -> int:
-    """Step count maximizing the mean validation Dice; ties break smaller.
-
-    All traces must carry Dice on an identical step grid.
-    """
-    if not traces:
-        raise ContractError("early-stop selection needs at least one trace")
-    grid = traces[0].steps
-    for tr in traces:
-        if not tr.has_dice:
-            raise ContractError("early-stop selection needs Dice in every trace")
-        if tr.steps != grid:
-            raise ContractError("early-stop selection needs identical step grids")
-    mean_curve = np.mean([tr.dice_mean for tr in traces], axis=0)
-    best = int(np.argmax(mean_curve))  # argmax returns the first (smallest) maximizer
-    return grid[best]
-
-
 def analysis_points(volume: VolumeSample, frames: tuple[int, ...] | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """(coords, true labels) for trace Dice, from ground-truth frames.
+    """(coords, true labels) on which a fit's recorded latents are scored.
 
-    Defaults to two frames spanning the cycle (first and mid), keeping
-    per-record evaluation cost bounded.
+    The fit never sees these labels: ``experiments.curve_row`` decodes each
+    latent of the trace here afterwards. Defaults to two frames spanning the
+    cycle (first and mid), keeping per-record evaluation cost bounded.
     """
     if frames is None:
         frames = (0, volume.num_frames // 2) if volume.num_frames > 1 else (0,)

@@ -8,7 +8,6 @@ structure scores.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,19 +102,8 @@ def aggregate(reports: list[DiceReport]) -> DiceReport:
                       mean_std=float(subject_means.std()))
 
 
-@dataclass(frozen=True)
-class ReconReport:
-    mae: float
-    mse: float
-    psnr: float  # dB against peak 1.0; +inf when mse == 0
-
-    def to_dict(self) -> dict:
-        return {"mae": self.mae, "mse": self.mse,
-                "psnr": "inf" if math.isinf(self.psnr) else self.psnr}
-
-
-def reconstruction_error(pred_intensity, true_intensity) -> ReconReport:
-    """MAE, MSE and PSNR (peak 1.0) between intensity arrays in [0,1]."""
+def reconstruction_mae(pred_intensity, true_intensity) -> float:
+    """Mean absolute error between two intensity arrays of one shape in [0,1]."""
     pred = np.asarray(pred_intensity, dtype=np.float64)
     true = np.asarray(true_intensity, dtype=np.float64)
     if pred.shape != true.shape:
@@ -123,8 +111,4 @@ def reconstruction_error(pred_intensity, true_intensity) -> ReconReport:
     for name, arr in (("pred", pred), ("true", true)):
         if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
             raise ContractError(f"{name} intensities outside [0,1]")
-    diff = pred - true
-    mae = float(np.mean(np.abs(diff)))
-    mse = float(np.mean(diff * diff))
-    psnr = math.inf if mse == 0.0 else -10.0 * math.log10(mse)
-    return ReconReport(mae=mae, mse=mse, psnr=psnr)
+    return float(np.mean(np.abs(pred - true)))

@@ -1,6 +1,7 @@
 """Cached experiment pipeline: stage mechanics on a micro configuration, and
 every stage's outcome on a desk-small one."""
 
+import hashlib
 import json
 import os
 from dataclasses import replace
@@ -108,6 +109,34 @@ def test_heldout_row_structure():
         heldout_row(model, vol, InferConfig(steps_to_run=1), 4)
 
 
+def _curve(steps, dice_mean):
+    return {"steps": steps, "dice_mean": dice_mean, "recon_loss": [0.5] * len(steps)}
+
+
+def test_early_stop_picks_the_mean_maximum():
+    grid = [0, 50, 100, 150]
+    a = _curve(grid, [0.1, 0.6, 0.5, 0.4])
+    b = _curve(grid, [0.1, 0.4, 0.6, 0.3])
+    # means: .1, .5, .55, .35 -> 100
+    summary = curve_summary([a, b])
+    assert summary["selected_steps"] == 100
+    assert summary["mean_dice"] == [float(v) for v in np.mean([a["dice_mean"],
+                                                               b["dice_mean"]], axis=0)]
+
+
+def test_early_stop_tie_breaks_to_the_smaller_step():
+    assert curve_summary([_curve([0, 10, 20], [0.2, 0.5, 0.5])])["selected_steps"] == 10
+
+
+def test_early_stop_contract_violations():
+    with pytest.raises(ContractError, match="at least one"):
+        curve_summary([])
+    with pytest.raises(ContractError, match="step grid"):
+        curve_summary([_curve([0, 10], [0.1, 0.2]), _curve([0, 20], [0.1, 0.2])])
+    with pytest.raises(ContractError, match="step grid"):
+        curve_summary([_curve([0, 10], [0.1, 0.2]), _curve([0, 10], [0.1])])
+
+
 def test_curve_rows_produce_aligned_curves():
     subjects = [generate_subject(seed, grid_shape=(6, 6, 3, 2), spacing=(4.0, 4.0, 10.0),
                                  subject_id=f"t{seed}")[1] for seed in (30, 31)]
@@ -185,12 +214,20 @@ def test_pipeline_reload_is_pure_cache(micro_run, monkeypatch):
     assert again == summary
 
 
+def _dice_curve(model, subject, trace):
+    """The mean foreground Dice of each latent ``trace`` recorded, decoded on
+    ``subject``'s analysis frames."""
+    coords, labels = analysis_points(subject)
+    return [dice_report(evaluate_points(model, h, coords)[0], labels).mean
+            for h in trace.latents]
+
+
 def _assert_stage_rows_equal_direct_fits(run):
     """Each stage row is its protocol run directly: subject i (from 0) of a
     split is fitted with seed ``base + stride * (i + 1)``, where (base,
     stride) is (infer_seed, 1000) for validation, (infer_seed + 5, 1000) for
     longrun, (infer_seed, 777) for test_eval and (infer_seed, 3331) for
-    heldout."""
+    heldout. Curves are scored here from the fit's recorded latents."""
     model = run.model()
     splits = build_splits(MICRO)
     val, test = splits["val"][0], splits["test"][0]
@@ -199,23 +236,21 @@ def _assert_stage_rows_equal_direct_fits(run):
     # validation: the full-budget curve with Dice on the analysis frames
     coords, intensities = full_observations(val)
     _, trace = infer_latent(model, coords, intensities,
-                            replace(MICRO.infer_config(), seed=MICRO.infer_seed + 1000),
-                            analysis=analysis_points(val))
+                            replace(MICRO.infer_config(), seed=MICRO.infer_seed + 1000))
     validation = run.validation()
     assert validation["steps"] == trace.steps
-    assert validation["per_subject"] == [trace.dice_mean]
+    assert validation["per_subject"] == [_dice_curve(model, val, trace)]
     assert validation["recon_per_subject"] == [trace.recon_loss]
 
     # longrun: the same curve over four times the selected budget
     budget = 4 * selected
     _, trace = infer_latent(model, coords, intensities,
                             replace(MICRO.infer_config(budget),
-                                    seed=MICRO.infer_seed + 5 + 1000),
-                            analysis=analysis_points(val))
+                                    seed=MICRO.infer_seed + 5 + 1000))
     longrun = run.longrun()
     assert longrun["budget"] == budget
     assert longrun["steps"] == trace.steps
-    assert longrun["mean_dice"] == trace.dice_mean
+    assert longrun["mean_dice"] == _dice_curve(model, val, trace)
 
     # test_eval: decoded and scored on every voxel of every frame
     cfg = replace(MICRO.infer_config(selected), seed=MICRO.infer_seed + 777)
@@ -264,7 +299,9 @@ def test_stage_rows_equal_direct_fits_after_a_real_fit(tmp_path, monkeypatch):
     heldout never fit; here the selection is forced to the second-to-last
     grid step (2 of [0, 2, 4]), so every stage row comes from a real fit."""
     import nisf.experiments as exp
-    monkeypatch.setattr(exp, "select_early_stop_steps", lambda traces: traces[0].steps[-2])
+    summary = exp.curve_summary
+    monkeypatch.setattr(exp, "curve_summary", lambda rows: {
+        **summary(rows), "selected_steps": rows[0]["steps"][-2]})
     run = DeskScaleRun(MICRO, cache_root=str(tmp_path))
     run.run_all()
     assert run.selected_steps() == 2
@@ -285,6 +322,14 @@ def test_test_latents_round_trip(micro_run):
 # A pipeline small enough for every test run (about 30 s on 2 vCPUs) and
 # large enough that every stage shows an outcome: validation Dice rises
 # from 0.475 to 0.836 and selects 140 steps, and test mean Dice is 0.879.
+# DESK_SMALL_DIGEST is a SHA-256 over its five stage files in ``STAGES``
+# order, each read back and hashed as sorted-key JSON without its
+# ``elapsed_seconds``: a change meant to keep every value of the desk
+# protocol must leave it as it is. It was taken with numpy 2.4 and OpenBLAS
+# 0.3.31 on an AVX-512 Xeon, and held with OpenBLAS on 1 and on 2 threads.
+# Another BLAS build or CPU may sum products in another order; there,
+# re-take the digest on the parent commit before judging a change by it.
+DESK_SMALL_DIGEST = "b5901ef7c2003faac4a3cbc0c617b5256d19441da67147cb584cc8baf55a70c4"
 DESK_SMALL = DeskScaleConfig(
     dataset_seed=11, train_subjects=8, val_subjects=2, test_subjects=3,
     grid_shape=(16, 16, 4, 4), spacing=(4.0, 4.0, 10.0),
@@ -315,6 +360,13 @@ def test_desk_small_run_drives_every_stage(tmp_path):
             assert len(row[key]) == 3 and all(0.0 <= v <= 1.0 for v in row[key])
         lv_pool, myocardium, rv_pool = row["truth_pixels_per_class"]
         assert lv_pool > 0 and myocardium > 0 and rv_pool == 0
+    digest = hashlib.sha256()
+    for stage in STAGES:
+        with open(os.path.join(run.dir, f"{stage}.json"), encoding="utf-8") as f:
+            record = json.load(f)
+        del record["elapsed_seconds"]
+        digest.update(json.dumps(record, sort_keys=True).encode("utf-8"))
+    assert digest.hexdigest() == DESK_SMALL_DIGEST
 
 
 def test_cached_overfit_runs_once_then_loads(tmp_path, monkeypatch):

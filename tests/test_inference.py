@@ -1,4 +1,4 @@
-"""Latent-only inference: frozen model, traces, early-stop selection."""
+"""Latent-only inference: frozen model, traces, fits on intensities alone."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,7 @@ import pytest
 from nisf.autodiff import Tape, Tensor
 from nisf.errors import ContractError, NumericalError
 from nisf.inference import (InferConfig, InferenceTrace, analysis_points,
-                            evaluate_points,
-                            full_observations, infer_latent,
-                            select_early_stop_steps)
+                            evaluate_points, full_observations, infer_latent)
 from nisf.losses import LossWeights, bce, inference_loss, train_loss
 from nisf.model import FieldModel, ModelConfig
 from nisf.optim import Adam
@@ -85,33 +83,45 @@ def test_infer_weights_drop_training_terms(monkeypatch):
 
 
 def test_trace_append_and_csv_without_dice():
+    # the CSV holds the step, the reconstruction BCE and the latent norm only
     tr = InferenceTrace()
-    tr.append(0, 0.7, 0.01)
-    tr.append(50, 0.5, 0.02)
-    assert not tr.has_dice
+    tr.append(0, 0.7, np.array([0.0, 0.5]))
+    tr.append(50, 0.5, np.array([3.0, 4.0]))
     assert tr.csv_header() == "step,recon_loss,latent_norm"
-    rows = tr.csv_rows()
-    assert rows[0].startswith("0,0.7")
-    assert float(rows[1].split(",")[1]) == 0.5
-
-
-def test_trace_with_dice_adds_columns():
-    tr = InferenceTrace()
-    tr.append(0, 0.7, 0.01, dice=(0.2, 0.4, 0.6))
-    assert tr.has_dice
-    assert tr.dice_mean[0] == pytest.approx(0.4)
-    header = tr.csv_header()
-    assert header.endswith("dice_class1,dice_class2,dice_class3,dice_mean")
-    assert len(tr.csv_rows()[0].split(",")) == len(header.split(","))
+    assert tr.csv_rows() == ["0,0.7,0.5", "50,0.5,5.0"]
 
 
 def test_trace_rejects_non_monotonic_and_non_finite():
     tr = InferenceTrace()
-    tr.append(10, 0.5, 0.1)
+    tr.append(10, 0.5, np.zeros(2))
     with pytest.raises(ContractError):
-        tr.append(10, 0.4, 0.1)
+        tr.append(10, 0.4, np.zeros(2))
     with pytest.raises(NumericalError):
-        tr.append(20, float("nan"), 0.1)
+        tr.append(20, float("nan"), np.zeros(2))
+    with pytest.raises(NumericalError):
+        tr.append(20, 0.4, np.array([0.0, np.inf]))
+    assert tr.steps == [10] and len(tr.latents) == 1
+
+
+def test_trace_keeps_each_recorded_latent():
+    # the first record is the seeded initial latent, the last the latent
+    # returned, both as float64 copies that later steps do not move; each
+    # norm is read off its stored latent
+    vol = _subject()
+    model = FieldModel.init(TINY, seed=0)
+    coords, inten = full_observations(vol)
+    cfg = InferConfig(steps_to_run=5, lr_infer=1e-2, seed=9, record_cadence=2)
+    h, trace = infer_latent(model, coords, inten, cfg)
+    h0, _ = infer_latent(model, coords, inten, InferConfig(steps_to_run=0, seed=9))
+    assert trace.steps == [0, 2, 4, 5]
+    assert len(trace.latents) == len(trace.steps)
+    assert all(lat.dtype == np.float64 and lat.shape == (TINY.latent_dim,)
+               for lat in trace.latents)
+    assert np.array_equal(trace.latents[0], h0.values)
+    assert np.array_equal(trace.latents[-1], h.values)
+    assert not np.array_equal(trace.latents[0], trace.latents[-1])
+    for lat, norm in zip(trace.latents, trace.latent_norm):
+        assert norm == float(np.sqrt(np.sum(lat * lat)))
 
 
 # -- frozen evaluation -----------------------------------------------------------
@@ -298,8 +308,8 @@ def test_infer_latent_records_decode_through_the_float32_copy():
 
 
 def test_infer_latent_records_do_not_move_the_fit():
-    # a record only reads the latent: a fit that records every step, Dice
-    # included, returns the bits of one that records step 0 and the last only
+    # a record only reads the latent: a fit that records every step returns
+    # the bits of one that records step 0 and the last only
     vol = _subject()
     model = FieldModel.init(TINY, seed=0)
     coords, inten = full_observations(vol)
@@ -308,8 +318,7 @@ def test_infer_latent_records_do_not_move_the_fit():
         h, trace = infer_latent(model, coords, inten,
                                 InferConfig(steps_to_run=6, lr_infer=1e-2, seed=7,
                                             record_cadence=cadence,
-                                            points_per_step=coords.shape[0] // 2),
-                                analysis=analysis_points(vol))
+                                            points_per_step=coords.shape[0] // 2))
         fits.append((h.values, trace.steps))
     (every, every_steps), (ends, ends_steps) = fits
     assert every_steps == list(range(7)) and ends_steps == [0, 6]
@@ -321,12 +330,13 @@ def test_infer_latent_runs_exactly_selected_steps():
     model = FieldModel.init(TINY, seed=0)
     coords, inten = full_observations(vol)
     cfg = InferConfig(steps_to_run=7, record_cadence=1, seed=1)
-    h, trace = infer_latent(model, coords, inten, cfg, analysis=analysis_points(vol))
+    h, trace = infer_latent(model, coords, inten, cfg)
     assert trace.steps == list(range(8))  # 0 plus one entry per step
     # records are Python floats read off the float64 latent, the last one
     # off the latent returned; the reconstruction decodes at float32
-    for values in (trace.recon_loss, trace.latent_norm, trace.dice_mean):
+    for values in (trace.recon_loss, trace.latent_norm):
         assert len(values) == 8 and all(type(v) is float for v in values)
+    assert len(trace.latents) == 8
     assert trace.latent_norm[-1] == float(np.sqrt(np.sum(h.values * h.values)))
 
 
@@ -378,43 +388,6 @@ def test_infer_latent_contract_violations():
         infer_latent(model, good[:0], inten[:0], InferConfig(steps_to_run=1))
     with pytest.raises(ContractError, match=r"\[0,1\]"):
         infer_latent(model, good + 2.0, inten, InferConfig(steps_to_run=1))
-
-
-# -- early stopping ---------------------------------------------------------------
-
-
-def _trace_with(steps, dice_means):
-    tr = InferenceTrace()
-    for s, d in zip(steps, dice_means):
-        tr.append(s, 0.5, 0.1, dice=(d, d, d))
-    return tr
-
-
-def test_early_stop_picks_the_mean_maximum():
-    grid = [0, 50, 100, 150]
-    a = _trace_with(grid, [0.1, 0.6, 0.5, 0.4])
-    b = _trace_with(grid, [0.1, 0.4, 0.6, 0.3])
-    # means: .1, .5, .55, .35 -> 100
-    assert select_early_stop_steps([a, b]) == 100
-
-
-def test_early_stop_tie_breaks_to_the_smaller_step():
-    grid = [0, 10, 20]
-    tr = _trace_with(grid, [0.2, 0.5, 0.5])
-    assert select_early_stop_steps([tr]) == 10
-
-
-def test_early_stop_contract_violations():
-    with pytest.raises(ContractError):
-        select_early_stop_steps([])
-    plain = InferenceTrace()
-    plain.append(0, 0.5, 0.1)
-    with pytest.raises(ContractError, match="Dice"):
-        select_early_stop_steps([plain])
-    a = _trace_with([0, 10], [0.1, 0.2])
-    b = _trace_with([0, 20], [0.1, 0.2])
-    with pytest.raises(ContractError, match="step grids"):
-        select_early_stop_steps([a, b])
 
 
 # -- analysis points ----------------------------------------------------------

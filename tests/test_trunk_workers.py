@@ -23,6 +23,7 @@ import nisf.autodiff as ad
 from nisf.autodiff import Tensor
 from nisf.inference import InferConfig, evaluate_points, infer_latent
 from nisf.losses import LossWeights, inference_loss, train_loss
+from nisf.metrics import dice_report
 from nisf.model import FieldModel, ModelConfig
 from nisf.sampling import GridSpec, PlaneSpec, sample_grid, sample_plane
 
@@ -50,8 +51,9 @@ def _model(width):
 def frozen_outputs(width) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """At each row count, (every array ``evaluate_points``, ``sample_grid``
     and ``sample_plane`` return; the latent and trace of a fixed-seed
-    ``infer_latent``). The first are float64 decodes of a fixed latent, the
-    second depend on the fit's float32 steps and records as well."""
+    ``infer_latent``, with the per-class Dice of each recorded latent). The
+    first are float64 decodes of a fixed latent, the second depend on the
+    fit's float32 steps and records as well."""
     model = _model(width)
     rng = np.random.default_rng(width)
     h = rng.normal(scale=0.1, size=model.config.latent_dim)
@@ -70,8 +72,10 @@ def frozen_outputs(width) -> tuple[list[np.ndarray], list[np.ndarray]]:
         latent, trace = infer_latent(
             model, coords, rng.uniform(0.05, 0.95, size=rows),
             InferConfig(steps_to_run=1, record_cadence=1, points_per_step=64, lr_infer=1e-2,
-                        seed=rows), analysis=(coords[:1025], labels[:1025]))
-        fit += [latent.values, trace.recon_loss, trace.latent_norm, trace.dice_per_class]
+                        seed=rows))
+        scored = [evaluate_points(model, h, coords[:1025])[0] for h in trace.latents]
+        dice = [dice_report(pred, labels[:1025]).per_class for pred in scored]
+        fit += [latent.values, trace.recon_loss, trace.latent_norm, dice]
     return frozen, fit
 
 
