@@ -11,9 +11,9 @@ the numerical machinery lives in submodules (``nisf.model``,
 """
 
 from .errors import (ContractError, DimensionError, FormatVersionError,
-                     NisfError, NumericalError, PayloadError, VolumeIOError)
+                     NisfError, NumericalError, PayloadError)
 
 __version__ = "0.1.0"
 
 __all__ = ["ContractError", "DimensionError", "FormatVersionError", "NisfError",
-           "NumericalError", "PayloadError", "VolumeIOError", "__version__"]
+           "NumericalError", "PayloadError", "__version__"]

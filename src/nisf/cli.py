@@ -63,6 +63,15 @@ def integer(value) -> int:
     return int(value)
 
 
+def nonnegative_integer(value) -> int:
+    """Parser for a seed: an integer >= 0, the only seeds numpy's
+    ``SeedSequence`` takes. Checked here, before any output is written."""
+    out = integer(value)
+    if out < 0:
+        raise ValueError(f"{value!r} is negative")
+    return out
+
+
 def _tuple(cast, n: int):
     """Parser for ``n`` values, given as "a,b,c" (a flag) or a JSON list (a config value)."""
     def parse(value):
@@ -81,7 +90,7 @@ def _tuple(cast, n: int):
 # config-dataclass field the option sets; an option left unset keeps that
 # field's default.
 _GEN_DATA = (
-    ("--seed", integer, "seed", None),
+    ("--seed", nonnegative_integer, "seed", None),
     ("--split", _tuple(integer, 3), "split", "train,val,test counts"),
     ("--grid", _tuple(integer, 4), "grid", "X,Y,Z,T voxel counts"),
     ("--spacing", _tuple(float, 3), "spacing", "x,y,z spacing in mm"),
@@ -91,7 +100,7 @@ _GEN_DATA_DEFAULTS = {"seed": 0, "split": (60, 10, 20)}
 _TRAIN_PRIOR = (  # TrainConfig fields, and LossWeights fields for its ``weights``
     ("--epochs", integer, "epochs", None),
     ("--lr", float, "lr_prior", None),
-    ("--seed", integer, "seed", None),
+    ("--seed", nonnegative_integer, "seed", None),
     ("--alpha", float, "alpha", None),
     ("--lambda-theta-phi", float, "lambda_theta_phi", None),
     ("--lambda-h", float, "lambda_h", None),
@@ -102,7 +111,7 @@ _TRAIN_PRIOR = (  # TrainConfig fields, and LossWeights fields for its ``weights
 _INFER = (  # InferConfig fields
     ("--steps", integer, "steps_to_run", "run exactly this many steps"),
     ("--lr", float, "lr_infer", None),
-    ("--seed", integer, "seed", None),
+    ("--seed", nonnegative_integer, "seed", None),
     ("--cadence", integer, "record_cadence", None),
     ("--points-per-step", integer, "points_per_step", None),
     ("--lambda-h", float, "lambda_h", None),
@@ -362,8 +371,7 @@ def cmd_sample_plane(args: argparse.Namespace) -> int:
         return _fail("latent was fitted against a different model checkpoint")
     h = Tensor(arrays["h"].reshape(-1), name="h")
 
-    span = tuple((volume.shape[a] - 1) * volume.spacing[a] for a in range(3))
-    spec = PlaneSpec(**_options(args, {}, _SAMPLE_PLANE), t=args.t, span_mm=span)
+    spec = PlaneSpec(**_options(args, {}, _SAMPLE_PLANE), t=args.t, span_mm=volume.span_mm)
 
     resolved = {"checkpoint": os.path.abspath(args.checkpoint),
                 "volume": os.path.abspath(args.volume),
@@ -478,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sample_plane)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=nonnegative_integer, default=0)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

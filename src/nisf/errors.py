@@ -21,13 +21,9 @@ class NumericalError(NisfError):
     """A computation produced non-finite values or failed a numeric check."""
 
 
-class VolumeIOError(ContractError):
-    """Base class for volume file load failures."""
-
-
-class FormatVersionError(VolumeIOError):
+class FormatVersionError(ContractError):
     """File declares a format version this code does not read."""
 
 
-class PayloadError(VolumeIOError):
+class PayloadError(ContractError):
     """Binary payload is truncated or disagrees with its sidecar."""

@@ -44,7 +44,7 @@ from .sampling import (GridSpec, PlaneSpec, nearest_neighbor_resample, sample_gr
 from .serial import config_dict, config_hash, write_json_atomic
 from .training import (LATENT_PRIOR_SIGMA, TrainConfig, latest_checkpoint,
                        load_checkpoint, train_prior)
-from .volume import SPLITS, VolumeSample, degrade, make_batch, normalize_index
+from .volume import CLASS_NAMES, SPLITS, VolumeSample, drop_slices, make_batch, normalize_index
 
 DEFAULT_CACHE_ROOT = ".acceptance_cache"
 CACHE_KEY_CHARS = 16  # hex digits of a config hash in a cache directory name
@@ -122,7 +122,7 @@ def oblique_plane_spec(volume: VolumeSample, tilt_deg: float,
     if volume.phantom is None:
         raise ContractError("oblique plane evaluation needs the generator geometry")
     spec = PhantomSpec.from_dict(volume.phantom)
-    span = tuple((volume.shape[a] - 1) * volume.spacing[a] for a in range(3))
+    span = volume.span_mm
     origin_norm = tuple(spec.lv_center[a] / span[a] for a in range(3))
     rad = float(np.deg2rad(tilt_deg))
     dir1 = (float(np.cos(rad)), 0.0, float(np.sin(rad)))
@@ -208,9 +208,7 @@ def heldout_row(model: FieldModel, subject: VolumeSample, cfg: InferConfig,
     Scores the prediction against ground truth on the held-out slice
     only (all frames), next to the copy-nearest-slice baseline.
     """
-    if not 0 <= slice_index < subject.shape[2]:
-        raise ContractError(f"slice index {slice_index} outside [0,{subject.shape[2]})")
-    reduced = degrade(subject, "drop_slices", slices=[slice_index])
+    reduced = drop_slices(subject, [slice_index])
     coords, intensities = full_observations(reduced)
     # by construction the held-out slice cannot appear in the observations
     z_norm = normalize_index(slice_index, subject.shape[2])
@@ -381,8 +379,7 @@ class DeskScaleRun:
         def build() -> dict:
             selected = self.selected_steps()
             rows = self._rows("test", eval_row, self.cfg.infer_config(selected), 777)
-            mean_report = aggregate([DiceReport(classes=("lv_pool", "lv_myocardium",
-                                                         "rv_pool"),
+            mean_report = aggregate([DiceReport(classes=CLASS_NAMES[1:],
                                                 per_class=tuple(r["dice_per_class"]),
                                                 mean=r["dice_mean"]) for r in rows])
             return {"subjects": rows, "selected_steps": selected,

@@ -214,8 +214,6 @@ def run_op_checks(seed: int = 0) -> GradCheckReport:
         ("sum_axis0", lambda p: ad.reduce_sum(ad.mul(ad.reduce_sum(p[0], axis=0),
                                                      ad.Tensor(w[0]))), [a]),
         ("mean_all", lambda p: ad.reduce_mean(p[0]), [a]),
-        ("mean_axis1", lambda p: ad.reduce_sum(ad.mul(ad.reduce_mean(p[0], axis=1),
-                                                      ad.Tensor(w[:, 0]))), [a]),
         ("chain_softmax_log",
          lambda p: ad.reduce_mean(ad.mul(ad.log(ad.softmax(p[0])),
                                          ad.Tensor(wide_coef))),

@@ -28,7 +28,7 @@ class GridSpec:
     One (count, range) pair per axis (x, y, z, t). count == 1 samples the
     range midpoint, so a fixed axis is written as count 1 with a
     degenerate range (v, v). Ranges outside [0,1] are allowed; such
-    points are extrapolations and come back flagged.
+    points are extrapolations of the field.
     """
 
     counts: tuple[int, int, int, int]
@@ -70,7 +70,6 @@ class GridSample:
     intensity: np.ndarray   # [nx,ny,nz,nt]
     labels: np.ndarray      # [nx,ny,nz,nt] uint8
     probs: np.ndarray       # [nx,ny,nz,nt,M]
-    out_of_range: np.ndarray  # bool, same grid shape; True = extrapolated
 
 
 def sample_grid(model: FieldModel, h, spec: GridSpec) -> GridSample:
@@ -78,11 +77,9 @@ def sample_grid(model: FieldModel, h, spec: GridSpec) -> GridSample:
     flat = coords.reshape(-1, 4)
     labels, probs, intensity = evaluate_points(model, h, flat)
     shape = coords.shape[:-1]
-    oor = np.any((flat < 0.0) | (flat > 1.0), axis=1).reshape(shape)
     return GridSample(intensity=intensity.reshape(shape),
                       labels=labels.reshape(shape),
-                      probs=probs.reshape(*shape, -1),
-                      out_of_range=oor)
+                      probs=probs.reshape(*shape, -1))
 
 
 def sample_volume(model: FieldModel, h, volume: VolumeSample) -> VolumeSample:

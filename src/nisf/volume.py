@@ -112,11 +112,15 @@ class VolumeSample:
 
     # -- coordinate transforms ------------------------------------------
 
+    @property
+    def span_mm(self) -> tuple[float, float, float]:
+        """Physical size of the normalized unit cube per spatial axis:
+        (extent - 1) * spacing, 0 on a degenerate axis."""
+        return tuple((self.shape[a] - 1) * self.spacing[a] for a in range(3))
+
     def norm_to_mm(self, norm_xyz: np.ndarray) -> np.ndarray:
         """Normalized [..,3] spatial coordinates to physical mm."""
-        norm_xyz = np.asarray(norm_xyz, dtype=np.float64)
-        span = np.array([(self.shape[a] - 1) * self.spacing[a] for a in range(3)])
-        return norm_xyz * span
+        return np.asarray(norm_xyz, dtype=np.float64) * np.array(self.span_mm)
 
 
 @dataclass
@@ -160,39 +164,19 @@ def make_batch(volume: VolumeSample, frames: int | Sequence[int] | None = None) 
 
 
 # ---------------------------------------------------------------------------
-# degradation (sparse / partial observations)
+# sparse observations: dropped slices
 
 
-def degrade(volume: VolumeSample, mode: str, *, slices: list[int] | None = None,
-            box: tuple[tuple[int, int], ...] | None = None,
-            keep_every: int | None = None) -> VolumeSample:
-    """Mark part of a volume unobserved; ground truth arrays are untouched.
-
-    Modes: ``drop_slices`` hides the given z slices across all frames;
-    ``mask_region`` hides an (x,y,z) index box (half-open bounds);
-    ``subsample_time`` keeps every k-th frame starting at 0.
-    """
+def drop_slices(volume: VolumeSample, slices: list[int]) -> VolumeSample:
+    """Mark the given z slices unobserved across all frames; ground truth
+    arrays are untouched."""
+    if not slices:
+        raise ContractError("drop_slices needs a nonempty slice list")
     mask = volume.observed().copy()
-    if mode == "drop_slices":
-        if not slices:
-            raise ContractError("drop_slices needs a nonempty slice list")
-        for z in slices:
-            if not 0 <= z < volume.shape[2]:
-                raise ContractError(f"slice index {z} outside [0,{volume.shape[2]})")
-            mask[:, :, z, :] = False
-    elif mode == "mask_region":
-        if box is None or len(box) != 3:
-            raise ContractError("mask_region needs ((x0,x1),(y0,y1),(z0,z1))")
-        (x0, x1), (y0, y1), (z0, z1) = box
-        mask[x0:x1, y0:y1, z0:z1, :] = False
-    elif mode == "subsample_time":
-        if not keep_every or keep_every < 1:
-            raise ContractError("subsample_time needs keep_every >= 1")
-        drop = np.ones(volume.num_frames, dtype=bool)
-        drop[::keep_every] = False
-        mask[:, :, :, drop] = False
-    else:
-        raise ContractError(f"unknown degrade mode {mode!r}")
+    for z in slices:
+        if not 0 <= z < volume.shape[2]:
+            raise ContractError(f"slice index {z} outside [0,{volume.shape[2]})")
+        mask[:, :, z, :] = False
     if not mask.any():
         raise ContractError("degradation removed every observed point")
     return replace(volume, mask=mask)

@@ -518,7 +518,7 @@ def test_infer_flag_beats_config_value(dataset, trained, tmp_path):
     assert (header["steps_run"], header["seed"]) == (4, 9)
 
 
-def test_malformed_option_values_exit_1(dataset, tmp_path):
+def test_malformed_option_values_exit_1(dataset, trained, tmp_path):
     res = run_cli("gen-data", "--out", str(tmp_path / "g"), "--grid", "8,8,2", "--quiet")
     assert res.returncode == 1
     assert "--grid" in res.stderr
@@ -532,6 +532,27 @@ def test_malformed_option_values_exit_1(dataset, tmp_path):
     assert res.returncode == 1
     assert "--epochs" in res.stderr
     assert not os.path.exists(tmp_path / "t")
+    # a negative seed, as a flag or as a config key, stops before any output
+    negative = tmp_path / "negative.json"
+    negative.write_text(json.dumps({"seed": -1}))
+    volume = os.path.join(dataset, "s0003.nvol")
+    for name, argv in [
+            ("g1", ["gen-data", "--seed", "-1"]),
+            ("g2", ["gen-data", "--config", str(negative)]),
+            ("t1", ["train-prior", "--dataset", dataset, "--seed", "-1"]),
+            ("t2", ["train-prior", "--dataset", dataset, "--config", str(negative)]),
+            ("i1", ["infer", "--checkpoint", trained[1], "--volume", volume, "--seed", "-1"]),
+            ("i2", ["infer", "--checkpoint", trained[1], "--volume", volume,
+                    "--config", str(negative)])]:
+        res = run_cli(*argv, "--out", str(tmp_path / name), "--quiet")
+        assert res.returncode == 1, argv
+        assert "error: " in res.stderr and "seed" in res.stderr, res.stderr
+        assert "Traceback" not in res.stderr
+        assert not os.path.exists(tmp_path / name), argv
+    res = run_cli("gradcheck", "--seed", "-1")
+    assert res.returncode == 1
+    assert "error: " in res.stderr and "--seed" in res.stderr
+    assert res.stdout == ""
 
 
 def test_gen_data_matches_build_splits(dataset, tmp_path):

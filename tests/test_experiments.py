@@ -21,7 +21,7 @@ from nisf.model import FieldModel, ModelConfig
 from nisf.phantom import generate_subject
 from nisf.sampling import GridSpec, sample_grid
 from nisf.training import TrainConfig, train_prior
-from nisf.volume import VolumeSample, degrade, normalize_index
+from nisf.volume import VolumeSample, drop_slices, normalize_index
 
 TINY = ModelConfig(num_res_layers=2, hidden_width=16, latent_dim=8)
 
@@ -270,7 +270,7 @@ def _assert_stage_rows_equal_direct_fits(run):
     # heldout: fitted without the slice, which is then decoded on its own grid
     k = MICRO.heldout_slice
     cfg = replace(MICRO.infer_config(selected), seed=MICRO.infer_seed + 3331)
-    coords, intensities = full_observations(degrade(test, "drop_slices", slices=[k]))
+    coords, intensities = full_observations(drop_slices(test, [k]))
     h, _ = infer_latent(model, coords, intensities, cfg)
     gx, gy, gz, gt = test.shape
     z = normalize_index(k, gz)

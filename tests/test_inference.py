@@ -13,7 +13,7 @@ from nisf.optim import Adam
 from nisf.phantom import generate_subject
 from nisf.sampling import sample_volume
 from nisf.training import TrainConfig, train_prior
-from nisf.volume import VolumeSample, degrade, make_batch
+from nisf.volume import VolumeSample, drop_slices, make_batch
 
 TINY = ModelConfig(num_res_layers=2, hidden_width=16, latent_dim=8)
 
@@ -184,7 +184,7 @@ def test_full_observations_counts_and_masking():
     assert coords.shape == (total, 4)
     assert inten.shape == (total, 1)
 
-    masked = degrade(vol, "drop_slices", slices=[1])
+    masked = drop_slices(vol, [1])
     coords_m, _ = full_observations(masked)
     assert coords_m.shape[0] == total - vol.shape[0] * vol.shape[1] * vol.shape[3]
 
@@ -198,7 +198,7 @@ def test_sample_volume_decodes_full_grid():
     vol = _subject()
     model = FieldModel.init(TINY, seed=0)
     h = np.zeros(TINY.latent_dim)
-    out = sample_volume(model, h, degrade(vol, "drop_slices", slices=[0]))
+    out = sample_volume(model, h, drop_slices(vol, [0]))
     assert out.shape == vol.shape
     assert out.spacing == vol.spacing
     assert out.subject_id == vol.subject_id
@@ -403,7 +403,7 @@ def test_analysis_points_defaults_to_two_frames():
 
 
 def test_analysis_points_ignores_observation_mask():
-    vol = degrade(_subject(), "drop_slices", slices=[1])
+    vol = drop_slices(_subject(), [1])
     coords, _ = analysis_points(vol, frames=(0,))
     assert coords.shape[0] == vol.shape[0] * vol.shape[1] * vol.shape[2]
 

@@ -1,6 +1,8 @@
-"""The library holds only what the program runs: every definition has a caller."""
+"""The library holds only what the program runs: every definition has a
+caller, and the README's layout names every module."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -78,3 +80,11 @@ def test_the_check_sees_a_definition_only_tests_reach(tmp_path):
     (caller / "run.py").write_text("from a import used, Box\n\nused()\n"
                                    "print(getattr(Box(), 'size'), {'spare': 0})\n")
     assert unreached(library, [caller]) == ["Box.spare", "orphan"]
+
+
+def test_readme_layout_names_every_module():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    layout = readme.split("## Layout", 1)[1].split("```")[1]
+    named = set(re.findall(r"^  (\w+\.py) ", layout, flags=re.MULTILINE))
+    modules = {p.name for p in LIBRARY.glob("*.py")} - {"__init__.py", "__main__.py"}
+    assert named == modules

@@ -63,9 +63,11 @@ def test_make_batch_raster_order_oracle():
 
 
 def test_make_batch_excludes_masked_voxels():
-    from nisf.volume import degrade
+    from dataclasses import replace
     _, vol = generate_subject(3, grid_shape=(5, 4, 2, 2))  # 40 voxels per frame
-    masked = degrade(vol, "mask_region", box=((0, 1), (0, 2), (0, 2)))  # hides 4
+    mask = np.ones(vol.shape, dtype=bool)
+    mask[0:1, 0:2, 0:2, :] = False  # hides 4 voxels a frame
+    masked = replace(vol, mask=mask)
     batch = make_batch(masked, 0)
     assert batch.coords.shape[0] == 36  # 0.9 * 40
     # the hidden voxels are exactly the ones missing from the batch

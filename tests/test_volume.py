@@ -1,7 +1,8 @@
-"""Volume container, coordinate transforms, degradation, file format."""
+"""Volume container, coordinate transforms, dropped slices, file format."""
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from nisf.errors import (ContractError, DimensionError, FormatVersionError,
 from nisf.phantom import generate_subject
 from nisf.serial import write_blob
 from nisf.volume import (CLASS_NAMES, NUM_CLASSES, VOLUME_MAGIC, VOLUME_VERSION,
-                         VolumeSample, degrade, linear_axis, load_dataset_manifest,
+                         VolumeSample, drop_slices, linear_axis, load_dataset_manifest,
                          load_volume, make_batch, manifest_subjects, normalize_index,
                          save_volume, write_dataset_manifest)
 
@@ -174,7 +175,7 @@ def test_make_batch_frame_set_contract_violations():
 
 def test_drop_slices_hides_exactly_one_slice_worth():
     vol = _tiny_volume()
-    out = degrade(vol, "drop_slices", slices=[1])
+    out = drop_slices(vol, [1])
     hidden = (~out.observed()).sum()
     assert hidden == vol.shape[0] * vol.shape[1] * vol.shape[3]
     assert not out.observed()[:, :, 1, :].any()
@@ -183,64 +184,39 @@ def test_drop_slices_hides_exactly_one_slice_worth():
 
 def test_degrade_leaves_ground_truth_untouched():
     vol = _tiny_volume()
-    out = degrade(vol, "drop_slices", slices=[0])
+    out = drop_slices(vol, [0])
     assert out.intensity is vol.intensity
     assert out.labels is vol.labels
     assert vol.observed().all()  # original mask not mutated
 
 
-def test_mask_region_hides_the_box():
-    vol = _tiny_volume()
-    out = degrade(vol, "mask_region", box=((1, 3), (0, 2), (0, 1)))
-    m = out.observed()
-    assert not m[1:3, 0:2, 0:1, :].any()
-    assert (~m).sum() == 2 * 2 * 1 * vol.shape[3]
-
-
-def test_subsample_time_keeps_every_kth_frame():
-    rng = np.random.default_rng(1)
-    vol = VolumeSample("t", rng.random((3, 3, 2, 6)),
-                       np.zeros((3, 3, 2, 6), dtype=np.uint8), (1.0, 1.0, 1.0))
-    out = degrade(vol, "subsample_time", keep_every=3)
-    m = out.observed()
-    assert m[..., 0].all() and m[..., 3].all()
-    for t in (1, 2, 4, 5):
-        assert not m[..., t].any()
-
-
-def test_noop_degradation_keeps_everything_observed():
-    out = degrade(_tiny_volume(), "subsample_time", keep_every=1)
-    assert out.observed().all()
-
-
 def test_degrade_contract_violations():
     vol = _tiny_volume()
     with pytest.raises(ContractError):
-        degrade(vol, "drop_slices", slices=[])
+        drop_slices(vol, [])
     with pytest.raises(ContractError):
-        degrade(vol, "drop_slices", slices=[3])
+        drop_slices(vol, [3])
     with pytest.raises(ContractError):
-        degrade(vol, "mask_region", box=((0, 1), (0, 1)))
-    with pytest.raises(ContractError):
-        degrade(vol, "subsample_time", keep_every=0)
-    with pytest.raises(ContractError):
-        degrade(vol, "wat")
+        drop_slices(vol, [-1])
 
 
 def test_degrading_everything_raises():
     vol = _tiny_volume()
     with pytest.raises(ContractError, match="every observed point"):
-        degrade(vol, "drop_slices", slices=[0, 1, 2])
+        drop_slices(vol, [0, 1, 2])
 
 
 def test_degradations_compose_and_originals_restore():
     vol = _tiny_volume()
-    step1 = degrade(vol, "drop_slices", slices=[0])
-    step2 = degrade(step1, "subsample_time", keep_every=2)
+    mask = np.ones(vol.shape, dtype=bool)
+    mask[..., 1] = False  # an earlier mask: frame 1 unobserved
+    step1 = replace(vol, mask=mask)
+    step2 = drop_slices(step1, [0])
     m = step2.observed()
     assert not m[:, :, 0, :].any()
     assert not m[:, :, 1:, 1].any()
     assert m[:, :, 1:, 0].all()
+    assert step1.mask[:, :, 0, 0].all()  # the earlier mask is not mutated
     # the untouched arrays restore the original volume exactly
     restored = VolumeSample(vol.subject_id, step2.intensity, step2.labels, vol.spacing)
     assert restored.observed().all()
@@ -252,7 +228,7 @@ def test_degradations_compose_and_originals_restore():
 
 def test_save_load_round_trip_all_fields(tmp_path):
     spec, vol = generate_subject(4, grid_shape=(6, 5, 3, 2), spacing=(3.0, 3.0, 7.5))
-    masked = degrade(vol, "drop_slices", slices=[1])
+    masked = drop_slices(vol, [1])
     path = tmp_path / "subject.nvol"
     save_volume(masked, str(path))
     back = load_volume(str(path))
