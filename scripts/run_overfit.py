@@ -3,8 +3,8 @@
 Fits the field plus one latent to a single small phantom using every
 observed point each step, then reports the loss trajectory and the
 frame-0 reconstruction error. The result is cached, stamped with a
-fingerprint of the nisf sources; a record computed by other code is
-recomputed on the next call.
+fingerprint of the nisf code (comments and docstrings excluded); a
+record computed by other code is recomputed on the next call.
 """
 
 import argparse

@@ -87,15 +87,14 @@ def active_tape() -> "Tape | None":
 class Tensor:
     """A dense n-dimensional real array; a tape that names it gives it a ``.grad``."""
 
-    __slots__ = ("values", "grad", "name", "_slot")
+    __slots__ = ("values", "grad", "_slot")
 
-    def __init__(self, values, name: str | None = None):
+    def __init__(self, values):
         arr = np.asarray(values)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         self.values = arr
         self.grad: np.ndarray | None = None
-        self.name = name
         self._slot: _Slot | None = None  # set on a taped op output (see _make_output)
 
     @property
@@ -119,12 +118,8 @@ class Tensor:
             raise DimensionError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.values.reshape(()))
 
-    def reset_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}{tag})"
+        return f"Tensor(shape={self.shape})"
 
 
 class _Slot:
@@ -160,7 +155,7 @@ class Tape:
     so inputs of any op were recorded before the op itself; ``backward``
     walks the record in reverse. Each entry is the output's gradient slot
     and its rule. Repeated ``backward`` calls accumulate into the ``wrt``
-    leaves' gradients (clear with ``Tensor.reset_grad``). A tape is
+    leaves' gradients (an ``Adam.step`` over them clears them). A tape is
     confined to one logical training context; it is not safe to share a
     recording tape between threads.
     """

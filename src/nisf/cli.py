@@ -167,8 +167,12 @@ def _options(args: argparse.Namespace, config: dict, table) -> dict:
         key = _key(flag)
         value = getattr(args, key)
         if value is None and config.get(key) is not None:
+            raw = config[key]
             try:
-                value = parse(config[key])
+                # JSON true/false would pass int() and float() as 1 and 0
+                if any(isinstance(v, bool) for v in (raw if isinstance(raw, list) else [raw])):
+                    raise ValueError(f"booleans are not numbers, got {json.dumps(raw)}")
+                value = parse(raw)
             except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
                 raise SystemExit(_fail(f"config key {key!r}: {exc}"))
         if value is not None:
@@ -369,7 +373,7 @@ def cmd_sample_plane(args: argparse.Namespace) -> int:
     require(arrays, ("h",), "latent payload")
     if header.get("model_checksum") not in (None, model.checksum()):
         return _fail("latent was fitted against a different model checkpoint")
-    h = Tensor(arrays["h"].reshape(-1), name="h")
+    h = Tensor(arrays["h"].reshape(-1))
 
     spec = PlaneSpec(**_options(args, {}, _SAMPLE_PLANE), t=args.t, span_mm=volume.span_mm)
 

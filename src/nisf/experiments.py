@@ -20,6 +20,7 @@ one loop, ``DeskScaleRun._rows``, and assembles its file from the rows.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import os
@@ -426,17 +427,24 @@ def _ckpt_epochs(path: str) -> int:
 
 
 def code_fingerprint() -> str:
-    """SHA-256 over the package's ``.py`` sources, file by file in sorted order.
+    """SHA-256 over the package's ``.py`` modules' code, in sorted file order.
 
-    A cached record stamped with a different fingerprint was computed by
-    other code and is recomputed rather than served.
+    Each module enters as its ``ast.dump`` without module, class and
+    function docstrings; comments never reach the AST. So an edit to
+    comments or docstrings keeps the fingerprint, and any change to code
+    changes it: a cached record stamped with a different fingerprint was
+    computed by other code and is recomputed rather than served.
     """
     pkg = os.path.dirname(os.path.abspath(__file__))
     h = hashlib.sha256()
     for name in sorted(n for n in os.listdir(pkg) if n.endswith(".py")):
-        h.update(name.encode("utf-8") + b"\0")
         with open(os.path.join(pkg, name), "rb") as f:
-            h.update(f.read())
+            tree = ast.parse(f.read())
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                    and ast.get_docstring(node, clean=False) is not None):
+                node.body = node.body[1:]
+        h.update(name.encode("utf-8") + b"\0" + ast.dump(tree).encode("utf-8") + b"\0")
     return h.hexdigest()
 
 
@@ -484,7 +492,7 @@ def run_overfit(cfg: OverfitConfig = OverfitConfig()) -> OverfitResult:
 
     model = FieldModel.init(cfg.model, seed=cfg.seed)
     rng = np.random.default_rng(np.random.SeedSequence([0x0F17, cfg.seed]))
-    h = ad.Tensor(rng.normal(0.0, LATENT_PRIOR_SIGMA, size=cfg.model.latent_dim), name="h")
+    h = ad.Tensor(rng.normal(0.0, LATENT_PRIOR_SIGMA, size=cfg.model.latent_dim))
     opt = Adam({**{name: model.params[name] for name in model.param_names()}, "latent": h},
                lr=cfg.lr)
     weights = LossWeights()
@@ -495,8 +503,7 @@ def run_overfit(cfg: OverfitConfig = OverfitConfig()) -> OverfitResult:
             terms = train_loss(model, h, coords, intensities, labels, weights)
             tape.backward(terms.total)
         opt.step()
-        opt.reset_grads()
-        losses.append(terms.report().total)
+        losses.append(terms.report.total)
 
     spec = GridSpec.matching_volume(vol, t_index=0)
     sampled = sample_grid(model, h, spec)

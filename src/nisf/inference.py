@@ -193,7 +193,7 @@ def infer_latent(model: FieldModel, coords: np.ndarray, intensities: np.ndarray,
                                         for name, p in model.params.items()})
     coords32, intensities32 = coords.astype(np.float32), intensities.astype(np.float32)
     rng = np.random.default_rng(np.random.SeedSequence([_STREAM_INIT, config.seed]))
-    h = Tensor(rng.normal(0.0, INFER_INIT_SIGMA, size=model.config.latent_dim), name="h")
+    h = Tensor(rng.normal(0.0, INFER_INIT_SIGMA, size=model.config.latent_dim))
     adam = Adam({"latent": h}, lr=config.lr_infer)
     sample_rng = np.random.default_rng(np.random.SeedSequence([_STREAM_SAMPLE, config.seed]))
     num_points = coords.shape[0]
@@ -222,7 +222,6 @@ def infer_latent(model: FieldModel, coords: np.ndarray, intensities: np.ndarray,
             tape.backward(terms.total)
         h.grad = h32.grad
         adam.step()
-        adam.reset_grads()
         if step % config.record_cadence == 0 or step == steps_to_run:
             record(step)
 

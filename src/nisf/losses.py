@@ -18,6 +18,7 @@ background dominates voxel counts and would mask structure errors.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,29 +67,11 @@ class LossReport:
         return [repr(getattr(self, name)) for name in self.csv_fields()]
 
 
-class LossTerms:
-    """Differentiable loss with per-component tensors.
+class LossTerms(NamedTuple):
+    """``total``, the scalar to call backward on, and its component floats."""
 
-    ``total`` is the scalar to call backward on; ``report()`` snapshots
-    component floats for logging.
-    """
-
-    def __init__(self, total: Tensor, bce_seg: Tensor | None, dice_seg: Tensor | None,
-                 bce_recon: Tensor, l2_params: Tensor | None, l2_latent: Tensor):
-        self.total = total
-        self.bce_seg = bce_seg
-        self.dice_seg = dice_seg
-        self.bce_recon = bce_recon
-        self.l2_params = l2_params
-        self.l2_latent = l2_latent
-
-    def report(self) -> LossReport:
-        def val(t: Tensor | None) -> float:
-            return 0.0 if t is None else t.item()
-
-        return LossReport(total=self.total.item(), bce_seg=val(self.bce_seg),
-                          dice_seg=val(self.dice_seg), bce_recon=self.bce_recon.item(),
-                          l2_params=val(self.l2_params), l2_latent=val(self.l2_latent))
+    total: Tensor
+    report: LossReport
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -174,7 +157,8 @@ def training_loss(seg_probs: Tensor, intensity: Tensor, labels, intensity_target
     total = ad.add(ad.add(bce_seg, dice_seg), ad.mul(bce_recon, weights.alpha))
     total = ad.add(total, ad.mul(l2_params, weights.lambda_theta_phi))
     total = ad.add(total, ad.mul(l2_latent, weights.lambda_h))
-    return LossTerms(total, bce_seg, dice_seg, bce_recon, l2_params, l2_latent)
+    return LossTerms(total, LossReport(total.item(), bce_seg.item(), dice_seg.item(),
+                                       bce_recon.item(), l2_params.item(), l2_latent.item()))
 
 
 def inference_loss(intensity: Tensor, intensity_targets, latent: Tensor,
@@ -184,7 +168,8 @@ def inference_loss(intensity: Tensor, intensity_targets, latent: Tensor,
     bce_recon = bce(intensity, targets)
     l2_latent = ad.sum_squares([latent])
     total = ad.add(bce_recon, ad.mul(l2_latent, lambda_h))
-    return LossTerms(total, None, None, bce_recon, None, l2_latent)
+    return LossTerms(total, LossReport(total.item(), 0.0, 0.0, bce_recon.item(), 0.0,
+                                       l2_latent.item()))
 
 
 def train_loss(model, h: Tensor, coords, intensity_targets, seg_labels,

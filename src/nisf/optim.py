@@ -3,8 +3,8 @@
 The same optimizer drives prior training (model parameters plus the
 sampled subject's latent row) and inference (one fresh latent only); the
 tensors it is built over are the ones the step's ``Tape(wrt=...)`` names.
-Bias-corrected update, in-place on parameter values; gradient arrays are
-read but never modified (the caller resets them between steps).
+Bias-corrected update, in-place on parameter values; a step clears each
+``.grad`` it used, so the next step needs a new backward.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class Adam:
         self.v = {n: np.zeros(p.shape, dtype=np.float64) for n, p in self.params.items()}
 
     def step(self) -> None:
-        """One bias-corrected update from current .grad values."""
+        """One bias-corrected update from current .grad values, which it clears."""
         grads = {}
         for name, p in self.params.items():
             if p.grad is None:
@@ -63,10 +63,7 @@ class Adam:
             v += (1.0 - ADAM_BETA2) * np.square(g)
             update = (self.lr / c1) * m / (np.sqrt(v / c2) + ADAM_EPS)
             p.values -= update.astype(p.values.dtype, copy=False)
-
-    def reset_grads(self) -> None:
-        for p in self.params.values():
-            p.reset_grad()
+            p.grad = None
 
     # -- persistence (training checkpoints) ----------------------------
 

@@ -123,6 +123,9 @@ class PlaneSpec:
     span_mm: tuple[float, float, float]
 
     def __post_init__(self):
+        if not np.all(np.isfinite([*self.origin_norm, *self.dir1_mm, *self.dir2_mm,
+                                   *self.extent_mm, self.t, *self.span_mm])):
+            raise ContractError("plane origin, directions, extent, t and span must be finite")
         d1 = np.asarray(self.dir1_mm, dtype=np.float64)
         d2 = np.asarray(self.dir2_mm, dtype=np.float64)
         if abs(d1 @ d1 - 1.0) > ORTHO_TOL or abs(d2 @ d2 - 1.0) > ORTHO_TOL:

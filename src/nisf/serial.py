@@ -109,6 +109,12 @@ def require(mapping: dict, keys, what: str) -> None:
             raise PayloadError(f"{what} missing {key!r}")
 
 
+def expect(value, kind: type, what: str) -> None:
+    """Raise ``PayloadError`` unless ``value`` is a ``kind``; a JSON boolean is no int."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise PayloadError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
+
+
 def config_from_dict(cls, d, what: str, **nested):
     """``cls(**d)`` for a stored dataclass config ``d``, checked first.
 

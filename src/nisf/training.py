@@ -26,8 +26,8 @@ from .errors import ContractError, NumericalError
 from .losses import LossReport, LossWeights, train_loss
 from .model import FieldModel, ModelConfig
 from .optim import Adam
-from .serial import (config_dict, config_from_dict, config_hash, read_blob, require,
-                     write_blob, write_text_atomic)
+from .serial import (config_dict, config_from_dict, config_hash, expect, read_blob,
+                     require, write_blob, write_text_atomic)
 from .volume import VolumeSample, make_batch
 
 CKPT_MAGIC = "NISF-CKPT"
@@ -98,8 +98,7 @@ class LatentTable:
         self.latent_dim = latent_dim
         rng = np.random.default_rng(np.random.SeedSequence([_STREAM_TABLE, seed]))
         rows = rng.normal(0.0, LATENT_PRIOR_SIGMA, size=(len(subject_ids), latent_dim))
-        self.rows = {sid: Tensor(rows[i].copy(), name=f"h[{sid}]")
-                     for i, sid in enumerate(subject_ids)}
+        self.rows = {sid: Tensor(rows[i].copy()) for i, sid in enumerate(subject_ids)}
         self.adams = {sid: Adam({"h": self.rows[sid]}, lr=lr) for sid in subject_ids}
 
     def __len__(self) -> int:
@@ -239,7 +238,6 @@ def train_prior(subjects: list[VolumeSample], config: TrainConfig,
                 with Tape(wrt=[*model.parameters(), h]) as tape:
                     terms = train_loss(model, h, batch.coords, batch.intensities,
                                        batch.labels, config.weights)
-                    report = terms.report()
                     tape.backward(terms.total)
             except NumericalError as exc:
                 raise NumericalError(
@@ -247,12 +245,10 @@ def train_prior(subjects: list[VolumeSample], config: TrainConfig,
                     f"subject {sid}, frame {t_index}): {exc}") from exc
             adam_model.step()
             table.adams[sid].step()
-            adam_model.reset_grads()
-            table.adams[sid].reset_grads()
             global_step += 1
             if config.log_every and global_step % config.log_every == 0:
                 row = LogRow(step=global_step, epoch=epoch, subject_id=sid,
-                             t_index=t_index, report=report,
+                             t_index=t_index, report=terms.report,
                              wall_time=time.monotonic() - t_start)
                 log.append(row)
                 if log_path is not None:
@@ -300,12 +296,17 @@ def load_checkpoint(path: str, config: TrainConfig | None = None,
         _, header, arrays = read_blob(f, CKPT_MAGIC, CKPT_VERSION)
     require(header, ("train_config", "config_hash", "subject_ids", "epoch_done",
                      "global_step", "adam_model_t"), "checkpoint header")
+    expect(header["subject_ids"], list, "checkpoint header 'subject_ids'")
+    for subject_id in header["subject_ids"]:
+        expect(subject_id, str, "checkpoint header 'subject_ids' entry")
+    for key in ("epoch_done", "global_step", "adam_model_t"):
+        expect(header[key], int, f"checkpoint header {key!r}")
     saved_config = TrainConfig.from_dict(header["train_config"])
     if config is not None and config.content_hash() != header["config_hash"]:
         raise ContractError("checkpoint was written under a different config; "
                             "resuming would not reproduce the original run")
     cfg = (config or saved_config)
-    ids = list(header["subject_ids"])
+    ids = header["subject_ids"]
     if expect_ids is not None and ids != list(expect_ids):
         raise ContractError("checkpoint subject ids do not match the dataset")
 
@@ -316,12 +317,12 @@ def load_checkpoint(path: str, config: TrainConfig | None = None,
     model = FieldModel(cfg.model, params)
     adam_model = Adam({n: model.params[n] for n in model.param_names()},
                       lr=cfg.lr_prior)
-    adam_model.load_state(int(header["adam_model_t"]),
+    adam_model.load_state(header["adam_model_t"],
                           {k[len("adam_model."):]: v for k, v in arrays.items()
                            if k.startswith("adam_model.")})
     table = LatentTable(ids, cfg.model.latent_dim, seed=cfg.seed, lr=cfg.lr_prior)
     table.load_state(arrays)
-    return model, table, adam_model, int(header["epoch_done"]), int(header["global_step"])
+    return model, table, adam_model, header["epoch_done"], header["global_step"]
 
 
 def latest_checkpoint(out_dir: str) -> str | None:

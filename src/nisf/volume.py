@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ContractError, DimensionError, PayloadError
-from .serial import read_blob, require, write_blob, write_json_atomic
+from .serial import expect, read_blob, require, write_blob, write_json_atomic
 
 VOLUME_MAGIC = "NISF-VOL"
 VOLUME_VERSION = 1
@@ -85,8 +85,9 @@ class VolumeSample:
         if self.mask is not None and self.mask.shape != self.intensity.shape:
             raise DimensionError(f"mask shape {self.mask.shape} != volume shape "
                                  f"{self.intensity.shape}")
-        if len(self.spacing) != 3 or any(s <= 0 for s in self.spacing):
-            raise ContractError(f"spacing must be 3 positive mm values, got {self.spacing}")
+        if len(self.spacing) != 3 or not all(np.isfinite(s) and s > 0 for s in self.spacing):
+            raise ContractError("spacing must be 3 finite positive mm values, "
+                                f"got {self.spacing}")
         if self.intensity.size:
             if not np.all(np.isfinite(self.intensity)):
                 raise ContractError("intensity contains non-finite values")
@@ -270,22 +271,17 @@ def load_dataset_manifest(dataset_dir: str) -> dict:
         raise ContractError(f"unsupported manifest format_version "
                             f"{manifest['format_version']}")
     require(manifest, ("subjects", "splits"), what)
-    _expect(manifest["subjects"], list, f"{what} 'subjects'")
+    expect(manifest["subjects"], list, f"{what} 'subjects'")
     require(manifest["splits"], SPLITS, f"{what} splits")
     for split in SPLITS:
-        _expect(manifest["splits"][split], list, f"{what} split {split!r}")
+        expect(manifest["splits"][split], list, f"{what} split {split!r}")
         for subject_id in manifest["splits"][split]:
-            _expect(subject_id, str, f"{what} split {split!r} entry")
+            expect(subject_id, str, f"{what} split {split!r} entry")
     for entry in manifest["subjects"]:
         require(entry, ("id", "path"), f"{what} subject entry")
         for key in ("id", "path"):
-            _expect(entry[key], str, f"{what} subject entry {key!r}")
+            expect(entry[key], str, f"{what} subject entry {key!r}")
     return manifest
-
-
-def _expect(value, kind: type, what: str) -> None:
-    if not isinstance(value, kind):
-        raise PayloadError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
 
 
 def manifest_subjects(manifest: dict, dataset_dir: str, split: str) -> list[tuple[str, str]]:

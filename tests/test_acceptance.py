@@ -105,7 +105,7 @@ def test_criterion_02_loss_identities():
     labels = rng.integers(0, 4, size=17)
     h = ad.Tensor(rng.normal(scale=0.1, size=TINY.latent_dim))
     weights = LossWeights()
-    report = train_loss(model, h, coords, intensities, labels, weights).report()
+    report = train_loss(model, h, coords, intensities, labels, weights).report
     rebuilt = (report.bce_seg + report.dice_seg + weights.alpha * report.bce_recon
                + weights.lambda_theta_phi * report.l2_params
                + weights.lambda_h * report.l2_latent)
@@ -113,9 +113,8 @@ def test_criterion_02_loss_identities():
 
     inf = inference_loss(model.intensity(coords, h), intensities, h, 1e-4).total.item()
     restricted_weights = LossWeights(alpha=1.0, lambda_theta_phi=0.0, lambda_h=1e-4)
-    terms = train_loss(model, h, coords, intensities, labels, restricted_weights)
-    restriction = (terms.bce_recon.item()
-                   + restricted_weights.lambda_h * terms.l2_latent.item())
+    restricted = train_loss(model, h, coords, intensities, labels, restricted_weights).report
+    restriction = restricted.bce_recon + restricted_weights.lambda_h * restricted.l2_latent
     d_restrict = abs(inf - restriction)
 
     ok = d_bce <= 1e-9 and d_dice <= 1e-6 and d_total <= 1e-9 and d_restrict <= 1e-12

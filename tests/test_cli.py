@@ -229,14 +229,24 @@ def test_sample_plane_writes_images(inferred, dataset, trained, tmp_path):
 
 def test_sample_plane_rejects_bad_direction(inferred, dataset, trained, tmp_path):
     _, ckpt = trained
-    res = run_cli("sample-plane", "--checkpoint", ckpt,
-                  "--volume", os.path.join(dataset, "s0003.nvol"),
-                  "--latent", os.path.join(inferred, "latent.nlat"),
-                  "--out", str(tmp_path / "bad"), "--origin", "0.5,0.5,0.5",
-                  "--dir1", "2,0,0", "--dir2", "0,1,0",
-                  "--extent", "14,14", "--counts", "4,4", "--quiet")
+    plane = {"--origin": "0.5,0.5,0.5", "--dir1": "1,0,0", "--dir2": "0,1,0",
+             "--extent": "14,14", "--counts": "4,4"}
+
+    def run(name, **flags):
+        argv = [a for flag, value in {**plane, **flags}.items() for a in (flag, value)]
+        return run_cli("sample-plane", "--checkpoint", ckpt,
+                       "--volume", os.path.join(dataset, "s0003.nvol"),
+                       "--latent", os.path.join(inferred, "latent.nlat"),
+                       "--out", str(tmp_path / name), *argv, "--quiet")
+
+    res = run("bad", **{"--dir1": "2,0,0"})
     assert res.returncode == 1
     assert "unit" in res.stderr
+    # NaN passes every comparison-based check; it must not reach the trunk
+    for flag, value in [("--dir1", "nan,0,0"), ("--origin", "nan,0.5,0.5"),
+                        ("--extent", "nan,60")]:
+        _exits_1_naming(run("nan", **{flag: value}), "must be finite")
+        assert not os.path.exists(tmp_path / "nan"), flag
 
 
 # runs the command line in this process, then prints its exit code and the
@@ -350,6 +360,13 @@ def test_malformed_envelopes_exit_1_naming_what_is_missing(inferred, dataset, tr
                 "--out", str(tmp_path / "plane"), *plane,
                 "--latent", _without(latent, tmp_path / "c.nlat", "NISF-LATENT", array="h")),
     }
+    # header keys of the wrong JSON type, each named
+    for key, value, kind in [("epoch_done", "x", "int"), ("subject_ids", 5, "list"),
+                             ("adam_model_t", None, "int")]:
+        bad = _rewritten(ckpt, tmp_path / f"{key}.nckpt", CKPT_MAGIC,
+                         lambda header, _: header.update({key: value}))
+        runs[f"'{key}' must be a {kind}"] = ("infer", "--volume", volume, "--checkpoint", bad,
+                                             "--out", str(tmp_path / f"fit_{key}"))
     for missing, argv in runs.items():
         res = run_cli(*argv)
         assert res.returncode == 1, (argv[0], res.stderr)
@@ -527,6 +544,10 @@ def test_malformed_option_values_exit_1(dataset, trained, tmp_path):
     assert res.returncode == 1
     assert "split counts must be >= 0" in res.stderr
     assert not os.path.exists(tmp_path / "s")
+    res = run_cli("gen-data", "--out", str(tmp_path / "n"), "--split", "1,0,0",
+                  "--grid", "8,8,2,2", "--spacing", "nan,2,10", "--quiet")
+    _exits_1_naming(res, "spacing must be 3 finite positive mm values")
+    assert not list((tmp_path / "n").glob("*.nvol"))
     res = run_cli("train-prior", "--dataset", dataset, "--out", str(tmp_path / "t"),
                   "--epochs", "x", "--quiet")
     assert res.returncode == 1
@@ -622,19 +643,25 @@ def test_negative_checkpoint_cadence_exits_1(dataset, tmp_path):
 
 
 @pytest.mark.parametrize("command,key,value", [("train-prior", "epochs", 2.7),
-                                               ("gen-data", "grid", [8.5, 8, 2, 2])])
-def test_non_integral_config_number_exits_1_naming_it(command, key, value, dataset,
+                                               ("gen-data", "grid", [8.5, 8, 2, 2]),
+                                               ("train-prior", "epochs", True),
+                                               ("infer", "lr", True),
+                                               ("gen-data", "spacing", [2, 2, True])])
+def test_non_integral_config_number_exits_1_naming_it(command, key, value, dataset, trained,
                                                       tmp_path):
-    """{"epochs": 2.7} must not silently train 2 epochs."""
+    """{"epochs": 2.7} must not silently train 2 epochs, nor {"epochs": true} 1."""
     cfg = tmp_path / "frac.json"
     cfg.write_text(json.dumps({**TINY, key: value} if command == "train-prior"
                               else {key: value}))
     out = str(tmp_path / "out")
-    required = ["--dataset", dataset] if command == "train-prior" else []
+    required = {"gen-data": [],
+                "train-prior": ["--dataset", dataset],
+                "infer": ["--checkpoint", trained[1],
+                          "--volume", os.path.join(dataset, "s0003.nvol")]}[command]
     res = run_cli(command, *required, "--out", out, "--config", str(cfg), "--quiet")
     assert res.returncode == 1
     assert f"config key '{key}'" in res.stderr
-    assert ("8.5" if command == "gen-data" else "2.7") in res.stderr
+    assert json.dumps(value) in res.stderr
     assert not os.path.exists(out)
 
 

@@ -4,6 +4,7 @@ every stage's outcome on a desk-small one."""
 import hashlib
 import json
 import os
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -409,6 +410,30 @@ def test_cached_overfit_recomputes_record_from_other_code(tmp_path, monkeypatch,
     assert json.loads(path.read_text()) == fresh
     assert cached_overfit(cfg, cache_root=str(tmp_path)) == fresh
     assert calls == [cfg]
+
+
+def test_code_fingerprint_ignores_comments_and_docstrings(tmp_path, monkeypatch):
+    # fingerprints a copy of the package, edited three ways
+    import nisf.experiments as exp
+    pkg = tmp_path / "nisf"
+    shutil.copytree(os.path.dirname(exp.__file__), pkg,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.setattr(exp, "__file__", str(pkg / "experiments.py"))
+    base = exp.code_fingerprint()
+    assert base == exp.code_fingerprint()
+    losses = pkg / "losses.py"
+    source = losses.read_text()
+
+    def fingerprint_after(old, new):
+        assert source.count(old) == 1
+        losses.write_text(source.replace(old, new))
+        return exp.code_fingerprint()
+
+    assert fingerprint_after("DICE_EPS = 1e-6", "# a comment\n\nDICE_EPS = 1e-6  # eps") == base
+    assert fingerprint_after('"""Training and inference objectives.',
+                             '"""The objectives of training and inference.') == base
+    assert fingerprint_after('"""Reconstruction-only objective', '"""Only reconstruction') == base
+    assert fingerprint_after("DICE_EPS = 1e-6", "DICE_EPS = 2e-6") != base
 
 
 def test_desk_prior_log_starts_fresh_unless_resuming(tmp_path):

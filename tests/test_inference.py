@@ -71,7 +71,7 @@ def test_infer_weights_drop_training_terms(monkeypatch):
     infer_latent(FieldModel.init(TINY, seed=0), coords, inten,
                  InferConfig(steps_to_run=1, lambda_h=3e-4, seed=2))
     ((lambda_h, terms),) = seen
-    report = terms.report()
+    report = terms.report
     assert lambda_h == 3e-4
     assert (report.bce_seg, report.dice_seg, report.l2_params) == (0.0, 0.0, 0.0)
     # the step's arithmetic is float32, so the identity holds in float32

@@ -116,7 +116,7 @@ def test_training_loss_zero_head_closed_form():
     latent = Tensor(np.array([0.2, -0.1, 0.05]))
     w = LossWeights()
     terms = training_loss(probs, intensity, labels, targets, params, latent, w)
-    rep = terms.report()
+    rep = terms.report
 
     assert abs(rep.bce_seg - UNIFORM_SEG_BCE) <= 1e-9
     assert abs(rep.dice_seg - UNIFORM_DICE) <= 1e-9
@@ -140,7 +140,7 @@ def test_total_reconstructs_from_components():
     params = [Tensor(rng.normal(size=(3, 3)))]
     latent = Tensor(rng.normal(scale=0.1, size=8))
     w = LossWeights()
-    rep = training_loss(probs, intensity, labels, targets, params, latent, w).report()
+    rep = training_loss(probs, intensity, labels, targets, params, latent, w).report
     recombined = (rep.bce_seg + rep.dice_seg + w.alpha * rep.bce_recon
                   + w.lambda_theta_phi * rep.l2_params + w.lambda_h * rep.l2_latent)
     assert abs(rep.total - recombined) <= 1e-9
@@ -159,12 +159,11 @@ def test_inference_objective_is_restriction_of_training_objective():
     w = LossWeights(alpha=1.0, lambda_theta_phi=0.0, lambda_h=1e-4)
     params = [Tensor(np.zeros(1))]
 
-    train_rep = training_loss(probs, intensity, labels, targets, params, latent, w).report()
+    train_rep = training_loss(probs, intensity, labels, targets, params, latent, w).report
     infer_terms = inference_loss(intensity, targets, latent, w.lambda_h)
     restricted = train_rep.total - train_rep.bce_seg - train_rep.dice_seg
     assert abs(infer_terms.total.item() - restricted) <= 1e-12
-    assert infer_terms.bce_seg is None and infer_terms.dice_seg is None
-    assert infer_terms.report().bce_seg == 0.0  # absent terms log as zero
+    assert infer_terms.report.bce_seg == 0.0  # absent terms log as zero
 
 
 def test_loss_gradients_flow_to_latent_only_at_inference():
@@ -208,7 +207,7 @@ def test_report_csv_row_round_trips_float_repr():
     intensity = ad.sigmoid(Tensor(rng.normal(size=(4, 1))))
     rep = training_loss(probs, intensity, np.array([0, 1, 2, 3]),
                         rng.uniform(0.1, 0.9, 4), [Tensor(np.ones(2))],
-                        Tensor(np.ones(3)), LossWeights()).report()
+                        Tensor(np.ones(3)), LossWeights()).report
     cells = rep.csv_row()
     assert len(cells) == len(rep.csv_fields())
     assert float(cells[0]) == rep.total  # repr round-trip is exact

@@ -9,7 +9,7 @@ from nisf.optim import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ADAM_LR, Adam
 
 
 def make_param(values):
-    return Tensor(np.asarray(values, dtype=np.float64), name="p")
+    return Tensor(np.asarray(values, dtype=np.float64))
 
 
 def test_defaults_match_documented_constants():
@@ -51,7 +51,6 @@ def test_update_is_invariant_to_gradient_scale():
 def test_missing_gradient_raises_with_parameter_name():
     p = make_param([1.0])
     q = make_param([2.0])
-    q.name = "q"
     p.grad = np.ones(1)
     with pytest.raises(ContractError, match="q"):
         Adam({"p": p, "q": q}, lr=0.1).step()
@@ -64,12 +63,15 @@ def test_non_finite_gradient_raises_numerical_error():
         Adam({"p": p}, lr=0.1).step()
 
 
-def test_reset_grads_clears_all():
+def test_step_clears_the_gradients_it_used():
+    # a second step without a new backward must not reuse the old gradients
     p, q = make_param([1.0]), make_param([2.0])
     p.grad, q.grad = np.ones(1), np.ones(1)
     opt = Adam({"p": p, "q": q}, lr=0.1)
-    opt.reset_grads()
+    opt.step()
     assert p.grad is None and q.grad is None
+    with pytest.raises(ContractError, match="has no gradient"):
+        opt.step()
 
 
 def test_state_round_trip_reproduces_next_step():
@@ -104,7 +106,7 @@ def test_load_state_validates_shapes():
 
 
 def test_moments_stay_float64_for_float32_params():
-    p = Tensor(np.zeros(3, dtype=np.float32), name="p")
+    p = Tensor(np.zeros(3, dtype=np.float32))
     p.grad = np.ones(3, dtype=np.float32)
     opt = Adam({"p": p}, lr=1e-3)
     opt.step()

@@ -107,6 +107,9 @@ def test_plane_spec_contracts():
         _plane(counts=(0, 2))
     with pytest.raises(ContractError):
         _plane(span_mm=(-1.0, 40.0, 20.0))
+    for bad in ({"t": float("nan")}, {"span_mm": (40.0, 40.0, float("nan"))}):
+        with pytest.raises(ContractError, match="finite"):
+            _plane(**bad)
 
 
 def test_plane_pixel_positions_hand_oracle():

@@ -178,8 +178,6 @@ def test_one_training_step_updates_only_the_sampled_row():
         tape.backward(terms.total)
     adam_model.step()
     table.adams["s1"].step()
-    adam_model.reset_grads()
-    table.adams["s1"].reset_grads()
 
     after = table.matrix()
     assert not np.array_equal(model.params["w_in"].values, params_before)
