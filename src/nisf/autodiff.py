@@ -6,13 +6,15 @@ Design notes:
   implemented here. New tensors are float64 (finite differences are
   unreliable in float32); a float32 array passed in is kept as is, and
   every op keeps float32 operands float32 end to end (python scalars do
-  not promote them). Latent fits run their steps and reconstruction
-  records this way (see ``inference.infer_latent``); training, every other
-  decode and gradcheck stay float64.
-* The op set is what the model and the losses run, and nothing else:
-  layers ``linear`` and ``gabor_trunk``; elementwise ``add``, ``sub``,
-  ``mul``, ``div``, ``sigmoid``, ``log`` and ``softmax``; reductions
-  ``reduce_sum``, ``reduce_mean`` and ``sum_squares``.
+  not promote them). ``astype`` makes a float32 working copy that passes
+  its gradient back to the float64 original. Latent fits run their steps
+  and reconstruction records this way (see ``inference.infer_latent``);
+  training, every other decode and gradcheck stay float64.
+* The op set is what the model, the losses and the latent fit run, and
+  nothing else: layers ``linear`` and ``gabor_trunk``; elementwise
+  ``astype``, ``add``, ``sub``, ``mul``, ``div``, ``sigmoid``, ``log``
+  and ``softmax``; reductions ``reduce_sum``, ``reduce_mean`` and
+  ``sum_squares``.
 * Broadcasting is deliberately restricted to scalar-with-tensor and
   equal-shape operands so every backward rule stays auditable. The only
   row-broadcasts are fused into layers: ``linear`` adds a row-vector
@@ -155,7 +157,9 @@ class Tape:
     so inputs of any op were recorded before the op itself; ``backward``
     walks the record in reverse. Each entry is the output's gradient slot
     and its rule. Repeated ``backward`` calls accumulate into the ``wrt``
-    leaves' gradients (an ``Adam.step`` over them clears them). A tape is
+    leaves' gradients (an ``Adam.step`` over them clears them). A fit
+    builds its tapes through ``optim.fit_step``, over its optimizers'
+    tensors. A tape is
     confined to one logical training context; it is not safe to share a
     recording tape between threads.
     """
@@ -559,6 +563,25 @@ def gabor_trunk(coords: Tensor, h: Tensor, w_in: Tensor, b_in: Tensor,
 
 # ---------------------------------------------------------------------------
 # elementwise ops
+
+
+def astype(x: Tensor, dtype) -> Tensor:
+    """``x`` at ``dtype``: ``x`` itself if it has that dtype, else a copy.
+
+    The copy records like any op, and its rule adds the gradient it
+    gathered (at ``dtype``) into ``x``'s at ``x``'s dtype: a float32
+    working copy of a float64 tensor passes its float32 gradient, widened,
+    to the float64 tensor.
+    """
+    if x.dtype == dtype:
+        return x
+    vals = x.values.astype(dtype)
+    sx = _grad_slot(x)
+
+    def rule(g: np.ndarray) -> None:
+        _accumulate(sx, g)
+
+    return _make_output(vals, "astype", (sx,), rule)
 
 
 def add(a, b) -> Tensor:

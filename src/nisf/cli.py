@@ -198,7 +198,7 @@ def _write_manifest(out_dir: str, command: str, resolved: dict) -> None:
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
     from .phantom import (DEFAULT_GRID_SHAPE, DEFAULT_SPACING, GENERATOR_VERSION,
-                          generate_dataset)
+                          check_grid, generate_dataset)
     from .volume import save_volume, write_dataset_manifest
 
     config = _load_config_file(args.config, _GEN_DATA)
@@ -206,6 +206,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
             **_options(args, config, _GEN_DATA)}
     if min(opts["split"]) < 0:
         return _fail(f"split counts must be >= 0, got {opts['split']}")
+    check_grid(opts["grid"], opts["spacing"])
 
     out_dir = args.out
     if os.path.exists(out_dir) and os.listdir(out_dir) and not args.force:

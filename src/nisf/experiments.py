@@ -37,7 +37,7 @@ from .inference import (InferConfig, analysis_points, evaluate_points, full_obse
 from .losses import LossWeights, train_loss
 from .metrics import DiceReport, aggregate, dice_report, reconstruction_mae
 from .model import FieldModel, ModelConfig
-from .optim import Adam
+from .optim import Adam, fit_step
 from .phantom import (DEFAULT_GRID_SHAPE, DEFAULT_SPACING, PhantomSpec, generate_dataset,
                       generate_subject)
 from .sampling import (GridSpec, PlaneSpec, nearest_neighbor_resample, sample_grid,
@@ -499,11 +499,9 @@ def run_overfit(cfg: OverfitConfig = OverfitConfig()) -> OverfitResult:
 
     losses = []
     for _ in range(cfg.steps):
-        with ad.Tape(wrt=opt.params.values()) as tape:
-            terms = train_loss(model, h, coords, intensities, labels, weights)
-            tape.backward(terms.total)
-        opt.step()
-        losses.append(terms.report.total)
+        report = fit_step([opt], lambda: train_loss(model, h, coords, intensities, labels,
+                                                    weights))
+        losses.append(report.total)
 
     spec = GridSpec.matching_volume(vol, t_index=0)
     sampled = sample_grid(model, h, spec)

@@ -221,6 +221,15 @@ def run_op_checks(seed: int = 0) -> GradCheckReport:
     ]
     for name, build, params in cases:
         report.results.append(check_scalar_fn(name, build, params))
+    # astype rounds to float32 and back. Its input lies on a 2**-6 grid and
+    # the difference step is 2**-10, so every perturbed input is a float32
+    # value and the contraction, of one sign, is linear: the estimate is
+    # exact to float64 roundoff, and the tape's gradient is the float32
+    # rounding of the weights.
+    report.results.append(check_scalar_fn(
+        "astype", lambda p: contract(ad.astype(ad.astype(p[0], np.float32), np.float64),
+                                     0.5 + np.abs(w)),
+        [np.round(64.0 * a) / 64.0], step=2.0 ** -10))
     return report
 
 

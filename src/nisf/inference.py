@@ -27,11 +27,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor
+from .autodiff import Tensor
 from .errors import ContractError, NumericalError
 from .losses import bce, inference_loss
 from .model import FieldModel
-from .optim import Adam
+from .optim import Adam, fit_step
 from .volume import VolumeSample, make_batch
 
 INFER_INIT_SIGMA = 0.01  # h starts from N(0, 1e-4)
@@ -160,13 +160,14 @@ def infer_latent(model: FieldModel, coords: np.ndarray, intensities: np.ndarray,
 
     ``h`` is a float64 master latent, and Adam updates it with float64
     moments. Each step's taped forward and backward run in float32: on a
-    float32 copy of the model's parameters and of the observations, made
-    once per fit, and on ``h`` cast to float32. The step's float32 latent
-    gradient is stored as ``h.grad``; Adam reads it into its float64
-    moments. On the default model (8192-row steps, a 2-vCPU AVX-512 Xeon,
-    OpenBLAS 0.3.31 on 2 threads) a step took 138-147 ms against 287-310 ms
-    in float64, and its gradient differed from the float64 one by 1.3e-6
-    relative.
+    float32 copy of the model (``FieldModel.astype``) and of the
+    observations, made once per fit, and on ``ad.astype(h, np.float32)``,
+    which the step's tape records. The float32 latent gradient reaches
+    ``h`` through that cast, widened to float64 with the same values, and
+    Adam reads it into its float64 moments. On the default model
+    (8192-row steps, a 2-vCPU AVX-512 Xeon, OpenBLAS 0.3.31 on 2
+    threads) a step took 138-147 ms against 287-310 ms in float64, and
+    its gradient differed from the float64 one by 1.3e-6 relative.
 
     Each reconstruction record decodes ``h`` cast to float32 through the
     same float32 copies, and takes the BCE of those intensities cast to
@@ -189,8 +190,7 @@ def infer_latent(model: FieldModel, coords: np.ndarray, intensities: np.ndarray,
 
     checksum_before = model.checksum()
     # the float32 operands of the steps and records, made once per fit
-    model32 = FieldModel(model.config, {name: Tensor(p.values.astype(np.float32))
-                                        for name, p in model.params.items()})
+    model32 = model.astype(np.float32)
     coords32, intensities32 = coords.astype(np.float32), intensities.astype(np.float32)
     rng = np.random.default_rng(np.random.SeedSequence([_STREAM_INIT, config.seed]))
     h = Tensor(rng.normal(0.0, INFER_INIT_SIGMA, size=model.config.latent_dim))
@@ -215,13 +215,13 @@ def infer_latent(model: FieldModel, coords: np.ndarray, intensities: np.ndarray,
             step_coords, step_targets = coords32[idx], intensities32[idx]
         else:
             step_coords, step_targets = coords32, intensities32
-        h32 = Tensor(h.values.astype(np.float32))
-        with Tape(wrt=[h32]) as tape:
-            terms = inference_loss(model32.intensity(step_coords, h32), step_targets, h32,
-                                   config.lambda_h)
-            tape.backward(terms.total)
-        h.grad = h32.grad
-        adam.step()
+
+        def objective():
+            h32 = ad.astype(h, np.float32)
+            return inference_loss(model32.intensity(step_coords, h32), step_targets, h32,
+                                  config.lambda_h)
+
+        fit_step([adam], objective)
         if step % config.record_cadence == 0 or step == steps_to_run:
             record(step)
 

@@ -153,6 +153,12 @@ class FieldModel:
     def num_params(self) -> int:
         return sum(p.size for p in self.parameters())
 
+    def astype(self, dtype) -> "FieldModel":
+        """The model with every parameter ``ad.astype(p, dtype)``: a working
+        copy at ``dtype`` (this model's own tensors where they have it)."""
+        return FieldModel(self.config, {name: ad.astype(p, dtype)
+                                        for name, p in self.params.items()})
+
     def checksum(self) -> str:
         """SHA-256 over canonical little-endian parameter bytes."""
         h = hashlib.sha256()

@@ -1,18 +1,22 @@
-"""Adam optimizer.
+"""Adam, and the one fit step that drives it.
 
-The same optimizer drives prior training (model parameters plus the
-sampled subject's latent row) and inference (one fresh latent only); the
-tensors it is built over are the ones the step's ``Tape(wrt=...)`` names.
-Bias-corrected update, in-place on parameter values; a step clears each
+``fit_step`` is how every fit differentiates and steps: prior training
+(model parameters plus the sampled subject's latent row), the
+single-subject overfit and inference (one fresh latent only). Its tape
+names exactly the tensors of the optimizers it steps. Adam's update is
+bias-corrected and in place on parameter values; a step clears each
 ``.grad`` it used, so the next step needs a new backward.
 """
 
 from __future__ import annotations
 
+from typing import Callable, Sequence
+
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tape, Tensor
 from .errors import ContractError, NumericalError
+from .losses import LossReport, LossTerms
 
 ADAM_LR = 1e-4
 ADAM_BETA1 = 0.9
@@ -88,3 +92,19 @@ class Adam:
                                         f"!= parameter shape {p.shape}")
                 dest[name] = arr.copy()
         self.t = int(t)
+
+
+def fit_step(optimizers: Sequence[Adam], objective: Callable[[], LossTerms]) -> LossReport:
+    """One step of a fit: differentiate ``objective()`` and step every optimizer.
+
+    The tape differentiates exactly the optimizers' tensors; ``objective``
+    runs on it and returns its terms, whose ``total`` is differentiated.
+    The optimizers then step in order, and the step returns the terms'
+    report.
+    """
+    with Tape(wrt=[p for opt in optimizers for p in opt.params.values()]) as tape:
+        terms = objective()
+        tape.backward(terms.total)
+    for opt in optimizers:
+        opt.step()
+    return terms.report

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ContractError
 from .serial import config_dict, config_from_dict
-from .volume import SPLITS, VolumeSample, normalize_index
+from .volume import SPLITS, VolumeSample, check_spacing, normalize_index
 
 GENERATOR_VERSION = 1
 
@@ -53,6 +53,7 @@ class PhantomSpec:
         for f in fields(self):  # a JSON description (``to_dict``) holds lists
             if isinstance(getattr(self, f.name), list):
                 object.__setattr__(self, f.name, tuple(getattr(self, f.name)))
+        check_grid(self.grid_shape, self.spacing)
         if self.wall_thickness <= 0:
             raise ContractError("wall_thickness must be positive")
         if not 0.0 <= self.contraction_amp < 1.0:
@@ -61,8 +62,6 @@ class PhantomSpec:
             raise ContractError("motion factors must lie in [0,1]")
         if any(not 0.0 <= m <= 1.0 for m in self.tissue_means):
             raise ContractError("tissue means must lie in [0,1]")
-        if self.grid_shape[0] < 2 or self.grid_shape[1] < 2:
-            raise ContractError("in-plane extents must be >= 2")
         if any(r <= 0 for r in self.lv_endo_radii + self.rv_radii):
             raise ContractError("radii must be positive")
 
@@ -113,6 +112,19 @@ class PhantomSpec:
         labels[inside(self.lv_center, self.lv_epi_radii, s_epi)] = LV_MYO
         labels[inside(self.lv_center, self.lv_endo_radii, s_endo)] = LV_POOL
         return labels
+
+
+def check_grid(grid_shape, spacing) -> None:
+    """Raise ``ContractError`` unless the generator can draw on this grid.
+
+    Geometry is drawn as fractions of each spatial extent, so X, Y and Z
+    need at least 2 voxels; T needs at least 1 frame, and the spacing is
+    checked as ``VolumeSample`` checks it.
+    """
+    if len(grid_shape) != 4 or min(grid_shape[:3]) < 2 or grid_shape[3] < 1:
+        raise ContractError(f"grid must be X,Y,Z >= 2 and T >= 1 voxel counts, "
+                            f"got {tuple(grid_shape)}")
+    check_spacing(spacing)
 
 
 def _uniform(rng, lo, hi):

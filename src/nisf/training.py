@@ -21,11 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tape, Tensor
+from .autodiff import Tensor
 from .errors import ContractError, NumericalError
 from .losses import LossReport, LossWeights, train_loss
 from .model import FieldModel, ModelConfig
-from .optim import Adam
+from .optim import Adam, fit_step
 from .serial import (config_dict, config_from_dict, config_hash, expect, read_blob,
                      require, write_blob, write_text_atomic)
 from .volume import VolumeSample, make_batch
@@ -198,6 +198,11 @@ def train_prior(subjects: list[VolumeSample], config: TrainConfig,
     and refuses a mismatch). With ``out_dir``, checkpoints go there and
     log rows are appended to its ``train_log.csv`` as they are produced;
     a resumed run's ``wall_time`` goes on from the rows it keeps.
+
+    Each step is one ``optim.fit_step`` over the model's Adam and the
+    visited row's. A ``NumericalError`` inside it, a non-finite loss or
+    an Adam's non-finite gradient, is raised again with the step, epoch,
+    subject and frame in its message.
     """
     if not subjects:
         raise ContractError("train_prior needs at least one subject")
@@ -235,20 +240,16 @@ def train_prior(subjects: list[VolumeSample], config: TrainConfig,
             batch = make_batch(subject, t_index)
             h = table.row(sid)
             try:
-                with Tape(wrt=[*model.parameters(), h]) as tape:
-                    terms = train_loss(model, h, batch.coords, batch.intensities,
-                                       batch.labels, config.weights)
-                    tape.backward(terms.total)
+                report = fit_step([adam_model, table.adams[sid]], lambda: train_loss(
+                    model, h, batch.coords, batch.intensities, batch.labels, config.weights))
             except NumericalError as exc:
                 raise NumericalError(
-                    f"non-finite loss at step {global_step} (epoch {epoch}, "
+                    f"non-finite value at step {global_step} (epoch {epoch}, "
                     f"subject {sid}, frame {t_index}): {exc}") from exc
-            adam_model.step()
-            table.adams[sid].step()
             global_step += 1
             if config.log_every and global_step % config.log_every == 0:
                 row = LogRow(step=global_step, epoch=epoch, subject_id=sid,
-                             t_index=t_index, report=terms.report,
+                             t_index=t_index, report=report,
                              wall_time=time.monotonic() - t_start)
                 log.append(row)
                 if log_path is not None:

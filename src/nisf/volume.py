@@ -65,6 +65,12 @@ def linear_axis(lo: float, hi: float, count: int) -> np.ndarray:
     return lo + (hi - lo) * (i / (count - 1))
 
 
+def check_spacing(spacing) -> None:
+    """Raise ``ContractError`` unless ``spacing`` is 3 finite positive mm values."""
+    if len(spacing) != 3 or not all(np.isfinite(s) and s > 0 for s in spacing):
+        raise ContractError(f"spacing must be 3 finite positive mm values, got {spacing}")
+
+
 @dataclass
 class VolumeSample:
     """One subject's gridded observations plus physical metadata."""
@@ -79,22 +85,21 @@ class VolumeSample:
     def __post_init__(self):
         if self.intensity.ndim != 4:
             raise DimensionError(f"intensity must be 4-D (x,y,z,t), got {self.intensity.shape}")
+        if 0 in self.intensity.shape:
+            raise ContractError(f"volume extents must be >= 1, got {self.intensity.shape}")
         if self.labels.shape != self.intensity.shape:
             raise DimensionError(f"labels shape {self.labels.shape} != intensity "
                                  f"shape {self.intensity.shape}")
         if self.mask is not None and self.mask.shape != self.intensity.shape:
             raise DimensionError(f"mask shape {self.mask.shape} != volume shape "
                                  f"{self.intensity.shape}")
-        if len(self.spacing) != 3 or not all(np.isfinite(s) and s > 0 for s in self.spacing):
-            raise ContractError("spacing must be 3 finite positive mm values, "
-                                f"got {self.spacing}")
-        if self.intensity.size:
-            if not np.all(np.isfinite(self.intensity)):
-                raise ContractError("intensity contains non-finite values")
-            lo, hi = float(self.intensity.min()), float(self.intensity.max())
-            if lo < 0.0 or hi > 1.0:
-                raise ContractError(f"intensity outside [0,1]: min={lo}, max={hi}")
-        if self.labels.size and int(self.labels.max()) >= NUM_CLASSES:
+        check_spacing(self.spacing)
+        if not np.all(np.isfinite(self.intensity)):
+            raise ContractError("intensity contains non-finite values")
+        lo, hi = float(self.intensity.min()), float(self.intensity.max())
+        if lo < 0.0 or hi > 1.0:
+            raise ContractError(f"intensity outside [0,1]: min={lo}, max={hi}")
+        if int(self.labels.max()) >= NUM_CLASSES:
             raise ContractError(f"label id {int(self.labels.max())} >= {NUM_CLASSES}")
 
     @property

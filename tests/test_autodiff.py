@@ -157,6 +157,48 @@ def test_finite_check_catches_nan_result():
             ad.mul(x, 10.0)  # overflows to inf
 
 
+def test_astype_at_the_same_dtype_is_the_tensor_itself():
+    x = ad.Tensor(np.array([1.0, -2.0]))
+    with ad.Tape(wrt=[x]) as tape:
+        assert ad.astype(x, np.float64) is x
+    assert len(tape) == 0
+
+
+def test_astype_gathers_at_its_dtype_and_widens_into_the_original():
+    rng = np.random.default_rng(4)
+    x64 = ad.Tensor(rng.normal(size=5))
+    w1, w2 = rng.normal(size=5).astype(np.float32), rng.normal(size=5).astype(np.float32)
+    with ad.Tape(wrt=[x64]) as tape:
+        x32 = ad.astype(x64, np.float32)
+        assert x32.dtype == np.float32 and np.array_equal(x32.values,
+                                                          x64.values.astype(np.float32))
+        # two readers of one cast: their gradients gather in its float32 slot
+        tape.backward(ad.add(ad.reduce_sum(ad.mul(x32, ad.Tensor(w1))),
+                             ad.reduce_sum(ad.mul(x32, ad.Tensor(w2)))))
+    gathered = w1 + w2  # added in float32
+    assert gathered.dtype == np.float32
+    assert x64.grad.dtype == np.float64
+    assert np.array_equal(x64.grad, gathered.astype(np.float64))
+    assert x32.grad is None
+
+
+def test_astype_outside_a_tape_is_a_plain_copy():
+    x = ad.Tensor(np.array([0.1, 2.5]))
+    y = ad.astype(x, np.float32)
+    assert y.dtype == np.float32 and y._slot is None
+    assert np.array_equal(y.values, np.array([0.1, 2.5], dtype=np.float32))
+    y.values[0] = 7.0
+    assert x.values[0] == 0.1
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_astype_out_of_float32_range_raises():
+    x = ad.Tensor(np.array([1.0, 1e300]))
+    with pytest.raises(NumericalError, match="astype"):
+        with ad.Tape(wrt=[x]):
+            ad.astype(x, np.float32)
+
+
 def test_batched_forward_is_bitwise_equal_to_singletons():
     # BLAS kernels must not make row results depend on batch size
     rng = np.random.default_rng(3)

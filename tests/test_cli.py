@@ -359,6 +359,12 @@ def test_malformed_envelopes_exit_1_naming_what_is_missing(inferred, dataset, tr
         "'h'": ("sample-plane", "--checkpoint", ckpt, "--volume", volume,
                 "--out", str(tmp_path / "plane"), *plane,
                 "--latent", _without(latent, tmp_path / "c.nlat", "NISF-LATENT", array="h")),
+        # a volume of zero frames
+        "volume extents must be >= 1": (
+            "infer", "--checkpoint", ckpt, "--out", str(tmp_path / "fit0"), "--volume",
+            _rewritten(volume, tmp_path / "d.nvol", VOLUME_MAGIC, lambda header, arrays: (
+                header.update(shape=[*header["shape"][:3], 0]),
+                arrays.update({k: v[..., :0] for k, v in arrays.items()})))),
     }
     # header keys of the wrong JSON type, each named
     for key, value, kind in [("epoch_done", "x", "int"), ("subject_ids", 5, "list"),
@@ -544,10 +550,17 @@ def test_malformed_option_values_exit_1(dataset, trained, tmp_path):
     assert res.returncode == 1
     assert "split counts must be >= 0" in res.stderr
     assert not os.path.exists(tmp_path / "s")
-    res = run_cli("gen-data", "--out", str(tmp_path / "n"), "--split", "1,0,0",
-                  "--grid", "8,8,2,2", "--spacing", "nan,2,10", "--quiet")
-    _exits_1_naming(res, "spacing must be 3 finite positive mm values")
-    assert not list((tmp_path / "n").glob("*.nvol"))
+    # grid counts and spacings are checked before any output is written
+    named = {"--grid": "grid must be X,Y,Z >= 2 and T >= 1 voxel counts",
+             "--spacing": "spacing must be 3 finite positive mm values"}
+    for name, flag, value in [("n", "--spacing", "nan,2,10"), ("s0", "--spacing", "0,2,10"),
+                              ("t0", "--grid", "8,8,2,0"), ("t-1", "--grid", "8,8,2,-1"),
+                              ("x1", "--grid", "1,8,2,2"), ("z0", "--grid", "8,8,0,2"),
+                              ("z1", "--grid", "8,8,1,2")]:
+        res = run_cli("gen-data", "--out", str(tmp_path / name), "--split", "1,0,0",
+                      flag, value, "--quiet")
+        _exits_1_naming(res, named[flag])
+        assert not os.path.exists(tmp_path / name), (flag, value)
     res = run_cli("train-prior", "--dataset", dataset, "--out", str(tmp_path / "t"),
                   "--epochs", "x", "--quiet")
     assert res.returncode == 1

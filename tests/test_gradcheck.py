@@ -89,10 +89,10 @@ def test_every_op_matches_finite_differences():
 
 def test_every_tape_op_has_an_fd_case():
     # each op name recorded by autodiff needs a case named after it ("sum_all" for "sum")
-    # and autodiff records exactly the ops the model and the losses run
+    # and autodiff records exactly the ops the model, the losses and the latent fit run
     ops = set(re.findall(r'_make_output\(\w+, "(\w+)"', Path(ad.__file__).read_text()))
-    assert ops == {"linear", "gabor_trunk", "add", "sub", "mul", "div", "sigmoid", "log",
-                   "softmax", "sum", "mean", "sum_squares"}
+    assert ops == {"linear", "gabor_trunk", "astype", "add", "sub", "mul", "div", "sigmoid",
+                   "log", "softmax", "sum", "mean", "sum_squares"}
     cases = [r.name for r in run_op_checks(seed=0).results]
     missing = [op for op in sorted(ops)
                if not any(c == op or c.startswith(op + "_") for c in cases)]

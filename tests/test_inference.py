@@ -250,11 +250,6 @@ def test_infer_latent_differentiates_only_its_latent():
     assert all(p.grad is not None for p in model.parameters())
 
 
-def _float32_copy(model):
-    return FieldModel(model.config, {name: Tensor(p.values.astype(np.float32))
-                                     for name, p in model.params.items()})
-
-
 def test_float32_step_gradient_matches_float64(monkeypatch):
     # one step over 8192 rows of the default-width model: its latent gradient
     # is the float32 one, and agrees with the float64 gradient of the same
@@ -276,8 +271,9 @@ def test_float32_step_gradient_matches_float64(monkeypatch):
     inten = rng.uniform(0.05, 0.95, size=(8192, 1))
     infer_latent(model, coords, inten, InferConfig(steps_to_run=1, seed=6))
     ((h0, grad),) = seen
-    assert grad.dtype == np.float32
-    model32 = _float32_copy(model)
+    # float32 values, widened to float64 through the latent's astype
+    assert grad.dtype == np.float64 and np.array_equal(grad.astype(np.float32), grad)
+    model32 = model.astype(np.float32)
     h32 = Tensor(h0.astype(np.float32))
     with Tape(wrt=[h32]) as tape:
         tape.backward(inference_loss(model32.intensity(coords.astype(np.float32), h32),
@@ -298,7 +294,7 @@ def test_infer_latent_records_decode_through_the_float32_copy():
     coords, inten = full_observations(vol)
     h, trace = infer_latent(model, coords, inten,
                             InferConfig(steps_to_run=20, lr_infer=1e-2, seed=5))
-    _, _, decoded32 = evaluate_points(_float32_copy(model), h, coords)
+    _, _, decoded32 = evaluate_points(model.astype(np.float32), h, coords)
     assert decoded32.dtype == np.float32
     recon32 = bce(Tensor(decoded32.astype(np.float64)), inten[:, 0]).item()
     assert trace.recon_loss[-1] == recon32

@@ -1,5 +1,6 @@
 """The library holds only what the program runs: every definition has a
-caller, and the README's layout names every module."""
+caller, the README's layout names every module, and every fit
+differentiates and steps through ``optim.fit_step``."""
 
 import ast
 import re
@@ -88,3 +89,38 @@ def test_readme_layout_names_every_module():
     named = set(re.findall(r"^  (\w+\.py) ", layout, flags=re.MULTILINE))
     modules = {p.name for p in LIBRARY.glob("*.py")} - {"__init__.py", "__main__.py"}
     assert named == modules
+
+
+def differentiating_sites(library=LIBRARY):
+    """(module, function) of every ``Tape`` built with tensors, and the
+    modules that assign a ``.grad``."""
+    tapes, grads = set(), set()
+    for path in sorted(library.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                tapes.update((path.name, func.name) for node in ast.walk(func)
+                             if isinstance(node, ast.Call)
+                             and getattr(node.func, "attr", getattr(node.func, "id", None))
+                             == "Tape" and (node.args or node.keywords))
+        if any(isinstance(node, ast.Attribute) and node.attr == "grad"
+               and isinstance(node.ctx, ast.Store) for node in ast.walk(tree)):
+            grads.add(path.name)
+    return tapes, grads
+
+
+def test_fits_differentiate_only_through_fit_step():
+    # a fit loop that builds its own tape, or hands a gradient on by hand,
+    # bypasses the one step every fit takes
+    tapes, grads = differentiating_sites()
+    assert tapes == {("optim.py", "fit_step"), ("gradcheck.py", "check_scalar_fn")}
+    assert grads == {"autodiff.py", "optim.py"}
+
+
+def test_the_check_sees_a_hand_rolled_step(tmp_path):
+    (tmp_path / "loop.py").write_text(
+        "from . import autodiff as ad\n\n\ndef fit(h, h32, loss):\n"
+        "    with ad.Tape(wrt=[h32]) as tape:\n        tape.backward(loss(h32))\n"
+        "    h.grad = h32.grad\n\n\ndef frozen(loss):\n"
+        "    with ad.Tape():\n        return loss()\n")
+    assert differentiating_sites(tmp_path) == ({("loop.py", "fit")}, {"loop.py"})

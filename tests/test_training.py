@@ -170,14 +170,11 @@ def test_one_training_step_updates_only_the_sampled_row():
     params_before = model.params["w_in"].values.copy()
 
     batch = make_batch(subjects[1], 0)
-    from nisf.optim import Adam
+    from nisf.optim import Adam, fit_step
     adam_model = Adam({n: model.params[n] for n in model.param_names()}, lr=1e-3)
-    with Tape(wrt=[*model.parameters(), table.row("s1")]) as tape:
-        terms = train_loss(model, table.row("s1"), batch.coords,
-                           batch.intensities, batch.labels, LossWeights())
-        tape.backward(terms.total)
-    adam_model.step()
-    table.adams["s1"].step()
+    fit_step([adam_model, table.adams["s1"]],
+             lambda: train_loss(model, table.row("s1"), batch.coords, batch.intensities,
+                                batch.labels, LossWeights()))
 
     after = table.matrix()
     assert not np.array_equal(model.params["w_in"].values, params_before)
@@ -271,14 +268,20 @@ def test_training_rejects_labels_beyond_model_classes():
 
 
 def test_non_finite_loss_aborts_with_step_diagnostics(monkeypatch):
+    # a non-finite loss, and an Adam's non-finite gradient in the same step,
+    # are raised again with the step's context
     import nisf.training as training_mod
+    from nisf.optim import Adam
 
     def explode(*args, **kwargs):
         raise NumericalError("synthetic blow-up")
 
-    monkeypatch.setattr(training_mod, "train_loss", explode)
-    with pytest.raises(NumericalError, match=r"step 0 \(epoch 0, subject s\d"):
-        train_prior(_subjects(2), _cfg())
+    for owner, name in [(training_mod, "train_loss"), (Adam, "step")]:
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, explode)
+            with pytest.raises(NumericalError,
+                               match=r"step 0 \(epoch 0, subject s\d.*synthetic blow-up"):
+                train_prior(_subjects(2), _cfg())
 
 
 # -- checkpoints -----------------------------------------------------------------

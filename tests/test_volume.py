@@ -92,6 +92,8 @@ def test_volume_rejects_bad_shapes():
     with pytest.raises(DimensionError):
         VolumeSample("x", good.intensity, good.labels, (1, 1, 1),
                      mask=np.ones((2, 2, 2, 2), dtype=bool))
+    with pytest.raises(ContractError, match="extents must be >= 1"):
+        VolumeSample("x", good.intensity[..., :0], good.labels[..., :0], (1, 1, 1))
 
 
 def test_volume_rejects_bad_values():
