@@ -4,8 +4,10 @@ Runs (or resumes) every stage of the standard pipeline: phantom dataset,
 prior training, validation early-stop selection, the long-budget
 validation curve, test-set inference, held-out-slice and oblique-plane
 comparisons. All results land in the cache directory keyed by the
-config hash, so re-running after an interruption continues where the
-previous invocation stopped, and a completed cache returns instantly.
+config hash and the numerics digest of the code, so re-running after an
+interruption continues where the previous invocation stopped, and a
+completed cache returns instantly. Results of this config computed by
+other numerics are named at the start and never served.
 """
 
 import argparse
@@ -35,6 +37,8 @@ def main() -> int:
                        log=lambda m: print(f"[{time.monotonic() - t0:8.1f}s] {m}",
                                            flush=True))
     print(f"experiment hash {cfg.content_hash()} -> {run.dir}", flush=True)
+    for path in run.other_numerics():
+        print(f"{path}: computed by other numerics, not served", flush=True)
 
     if args.stage == "all":
         summary = run.run_all()

@@ -2,9 +2,10 @@
 
 Fits the field plus one latent to a single small phantom using every
 observed point each step, then reports the loss trajectory and the
-frame-0 reconstruction error. The result is cached, stamped with a
-fingerprint of the nisf code (comments and docstrings excluded); a
-record computed by other code is recomputed on the next call.
+frame-0 reconstruction error. The result is cached in a directory keyed
+by the config hash and a fingerprint of the nisf code (comments and
+docstrings excluded); after a code change the next call computes a new
+record under the new key and leaves the old one as it is.
 """
 
 import argparse

@@ -7,9 +7,14 @@ budget, and three comparisons on 20 unseen test subjects (test-set Dice,
 the held-out slice and the oblique plane). Sequentially that is several
 hours of compute (an estimate from per-step timings on a 2-vCPU machine,
 not a measured run: about 3.1 h at 600 selected steps, 4.7 h at 1200), so
-every stage is cached on disk keyed by a hash of the experiment config.
-Tests and scripts share the cache: the first caller pays, everyone else
-loads.
+every stage is cached on disk. The cache directory's name is the key: a
+hash of the experiment config and the ``numerics_digest`` of the code
+that computes the stages. A stored file is served exactly when it exists,
+and results computed by other numerics sit under another key, never read
+and never overwritten; ``DeskScaleRun.other_numerics`` names them. Tests
+and scripts share the cache: the first caller pays, everyone else loads.
+The single-subject overfit record is keyed the same way by
+``code_fingerprint``.
 
 This module is the only one that knows the protocols, and the only one
 that scores a fit against labels: ``inference`` fits on intensities alone.
@@ -21,12 +26,11 @@ one loop, ``DeskScaleRun._rows``, and assembles its file from the rows.
 from __future__ import annotations
 
 import ast
-import hashlib
 import json
 import os
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -34,7 +38,7 @@ from . import autodiff as ad
 from .errors import ContractError
 from .inference import (InferConfig, analysis_points, evaluate_points, full_observations,
                         infer_latent)
-from .losses import LossWeights, train_loss
+from .losses import LossWeights, inference_loss, train_loss
 from .metrics import DiceReport, aggregate, dice_report, reconstruction_mae
 from .model import FieldModel, ModelConfig
 from .optim import Adam, fit_step
@@ -42,13 +46,13 @@ from .phantom import (DEFAULT_GRID_SHAPE, DEFAULT_SPACING, PhantomSpec, generate
                       generate_subject)
 from .sampling import (GridSpec, PlaneSpec, nearest_neighbor_resample, sample_grid,
                        sample_plane)
-from .serial import config_dict, config_hash, write_json_atomic
+from .serial import config_dict, config_hash, digest, write_json_atomic
 from .training import (LATENT_PRIOR_SIGMA, TrainConfig, latest_checkpoint,
                        load_checkpoint, train_prior)
 from .volume import CLASS_NAMES, SPLITS, VolumeSample, drop_slices, make_batch, normalize_index
 
 DEFAULT_CACHE_ROOT = ".acceptance_cache"
-CACHE_KEY_CHARS = 16  # hex digits of a config hash in a cache directory name
+CACHE_KEY_CHARS = 16  # hex digits of each hash in a cache directory name
 
 # The per-subject stages in run order; each is a ``DeskScaleRun`` method
 # that writes ``<stage>.json``.
@@ -290,13 +294,30 @@ class DeskScaleRun:
     def __init__(self, cfg: DeskScaleConfig, cache_root: str = DEFAULT_CACHE_ROOT,
                  log=None):
         self.cfg = cfg
-        self.dir = os.path.join(cache_root, f"desk_{cfg.content_hash()}")
+        self.dir = os.path.join(cache_root, f"desk_{cfg.content_hash()}_"
+                                            f"{numerics_digest()[:CACHE_KEY_CHARS]}")
         os.makedirs(self.dir, exist_ok=True)
         self._log = log or (lambda msg: None)
         self._splits: dict[str, list[VolumeSample]] | None = None
         config_path = os.path.join(self.dir, "config.json")
         if not os.path.exists(config_path):
             write_json_atomic(config_path, cfg.to_dict())
+
+    def other_numerics(self) -> list[str]:
+        """The directories of this config under the cache root that another
+        numerics digest keys, or none (the key before it held one), and that
+        hold a stage file or a checkpoint: results this run never reads."""
+        root, own = os.path.split(self.dir)
+        prefix = f"desk_{self.cfg.content_hash()}"
+        found = []
+        for name in sorted(os.listdir(root)):
+            path = os.path.join(root, name)
+            if (name != own and (name == prefix or name.startswith(prefix + "_"))
+                    and (latest_checkpoint(path) is not None
+                         or any(os.path.exists(os.path.join(path, f"{stage}.json"))
+                                for stage in STAGES))):
+                found.append(path)
+        return found
 
     # -- shared pieces --------------------------------------------------
 
@@ -427,16 +448,17 @@ def _ckpt_epochs(path: str) -> int:
 
 
 def code_fingerprint() -> str:
-    """SHA-256 over the package's ``.py`` modules' code, in sorted file order.
+    """``serial.digest`` over the package's ``.py`` modules' code, in sorted
+    file order.
 
     Each module enters as its ``ast.dump`` without module, class and
     function docstrings; comments never reach the AST. So an edit to
     comments or docstrings keeps the fingerprint, and any change to code
-    changes it: a cached record stamped with a different fingerprint was
-    computed by other code and is recomputed rather than served.
+    changes it: the overfit record's directory is keyed by it, so a record
+    computed by other code is never found, and the overfit runs again.
     """
     pkg = os.path.dirname(os.path.abspath(__file__))
-    h = hashlib.sha256()
+    parts = []
     for name in sorted(n for n in os.listdir(pkg) if n.endswith(".py")):
         with open(os.path.join(pkg, name), "rb") as f:
             tree = ast.parse(f.read())
@@ -444,8 +466,63 @@ def code_fingerprint() -> str:
             if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
                     and ast.get_docstring(node, clean=False) is not None):
                 node.body = node.body[1:]
-        h.update(name.encode("utf-8") + b"\0" + ast.dump(tree).encode("utf-8") + b"\0")
-    return h.hexdigest()
+        parts.append(f"{name}\0{ast.dump(tree)}\0")
+    return digest(*parts)
+
+
+# two full trunk tiles and a ragged one at the default width
+_DIGEST_ROWS = 2 * ad.block_rows(ModelConfig().hidden_width) + 3
+
+
+@cache
+def numerics_digest() -> str:
+    """``serial.digest`` over the float bits of a fixed run of the desk
+    stages' numerics, once per process; it keys the desk cache.
+
+    At the default width, on batches that span several trunk tiles, the run
+    takes a frozen ``evaluate_points`` and the Dice of its labels, a
+    ``sample_plane``, a 2-step float32 ``infer_latent`` on sampled points
+    with a record at every step, and one float64 ``fit_step`` each on the
+    inference loss (the latent alone) and the training loss (every
+    parameter and the latent), with their Adam moments and stepped values.
+    A change that moves any bit of these numbers changes the digest, and
+    its desk results go under another key; a change that keeps every value
+    (a refactor or a speed-up) keeps the digest and the stored results.
+
+    The bits depend on the BLAS build and the CPU as well: another one may
+    sum products in another order, and then keys its results apart.
+    """
+    model = FieldModel.init(ModelConfig(), seed=5)
+    rng = np.random.default_rng(2051)
+    coords = rng.uniform(0.0, 1.0, size=(_DIGEST_ROWS, 4))
+    intensities = rng.uniform(0.05, 0.95, size=_DIGEST_ROWS)
+    labels = rng.integers(0, 4, size=_DIGEST_ROWS)
+    latent = rng.normal(0.0, 0.1, size=model.config.latent_dim)
+
+    decoded = evaluate_points(model, latent, coords)
+    plane = sample_plane(model, latent, PlaneSpec(
+        origin_norm=(0.5, 0.5, 0.5), dir1_mm=(0.6, 0.8, 0.0), dir2_mm=(0.0, 0.0, 1.0),
+        extent_mm=(60.0, 40.0), counts=(45, 46), t=0.3, span_mm=(60.0, 60.0, 40.0)))
+    fitted, trace = infer_latent(model, coords, intensities, InferConfig(
+        steps_to_run=2, lr_infer=1e-2, seed=7, record_cadence=1, points_per_step=1024))
+    parts = [*decoded, dice_report(decoded[0], labels).per_class,
+             plane.intensity, plane.labels, plane.probs,
+             fitted.values, trace.recon_loss, trace.latents]
+
+    h = ad.Tensor(latent.copy())
+    adam = Adam({"latent": h}, lr=1e-3)
+    report = fit_step([adam], lambda: inference_loss(model.intensity(coords, h), intensities,
+                                                     h, 1e-4))
+    parts += [report.total, adam.m["latent"], h.values]
+
+    # last, since it moves the model
+    h = ad.Tensor(latent.copy())
+    adam = Adam({**{name: model.params[name] for name in model.param_names()}, "latent": h},
+                lr=1e-3)
+    report = fit_step([adam], lambda: train_loss(model, h, coords, intensities, labels,
+                                                 LossWeights()))
+    parts += [report.total, *adam.m.values(), *(p.values for p in adam.params.values())]
+    return digest(*parts)
 
 
 # ---------------------------------------------------------------------------
@@ -512,10 +589,11 @@ def run_overfit(cfg: OverfitConfig = OverfitConfig()) -> OverfitResult:
 
 def cached_overfit(cfg: OverfitConfig = OverfitConfig(),
                    cache_root: str = DEFAULT_CACHE_ROOT) -> dict:
-    """Load the overfit record for ``cfg``, running it if absent or stale.
+    """Load the overfit record for ``cfg``, running it if absent.
 
-    Each record carries the ``code_fingerprint`` of the code that computed
-    it; a record without one, or with another, is recomputed and replaced.
+    The record's directory is keyed by ``cfg``'s hash and the
+    ``code_fingerprint`` of the code that computes it, so a record computed
+    by other code is never read and never overwritten.
     """
     def build() -> dict:
         res = run_overfit(cfg)
@@ -526,28 +604,25 @@ def cached_overfit(cfg: OverfitConfig = OverfitConfig(),
                 "recon_mae_frame0": res.recon_mae_frame0,
                 "losses": res.losses}
 
-    path = os.path.join(cache_root, f"overfit_{cfg.content_hash()}", "overfit.json")
-    return _cached_record(path, build, code_fingerprint())
+    key = f"overfit_{cfg.content_hash()}_{code_fingerprint()[:CACHE_KEY_CHARS]}"
+    return _cached_record(os.path.join(cache_root, key, "overfit.json"), build)
 
 
-def _cached_record(path: str, build, fingerprint: str | None = None) -> dict:
-    """The JSON record at ``path``, or else ``build()``'s, timed and written.
+def _cached_record(path: str, build) -> dict:
+    """The JSON record at ``path`` if the file exists, or else ``build()``'s,
+    timed and written.
 
-    A built record gains ``elapsed_seconds``, the build's own wall time, so
+    What computed a record is in ``path``'s key, never in the record. A
+    built record gains ``elapsed_seconds``, the build's own wall time, so
     the cache never hides how long the computation takes, and it is written
-    atomically. With a ``fingerprint``, a stored record is served only if
-    its ``code_fingerprint`` matches; otherwise it is rebuilt and stamped.
+    atomically.
     """
     if os.path.exists(path):
         with open(path, "r", encoding="utf-8") as f:
-            record = json.load(f)
-        if fingerprint is None or record.get("code_fingerprint") == fingerprint:
-            return record
+            return json.load(f)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     t0 = time.monotonic()
     record = build()
-    if fingerprint is not None:
-        record["code_fingerprint"] = fingerprint
     record["elapsed_seconds"] = round(time.monotonic() - t0, 3)
     write_json_atomic(path, record)
     return record

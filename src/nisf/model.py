@@ -9,7 +9,6 @@ fitted on intensities alone carry segmentation information.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -18,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractError, DimensionError
-from .serial import config_dict, config_from_dict, read_blob, require, write_blob
+from .serial import config_dict, config_from_dict, digest, read_blob, require, write_blob
 
 MODEL_MAGIC = "NISF-MODEL"
 MODEL_VERSION = 1
@@ -160,13 +159,9 @@ class FieldModel:
                                         for name, p in self.params.items()})
 
     def checksum(self) -> str:
-        """SHA-256 over canonical little-endian parameter bytes."""
-        h = hashlib.sha256()
-        for name in self.param_names():
-            arr = self.params[name].values
-            h.update(name.encode("ascii"))
-            h.update(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes())
-        return h.hexdigest()
+        """``serial.digest`` over each parameter's name and values, in order."""
+        return digest(*(part for name in self.param_names()
+                        for part in (name, self.params[name].values)))
 
     # -- evaluation ----------------------------------------------------
 

@@ -18,6 +18,10 @@ little-endian raw bytes and read back with the recorded dtype and shape.
 JSON artifacts share two helpers as well: configs serialise and hash
 through ``config_dict``/``config_hash``, and records are written through
 ``write_json_atomic`` so a reader never sees a half-written file.
+
+Everything the package hashes goes through one function, ``digest``:
+config hashes, model checksums, the code fingerprint and the numerics
+digest that keys the desk-scale cache.
 """
 
 from __future__ import annotations
@@ -146,10 +150,23 @@ def config_dict(cfg) -> dict:
     return asdict(cfg, dict_factory=_json_fields)
 
 
+def digest(*parts) -> str:
+    """SHA-256 hex digest of ``parts`` in order. A ``str`` enters as its UTF-8
+    bytes, anything else as the little-endian bytes of ``np.asarray(part)``,
+    so an array hashes alike on either byte order but not at another dtype."""
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, str):
+            h.update(part.encode("utf-8"))
+        else:
+            arr = np.asarray(part)
+            h.update(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes())
+    return h.hexdigest()
+
+
 def config_hash(d: dict, chars: int = 64) -> str:
-    """Leading ``chars`` hex digits of the SHA-256 of ``d`` as sorted-key JSON."""
-    blob = json.dumps(d, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:chars]
+    """Leading ``chars`` hex digits of the ``digest`` of ``d`` as sorted-key JSON."""
+    return digest(json.dumps(d, sort_keys=True))[:chars]
 
 
 def write_text_atomic(path: str, text: str) -> None:

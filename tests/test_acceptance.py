@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from nisf import autodiff as ad
-from nisf.experiments import (DeskScaleConfig, DeskScaleRun, OverfitConfig,
+from nisf.experiments import (STAGES, DeskScaleConfig, DeskScaleRun, OverfitConfig,
                               cached_overfit)
 from nisf.gradcheck import run_model_check, run_op_checks
 from nisf.inference import InferConfig, evaluate_points, full_observations, infer_latent
@@ -43,13 +43,13 @@ def _line(criterion: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def desk():
-    cfg = DeskScaleConfig()
-    run = DeskScaleRun(cfg, cache_root=CACHE_ROOT)
-    needed = ["validation.json", "longrun.json", "test_eval.json",
-              "heldout.json", "oblique.json"]
-    missing = [n for n in needed if not os.path.exists(os.path.join(run.dir, n))]
+    run = DeskScaleRun(DeskScaleConfig(), cache_root=CACHE_ROOT)
+    missing = [f"{stage}.json" for stage in STAGES
+               if not os.path.exists(os.path.join(run.dir, f"{stage}.json"))]
     if missing or latest_checkpoint(run.dir) is None:
-        pytest.skip(f"desk-scale cache incomplete ({missing or 'no checkpoint'}); "
+        unserved = "".join(f"; {path} was computed by other numerics, not served"
+                           for path in run.other_numerics())
+        pytest.skip(f"desk-scale cache incomplete ({missing or 'no checkpoint'}){unserved}; "
                     f"run: python3 scripts/run_desk_scale.py")
     return run
 

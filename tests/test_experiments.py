@@ -1,11 +1,11 @@
 """Cached experiment pipeline: stage mechanics on a micro configuration, and
 every stage's outcome on a desk-small one."""
 
-import hashlib
 import json
 import os
 import shutil
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +21,7 @@ from nisf.metrics import dice_report
 from nisf.model import FieldModel, ModelConfig
 from nisf.phantom import generate_subject
 from nisf.sampling import GridSpec, sample_grid
+from nisf.serial import digest
 from nisf.training import TrainConfig, train_prior
 from nisf.volume import VolumeSample, drop_slices, normalize_index
 
@@ -215,6 +216,34 @@ def test_pipeline_reload_is_pure_cache(micro_run, monkeypatch):
     assert again == summary
 
 
+def test_results_of_other_numerics_are_named_and_never_read(tmp_path):
+    """A stage file computed by other numerics sits under another key: here an
+    ``oblique.json`` whose rows predate ``truth_pixels_per_class``. A run
+    computes its own rows beside it, leaves it as it is and names it."""
+    key = MICRO.content_hash()
+    stale = tmp_path / f"desk_{key}_{'0' * 16}"
+    legacy = tmp_path / f"desk_{key}"  # the key before it held a digest
+    no_results = tmp_path / f"desk_{key}_{'1' * 16}"
+    other_config = tmp_path / f"desk_{replace(MICRO, dataset_seed=4).content_hash()}_{'0' * 16}"
+    row = {"id": "s0003", "model_mean": 0.5, "baseline_mean": 0.25,
+           "model_per_class": [0.5] * 3, "baseline_per_class": [0.25] * 3}
+    for folder, name in ((stale, "oblique.json"), (legacy, "oblique.json"),
+                         (no_results, "config.json"), (other_config, "oblique.json")):
+        folder.mkdir()
+        (folder / name).write_text(json.dumps({"tilt_deg": 30.0, "subjects": [row],
+                                               "win_fraction": 1.0, "elapsed_seconds": 2.0}))
+    before = {p: p.read_bytes() for p in tmp_path.glob("*/*")}
+
+    run = DeskScaleRun(MICRO, cache_root=str(tmp_path))
+    assert run.other_numerics() == [str(legacy), str(stale)]
+    rows = run.run_all()["oblique"]["subjects"]
+    assert [row["id"] for row in rows] == ["s0003"]
+    assert all(len(row["truth_pixels_per_class"]) == 3 for row in rows)
+    assert {p: p.read_bytes() for p in tmp_path.glob("*/*")
+            if p.parent != Path(run.dir)} == before
+    assert run.other_numerics() == [str(legacy), str(stale)]
+
+
 def _dice_curve(model, subject, trace):
     """The mean foreground Dice of each latent ``trace`` recorded, decoded on
     ``subject``'s analysis frames."""
@@ -323,8 +352,8 @@ def test_test_latents_round_trip(micro_run):
 # A pipeline small enough for every test run (about 30 s on 2 vCPUs) and
 # large enough that every stage shows an outcome: validation Dice rises
 # from 0.475 to 0.836 and selects 140 steps, and test mean Dice is 0.879.
-# DESK_SMALL_DIGEST is a SHA-256 over its five stage files in ``STAGES``
-# order, each read back and hashed as sorted-key JSON without its
+# DESK_SMALL_DIGEST is the ``serial.digest`` of its five stage files in
+# ``STAGES`` order, each read back as sorted-key JSON without its
 # ``elapsed_seconds``: a change meant to keep every value of the desk
 # protocol must leave it as it is. It was taken with numpy 2.4 and OpenBLAS
 # 0.3.31 on an AVX-512 Xeon, and held with OpenBLAS on 1 and on 2 threads.
@@ -361,13 +390,13 @@ def test_desk_small_run_drives_every_stage(tmp_path):
             assert len(row[key]) == 3 and all(0.0 <= v <= 1.0 for v in row[key])
         lv_pool, myocardium, rv_pool = row["truth_pixels_per_class"]
         assert lv_pool > 0 and myocardium > 0 and rv_pool == 0
-    digest = hashlib.sha256()
+    records = []
     for stage in STAGES:
         with open(os.path.join(run.dir, f"{stage}.json"), encoding="utf-8") as f:
             record = json.load(f)
         del record["elapsed_seconds"]
-        digest.update(json.dumps(record, sort_keys=True).encode("utf-8"))
-    assert digest.hexdigest() == DESK_SMALL_DIGEST
+        records.append(json.dumps(record, sort_keys=True))
+    assert digest(*records) == DESK_SMALL_DIGEST
 
 
 def test_cached_overfit_runs_once_then_loads(tmp_path, monkeypatch):
@@ -386,28 +415,32 @@ def test_cached_overfit_runs_once_then_loads(tmp_path, monkeypatch):
     assert second == first
 
 
-@pytest.mark.parametrize("stamp", ["0" * 64, None], ids=["other-code", "unstamped"])
-def test_cached_overfit_recomputes_record_from_other_code(tmp_path, monkeypatch, stamp):
+@pytest.mark.parametrize("key", ["_" + "0" * 16, ""], ids=["other-code", "unstamped"])
+def test_cached_overfit_recomputes_record_from_other_code(tmp_path, monkeypatch, key):
+    # a record under another code fingerprint's key, or under the key before
+    # it held one, is neither read nor modified: the record of this code
+    # goes under its own key beside it
     import nisf.experiments as exp
     cfg = OverfitConfig(steps=3, grid_shape=(6, 6, 2, 2), spacing=(4.0, 4.0, 10.0),
                         model=TINY)
-    path = tmp_path / f"overfit_{cfg.content_hash()}" / "overfit.json"
-    path.parent.mkdir()
-    stale = {"config": cfg.to_dict(), "initial_loss": 1.0, "final_loss": 0.5,
-             "loss_ratio": 0.5, "recon_mae_frame0": 0.0, "elapsed_seconds": 797.766,
-             "losses": [1.0, 0.75, 0.5]}
-    if stamp is not None:
-        stale["code_fingerprint"] = stamp
-    path.write_text(json.dumps(stale))
+    stale = tmp_path / f"overfit_{cfg.content_hash()}{key}" / "overfit.json"
+    stale.parent.mkdir()
+    stale.write_text(json.dumps({
+        "config": cfg.to_dict(), "initial_loss": 1.0, "final_loss": 0.5, "loss_ratio": 0.5,
+        "recon_mae_frame0": 0.0, "elapsed_seconds": 797.766, "losses": [1.0, 0.75, 0.5],
+        "code_fingerprint": "0" * 64}))
+    before = stale.read_bytes()
 
     calls = []
     real = exp.run_overfit
     monkeypatch.setattr(exp, "run_overfit", lambda c: calls.append(c) or real(c))
     fresh = cached_overfit(cfg, cache_root=str(tmp_path))
     assert calls == [cfg]
-    assert fresh["code_fingerprint"] == exp.code_fingerprint()
+    assert "code_fingerprint" not in fresh
     assert fresh["elapsed_seconds"] != 797.766
-    assert json.loads(path.read_text()) == fresh
+    key = f"overfit_{cfg.content_hash()}_{exp.code_fingerprint()[:16]}"
+    assert json.loads((tmp_path / key / "overfit.json").read_text()) == fresh
+    assert stale.read_bytes() == before
     assert cached_overfit(cfg, cache_root=str(tmp_path)) == fresh
     assert calls == [cfg]
 

@@ -1,6 +1,7 @@
 """The library holds only what the program runs: every definition has a
-caller, the README's layout names every module, and every fit
-differentiates and steps through ``optim.fit_step``."""
+caller, the README's layout names every module, every fit
+differentiates and steps through ``optim.fit_step``, and every hash is
+taken by ``serial.digest``."""
 
 import ast
 import re
@@ -124,3 +125,32 @@ def test_the_check_sees_a_hand_rolled_step(tmp_path):
         "    h.grad = h32.grad\n\n\ndef frozen(loss):\n"
         "    with ad.Tape():\n        return loss()\n")
     assert differentiating_sites(tmp_path) == ({("loop.py", "fit")}, {"loop.py"})
+
+
+def hashing_modules(folders=(LIBRARY, ROOT / "tests")):
+    """The modules of ``folders`` that import ``hashlib``."""
+    found = []
+    for folder in folders:
+        for path in sorted(folder.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                         else [node.module] if isinstance(node, ast.ImportFrom) else [])
+                if any(name and name.split(".")[0] == "hashlib" for name in names):
+                    found.append(f"{folder.name}/{path.name}")
+                    break
+    return found
+
+
+def test_only_serial_hashes():
+    # one digest function: a second hand-written SHA-256 loop may hash the
+    # same values to other bytes
+    assert hashing_modules() == ["nisf/serial.py"]
+
+
+def test_the_check_sees_a_hashlib_import(tmp_path):
+    (tmp_path / "a.py").write_text("import os, hashlib as h\n")
+    (tmp_path / "b.py").write_text("from hashlib import sha256\n")
+    (tmp_path / "c.py").write_text("def f():\n    import hashlib.x\n")
+    (tmp_path / "d.py").write_text("hashlib = 'a name, not an import'\n")
+    assert hashing_modules([tmp_path]) == [f"{tmp_path.name}/{name}"
+                                           for name in ("a.py", "b.py", "c.py")]

@@ -209,6 +209,13 @@ def test_init_is_seed_deterministic_and_seed_sensitive():
     assert a.checksum() != c.checksum()
 
 
+def test_default_model_checksum_is_pinned():
+    # a fitted latent file stores the checksum of its model; a change here
+    # would stop every stored latent from matching its model
+    assert FieldModel.init(ModelConfig(), seed=0).checksum() == (
+        "8e8e3ff784b773de880478c90f66826848d67b19a43aca1d88133fc8d35ac66f")
+
+
 def test_zero_heads_give_uniform_probs_and_half_intensity():
     cfg = tiny_config()
     model = FieldModel.init(cfg, seed=3)

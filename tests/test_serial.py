@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nisf.errors import FormatVersionError, PayloadError
-from nisf.serial import (array_entries, config_from_dict, read_blob, require, write_blob,
-                         write_json_atomic)
+from nisf.serial import (array_entries, config_from_dict, digest, read_blob, require,
+                         write_blob, write_json_atomic)
 
 MAGIC = "NISF-TEST"
 
@@ -182,3 +182,18 @@ def test_write_json_atomic_writes_indented_sorted_lines(tmp_path):
     write_json_atomic(path, obj)
     with open(path, encoding="utf-8") as f:
         assert f.read() == json.dumps(obj, indent=1, sort_keys=True) + "\n"
+
+
+def test_digest_is_sha256_of_its_parts_in_order():
+    abc = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+    assert digest("abc") == digest("a", "", "bc") == digest(np.frombuffer(b"abc", np.uint8)) == abc
+    assert digest("bc", "a") != abc
+    assert digest(np.array([1.0, 2.0])) == digest(np.array([1.0]), 2.0)
+
+
+def test_digest_reads_values_in_little_endian_at_their_dtype():
+    values = np.arange(12.0).reshape(3, 4) / 7.0
+    big = values.astype(">f8")
+    assert digest(big) == digest(values) == digest(np.asfortranarray(values))
+    assert digest(values[:, ::2]) == digest(values[:, ::2].copy())
+    assert digest(values.astype(np.float32)) != digest(values)

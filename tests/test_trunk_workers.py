@@ -10,7 +10,6 @@ numpy 2.4 and OpenBLAS 0.3.31 on an AVX-512 Xeon (see
 ``test_fingerprint.py`` for another BLAS build or CPU).
 """
 
-import hashlib
 import sys
 import threading
 import time
@@ -26,6 +25,7 @@ from nisf.losses import LossWeights, inference_loss, train_loss
 from nisf.metrics import dice_report
 from nisf.model import FieldModel, ModelConfig
 from nisf.sampling import GridSpec, PlaneSpec, sample_grid, sample_plane
+from nisf.serial import digest
 
 # (frozen digest, fit digest) per width. Widths 128 and 24 keep the bits of
 # whole-tile products; at width 100 the products' rows depend on the batch,
@@ -79,14 +79,6 @@ def frozen_outputs(width) -> tuple[list[np.ndarray], list[np.ndarray]]:
     return frozen, fit
 
 
-def _digest(arrays) -> str:
-    digest = hashlib.sha256()
-    for arr in arrays:
-        arr = np.asarray(arr)
-        digest.update(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes())
-    return digest.hexdigest()
-
-
 @pytest.mark.parametrize("width", sorted(DIGESTS))
 def test_frozen_bits_do_not_depend_on_the_worker_count(width, monkeypatch):
     monkeypatch.setattr(ad, "TRUNK_WORKERS", 1)
@@ -96,7 +88,7 @@ def test_frozen_bits_do_not_depend_on_the_worker_count(width, monkeypatch):
     for i, (a, b) in enumerate(zip(one_frozen + one_fit, two_frozen + two_fit)):
         assert np.array_equal(a, b), (width, i)
     if DIGESTS[width] is not None:
-        assert (_digest(two_frozen), _digest(two_fit)) == DIGESTS[width]
+        assert (digest(*two_frozen), digest(*two_fit)) == DIGESTS[width]
 
 
 def test_more_workers_than_cores_keep_the_bits(monkeypatch):
